@@ -32,11 +32,7 @@ from .comparison import (
     identity_residual,
     random_screened_tangent_pair,
 )
-from .coulomb import (
-    coulomb_eigenvalue,
-    coulomb_eigenvalue_derivative,
-    coulomb_spectrum_point,
-)
+from .coulomb import coulomb_eigenvalue, coulomb_eigenvalue_derivative
 from .envelope import EnvelopeBound, bound_at_t, bound_objective, minimize_bound
 from .errors import (
     ConvergenceError,
@@ -86,7 +82,6 @@ __all__ = [
     "ordering_gap",
     "coulomb_eigenvalue",
     "coulomb_eigenvalue_derivative",
-    "coulomb_spectrum_point",
     "RadialGrid",
     "RadialSolution",
     "build_grid",

@@ -20,23 +20,11 @@ which is strictly negative: eigenvalues sink as the coupling grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .channels import Channel
 
 # keep sqrt arguments safely positive near the critical coupling u = k
 DOMAIN_MARGIN = 1e-12
-
-
-@dataclass(frozen=True)
-class CoulombSpectrumPoint:
-    """One evaluation of the closed-form spectrum, with the pieces exposed."""
-
-    coupling: float
-    channel: Channel
-    energy: float
-    derivative: float
-    apparent_principal: float  # N in the formula above
 
 
 def _validate(u: float, channel: Channel) -> float:
@@ -62,16 +50,3 @@ def coulomb_eigenvalue_derivative(u: float, channel: Channel) -> float:
     s = math.sqrt((k - u) * (k + u))
     N = channel.n - (1 - channel.tau) // 2 + s
     return -u * (N + u * u / s) * (N * N + u * u) ** -1.5
-
-
-def coulomb_spectrum_point(u: float, channel: Channel) -> CoulombSpectrumPoint:
-    k = _validate(u, channel)
-    s = math.sqrt((k - u) * (k + u))
-    N = channel.n - (1 - channel.tau) // 2 + s
-    return CoulombSpectrumPoint(
-        coupling=u,
-        channel=channel,
-        energy=N / math.hypot(N, u),
-        derivative=-u * (N + u * u / s) * (N * N + u * u) ** -1.5,
-        apparent_principal=N,
-    )

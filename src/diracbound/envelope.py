@@ -79,9 +79,10 @@ def minimize_bound(
 ) -> EnvelopeBound:
     """Best tangent bound: coarse log-uniform scan in u, then Brent refinement.
 
-    All local minima found by the scan are refined and the global one is
-    returned; a minimum pinned at a domain edge is flagged (the bound is
-    still valid, just unlikely to be tight).
+    Every local minimum of the scan, the two domain edges included, is
+    refined over its neighbouring scan interval(s) and the global one is
+    returned; a minimum still pinned at a domain edge after refinement is
+    flagged (the bound is still valid, just unlikely to be tight).
     """
     _require_nodeless_channel(ch)
     u_lo = DOMAIN_EDGE
@@ -89,20 +90,21 @@ def minimize_bound(
     us = np.geomspace(u_lo, u_hi, COARSE_POINTS)
     fs = np.array([bound_objective(pot, ch, u) for u in us])
 
-    candidates = []  # (refined u, F(u), hit_edge)
-    interior = np.nonzero((fs[1:-1] <= fs[:-2]) & (fs[1:-1] <= fs[2:]))[0] + 1
-    for i in interior:
+    last = len(us) - 1
+    scan_minima = list(np.nonzero((fs[1:-1] <= fs[:-2]) & (fs[1:-1] <= fs[2:]))[0] + 1)
+    scan_minima += [i for i, j in ((0, 1), (last, last - 1)) if fs[i] < fs[j]]
+    candidates = []  # (refined u, F(u), at the domain edge)
+    for i in scan_minima:
         res = minimize_scalar(
             lambda u: bound_objective(pot, ch, u),
-            bounds=(us[i - 1], us[i + 1]),
+            bounds=(us[max(i - 1, 0)], us[min(i + 1, last)]),
             method="bounded",
             options={"xatol": 1e-11},
         )
-        candidates.append((float(res.x), float(res.fun), False))
-    if fs[0] < fs[1]:
-        candidates.append((float(us[0]), float(fs[0]), True))
-    if fs[-1] < fs[-2]:
-        candidates.append((float(us[-1]), float(fs[-1]), True))
+        if i in (0, last) and fs[i] <= res.fun:
+            candidates.append((float(us[i]), float(fs[i]), True))
+        else:
+            candidates.append((float(res.x), float(res.fun), False))
     if not candidates:
         # flat scan (cannot happen for these potentials, but fail loudly)
         raise ConvergenceError(f"bound objective is flat over ({u_lo}, {u_hi})")
@@ -116,6 +118,8 @@ def minimize_bound(
                 f"tangent parameterizations disagree at the optimum: "
                 f"F(u*)={f_star!r} vs A+D(B)={crosscheck!r}"
             )
+    # -v/r <= V, so D(v) is a rigorous floor: F(u*) below it is round-off
+    f_star = max(f_star, coulomb_eigenvalue(pot.coupling, ch))
     return EnvelopeBound(
         ch=ch,
         u_star=u_star,

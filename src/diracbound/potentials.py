@@ -186,11 +186,6 @@ class TangentPotential:
                 "parent": self.parent.describe()}
 
 
-def evaluate(pot, r):
-    """Potential value in rest-energy units at radius r > 0."""
-    return pot.evaluate(r)
-
-
 def g_transform(pot: ScreenedCoulomb, h):
     """g(h) with h in the range of -1/r, i.e. h < 0; g(h(r)) equals V(r).
 

@@ -197,8 +197,10 @@ def _stage_tables(pot, tk: float, base: np.ndarray, step: np.ndarray) -> list:
     return out
 
 
-def _sweep_out(stages, hs, E, y1, y2, i_stop, winding=False, out1=None, out2=None):
-    """Integrate intervals [0, i_stop); returns (y1, y2, theta) at point i_stop."""
+def _sweep(stages, hs, E, y1, y2, n_steps, winding=False, out1=None, out2=None):
+    """Integrate the first n_steps intervals; returns (y1, y2, theta) at their end.
+
+    Inward sweeps pass tables and steps in inward order and reversed output views."""
     theta = 0.0
     p = 1.0 + E
     q = 1.0 - E
@@ -206,7 +208,7 @@ def _sweep_out(stages, hs, E, y1, y2, i_stop, winding=False, out1=None, out2=Non
     if out1 is not None:
         out1[0] = y1
         out2[0] = y2
-    for i in range(i_stop):
+    for i in range(n_steps):
         st = stages[i]
         h = hs[i]
         tkr, V = st[0]
@@ -254,70 +256,12 @@ def _sweep_out(stages, hs, E, y1, y2, i_stop, winding=False, out1=None, out2=Non
             y2 *= RENORM_FACTOR
             rescales.append(i + 1)
     if not (math.isfinite(y1) and math.isfinite(y2)):
-        raise ConvergenceError(f"outward sweep lost finiteness at E={E}")
+        raise ConvergenceError(f"sweep lost finiteness at E={E}")
     if out1 is not None:
         for idx in rescales:
             out1[: idx + 1] *= RENORM_FACTOR
             out2[: idx + 1] *= RENORM_FACTOR
     return y1, y2, theta
-
-
-def _sweep_in(stages, hs, E, y1, y2, i_stop, out1=None, out2=None):
-    """Integrate from the last grid point down to point i_stop."""
-    p = 1.0 + E
-    q = 1.0 - E
-    n_int = len(hs)
-    rescales = []
-    if out1 is not None:
-        out1[n_int] = y1
-        out2[n_int] = y2
-    for i in range(n_int - 1, i_stop - 1, -1):
-        st = stages[i]
-        h = -hs[i]
-        tkr, V = st[0]
-        k1a = (p - V) * y2 - tkr * y1
-        k1b = (q + V) * y1 + tkr * y2
-        tkr, V = st[1]
-        t1 = y1 + h * (_A21 * k1a)
-        t2 = y2 + h * (_A21 * k1b)
-        k2a = (p - V) * t2 - tkr * t1
-        k2b = (q + V) * t1 + tkr * t2
-        tkr, V = st[2]
-        t1 = y1 + h * (_A31 * k1a + _A32 * k2a)
-        t2 = y2 + h * (_A31 * k1b + _A32 * k2b)
-        k3a = (p - V) * t2 - tkr * t1
-        k3b = (q + V) * t1 + tkr * t2
-        tkr, V = st[3]
-        t1 = y1 + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
-        t2 = y2 + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b)
-        k4a = (p - V) * t2 - tkr * t1
-        k4b = (q + V) * t1 + tkr * t2
-        tkr, V = st[4]
-        t1 = y1 + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
-        t2 = y2 + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b)
-        k5a = (p - V) * t2 - tkr * t1
-        k5b = (q + V) * t1 + tkr * t2
-        tkr, V = st[5]
-        t1 = y1 + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a)
-        t2 = y2 + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b)
-        k6a = (p - V) * t2 - tkr * t1
-        k6b = (q + V) * t1 + tkr * t2
-        y1 = y1 + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B6 * k6a)
-        y2 = y2 + h * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B6 * k6b)
-        if out1 is not None:
-            out1[i] = y1
-            out2[i] = y2
-        if abs(y1) + abs(y2) > RENORM_LIMIT:
-            y1 *= RENORM_FACTOR
-            y2 *= RENORM_FACTOR
-            rescales.append(i)
-    if not (math.isfinite(y1) and math.isfinite(y2)):
-        raise ConvergenceError(f"inward sweep lost finiteness at E={E}")
-    if out1 is not None:
-        for idx in rescales:
-            out1[idx:] *= RENORM_FACTOR
-            out2[idx:] *= RENORM_FACTOR
-    return y1, y2
 
 
 class _ShootingWorkspace:
@@ -328,12 +272,13 @@ class _ShootingWorkspace:
         self.ch = ch
         self.grid = grid
         r = grid.points
-        self.h = np.diff(r)
-        self.hl = self.h.tolist()
+        h = np.diff(r)
         self.n_int = len(r) - 1
         tk = ch.tau * ch.k
-        self.stages_fwd = _stage_tables(pot, tk, r[:-1], self.h)
-        self.stages_bwd = _stage_tables(pot, tk, r[1:], -self.h)
+        self.stages_fwd = _stage_tables(pot, tk, r[:-1], h)
+        self.h_fwd = h.tolist()
+        self.stages_bwd = _stage_tables(pot, tk, r[:0:-1], -h[::-1])
+        self.h_bwd = (-h[::-1]).tolist()
         self.v_inf = pot.value_at_infinity
         self.v_grid = pot.evaluate(r)
 
@@ -347,9 +292,7 @@ class _ShootingWorkspace:
     def phase(self, E: float) -> float:
         """Unwound matching phase; strictly decreasing in E."""
         s1, s2 = self._seed_out(E)
-        y1, y2, theta = _sweep_out(
-            self.stages_fwd, self.hl, E, s1, s2, self.n_int, winding=True
-        )
+        _, _, theta = _sweep(self.stages_fwd, self.h_fwd, E, s1, s2, self.n_int, winding=True)
         return math.atan2(s2, s1) + theta - decaying_tail_angle(E - self.v_inf)
 
     def count(self, E: float) -> int:
@@ -367,9 +310,9 @@ class _ShootingWorkspace:
     def wronskian(self, E: float, i_match: int) -> float:
         """Scaled Wronskian of outward and inward sweeps at the match point."""
         s1, s2 = self._seed_out(E)
-        o1, o2, _ = _sweep_out(self.stages_fwd, self.hl, E, s1, s2, i_match)
+        o1, o2, _ = _sweep(self.stages_fwd, self.h_fwd, E, s1, s2, i_match)
         t1, t2 = self._seed_in(E)
-        i1, i2 = _sweep_in(self.stages_bwd, self.hl, E, t1, t2, i_match)
+        i1, i2, _ = _sweep(self.stages_bwd, self.h_bwd, E, t1, t2, self.n_int - i_match)
         den = (abs(o1) + abs(o2)) * (abs(i1) + abs(i2))
         if den == 0.0:
             raise ConvergenceError(f"degenerate sweep amplitudes at E={E}")
@@ -381,11 +324,14 @@ class _ShootingWorkspace:
         p1 = np.zeros(n)
         p2 = np.zeros(n)
         s1, s2 = self._seed_out(E)
-        o1, o2, _ = _sweep_out(self.stages_fwd, self.hl, E, s1, s2, i_match, out1=p1, out2=p2)
+        o1, o2, _ = _sweep(self.stages_fwd, self.h_fwd, E, s1, s2, i_match, out1=p1, out2=p2)
         q1 = np.zeros(n)
         q2 = np.zeros(n)
         t1, t2 = self._seed_in(E)
-        i1, i2 = _sweep_in(self.stages_bwd, self.hl, E, t1, t2, i_match, out1=q1, out2=q2)
+        i1, i2, _ = _sweep(
+            self.stages_bwd, self.h_bwd, E, t1, t2, self.n_int - i_match,
+            out1=q1[::-1], out2=q2[::-1],
+        )
         # join on the component the inward sweep resolves best
         scale = o1 / i1 if abs(i1) >= abs(i2) else o2 / i2
         p1[i_match + 1 :] = scale * q1[i_match + 1 :]
@@ -418,15 +364,16 @@ def integrate_radial(
     if direction == "outward":
         i_stop = ws.n_int if match_index is None else int(match_index)
         s1, s2 = ws._seed_out(E)
-        y1, y2, theta = _sweep_out(
-            ws.stages_fwd, ws.hl, E, s1, s2, i_stop, winding=True, out1=p1, out2=p2
+        y1, y2, theta = _sweep(
+            ws.stages_fwd, ws.h_fwd, E, s1, s2, i_stop, winding=True, out1=p1, out2=p2
         )
         first, last = 0, i_stop
     elif direction == "inward":
         i_stop = 0 if match_index is None else int(match_index)
         t1, t2 = ws._seed_in(E)
-        y1, y2 = _sweep_in(ws.stages_bwd, ws.hl, E, t1, t2, i_stop, out1=p1, out2=p2)
-        theta = 0.0
+        y1, y2, theta = _sweep(
+            ws.stages_bwd, ws.h_bwd, E, t1, t2, ws.n_int - i_stop, out1=p1[::-1], out2=p2[::-1]
+        )
         first, last = i_stop, ws.n_int
     else:
         raise ValueError(f"direction must be 'outward' or 'inward', got {direction!r}")

@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diracbound.channels import Channel
-from diracbound.coulomb import (
-    coulomb_eigenvalue,
-    coulomb_eigenvalue_derivative,
-    coulomb_spectrum_point,
-)
+from diracbound.channels import Channel, principal_quantum_number
+from diracbound.coulomb import coulomb_eigenvalue, coulomb_eigenvalue_derivative
 
 CH_1S = Channel(tau=-1, two_j=1)
 
@@ -54,6 +50,14 @@ class TestEigenvalue:
             # at u = 1e-6 it is still strictly below the continuum edge
             d = coulomb_eigenvalue(1e-6, ch)
             assert 1.0 - 1e-11 < d < 1.0
+
+    def test_weak_coupling_bohr_limit(self):
+        # N -> nu as u -> 0, so the binding 1 - D(u) approaches u^2 / (2 nu^2)
+        for ch in ALL_CHANNELS:
+            nu = principal_quantum_number(ch)
+            u = 1e-3
+            binding = 1.0 - coulomb_eigenvalue(u, ch)
+            assert binding == pytest.approx(u * u / (2 * nu * nu), rel=1e-5)
 
     def test_matches_literal_formula(self):
         for ch in ALL_CHANNELS:
@@ -159,28 +163,3 @@ class TestDerivative:
         assert coulomb_eigenvalue_derivative(u, ch) == pytest.approx(
             fd, rel=1e-7, abs=1e-12
         )
-
-
-class TestSpectrumPoint:
-    def test_fields(self):
-        pt = coulomb_spectrum_point(0.6, CH_1S)
-        assert pt.energy == pytest.approx(0.8, abs=1e-15)
-        assert pt.derivative == pytest.approx(-0.75, rel=1e-14)
-        assert pt.coupling == 0.6
-        # effective quantum number N = sqrt(k^2 - u^2) for the bottom channel
-        assert pt.apparent_principal == pytest.approx(0.8, rel=1e-15)
-
-    def test_apparent_principal_approaches_nu(self):
-        # N -> nu = n + k - (1-tau)/2 in the weak-coupling limit
-        pt = coulomb_spectrum_point(0.3, Channel(tau=1, two_j=1, n=1))
-        assert pt.apparent_principal == pytest.approx(
-            1.0 + math.sqrt(1.0 - 0.09), rel=1e-15
-        )
-        weak = coulomb_spectrum_point(1e-6, Channel(tau=1, two_j=1, n=1))
-        assert weak.apparent_principal == pytest.approx(2.0, abs=1e-9)
-
-    def test_invariant_bounds(self):
-        for ch in ALL_CHANNELS:
-            pt = coulomb_spectrum_point(0.4, ch)
-            assert 0.0 < pt.energy < 1.0
-            assert pt.derivative < 0.0

@@ -95,6 +95,28 @@ class TestMinimizeBound:
         assert bound.u_star == pytest.approx(alpha, rel=1e-6)
         assert bound.E_upper == pytest.approx(coulomb_eigenvalue(alpha, ch_s), abs=1e-14)
 
+    @pytest.mark.parametrize("two_j", [1, 3, 5, 7])
+    def test_point_charge_bound_not_below_coulomb_floor(self, two_j):
+        # -v/r <= V, so D(v) is a floor; round-off once put F(u*) 1.1e-16 under it
+        ch = Channel(tau=-1, two_j=two_j)
+        pot = ScreenedCoulomb.from_charge(1)
+        assert coulomb_eigenvalue(pot.coupling, ch) <= minimize_bound(pot, ch).E_upper
+
+    @pytest.mark.parametrize("Z", range(132, 137))
+    def test_edge_scan_minimum_is_refined(self, Z):
+        # the coarse scan is lowest at its last point, u = 1 - 1e-6, but the
+        # true minimum lies inside the last scan interval
+        ch = Channel(tau=-1, two_j=3)
+        pot = ScreenedCoulomb.from_charge(Z)
+        bound = minimize_bound(pot, ch)
+        us, fs = bound.curve
+        assert fs[-1] < fs[-2]
+        assert bound.at_domain_edge is False
+        assert us[-2] < bound.u_star < us[-1]
+        assert bound.E_upper < fs[-1] - 5e-5
+        dense = [bound_objective(pot, ch, u) for u in np.linspace(us[-2], us[-1], 2001)]
+        assert bound.E_upper <= min(dense) + 1e-12
+
     @pytest.mark.parametrize("two_j", [1, 3])
     def test_monotone_in_charge(self, two_j):
         ch = Channel(tau=-1, two_j=two_j)

@@ -14,7 +14,6 @@ from diracbound.potentials import (
     ScreenedCoulomb,
     ShiftedCoulomb,
     TangentPotential,
-    evaluate,
     g_transform,
     g_transform_derivative,
     ordering_gap,
@@ -29,17 +28,17 @@ charges = st.integers(min_value=2, max_value=100)
 
 class TestEvaluate:
     def test_pure_coulomb(self):
-        assert evaluate(PureCoulomb(u=0.5), 2.0) == pytest.approx(-0.25, rel=1e-15)
+        assert PureCoulomb(u=0.5).evaluate(2.0) == pytest.approx(-0.25, rel=1e-15)
 
     def test_shifted_coulomb(self):
         pot = ShiftedCoulomb(shift=0.1, coupling=0.5)
-        assert evaluate(pot, 1.0) == pytest.approx(-0.4, rel=1e-15)
+        assert pot.evaluate(1.0) == pytest.approx(-0.4, rel=1e-15)
 
     def test_screened_z1_is_pure_coulomb(self):
         pot = ScreenedCoulomb.from_charge(1)
         v = pot.coupling
         for r in (1e-3, 0.1, 1.0, 50.0):
-            assert evaluate(pot, r) == pytest.approx(-v / r, rel=1e-14)
+            assert pot.evaluate(r) == pytest.approx(-v / r, rel=1e-14)
 
     def test_screened_strictly_negative(self):
         pot = ScreenedCoulomb.from_charge(60)
@@ -49,7 +48,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("r", [0.0, -1.0])
     def test_nonpositive_radius_rejected(self, r):
         with pytest.raises(ValueError):
-            evaluate(PureCoulomb(u=0.5), r)
+            PureCoulomb(u=0.5).evaluate(r)
 
     def test_vectorized_evaluation(self):
         pot = ScreenedCoulomb.from_charge(40)
@@ -221,7 +220,7 @@ class TestOrderingGap:
     def test_closed_form_matches_subtraction(self):
         pot = ScreenedCoulomb.from_charge(40)
         t, r = 2.0, 1.0
-        direct = evaluate(tangent_at(pot, t), r) - evaluate(pot, r)
+        direct = tangent_at(pot, t).evaluate(r) - pot.evaluate(r)
         assert ordering_gap(pot, t, r) == pytest.approx(direct, rel=1e-12)
 
     def test_vectorized_in_r(self):
@@ -250,8 +249,8 @@ class TestOrderingGap:
         pot = ScreenedCoulomb.from_charge(z)
         gap = ordering_gap(pot, t, r)
         assert gap >= 0.0
-        direct = evaluate(tangent_at(pot, t), r) - evaluate(pot, r)
-        floor = 1e-13 * abs(evaluate(pot, r))
+        direct = tangent_at(pot, t).evaluate(r) - pot.evaluate(r)
+        floor = 1e-13 * abs(pot.evaluate(r))
         assert abs(gap - direct) <= 1e-9 * gap + floor
 
 

@@ -321,6 +321,19 @@ class TestSweeps:
         # the unwound phase decreases as E grows (one eigenvalue in between)
         assert hi < lo
 
+    @pytest.mark.parametrize("direction", ["outward", "inward"])
+    def test_rescaled_samples_stay_continuous(self, ch_s, direction):
+        # off an eigenvalue a 35000-unit tail rescales the sweep many times;
+        # stored samples are rescaled with it, so the far side underflows to
+        # exact zeros and no rescale seam shows as a jump between neighbours
+        grid = build_grid(1e-3)
+        res = integrate_radial(PureCoulomb(0.5), ch_s, 0.5, grid, direction=direction)
+        for y in (res.psi1, res.psi2):
+            assert np.all(np.isfinite(y))
+            assert np.any(y == 0.0)
+            decades = np.log10(np.abs(y[y != 0.0]))
+            assert np.max(np.abs(np.diff(decades))) <= 10.0
+
     def test_direction_validated(self, ch_s):
         grid = build_grid(0.5)
         with pytest.raises(ValueError, match="direction"):
