@@ -44,7 +44,6 @@ from .potentials import (
     PureCoulomb,
     ScreenedCoulomb,
     ShiftedCoulomb,
-    TangentPotential,
     g_transform,
     g_transform_derivative,
     ordering_gap,
@@ -75,7 +74,6 @@ __all__ = [
     "PureCoulomb",
     "ShiftedCoulomb",
     "ScreenedCoulomb",
-    "TangentPotential",
     "g_transform",
     "g_transform_derivative",
     "tangent_at",

@@ -33,13 +33,7 @@ from .channels import Channel
 from .coulomb import coulomb_eigenvalue
 from .envelope import screened_state_bracket
 from .errors import HypothesisViolationError
-from .potentials import (
-    PureCoulomb,
-    ScreenedCoulomb,
-    ShiftedCoulomb,
-    TangentPotential,
-    tangent_at,
-)
+from .potentials import ScreenedCoulomb, ShiftedCoulomb, tangent_at
 from .radial import (
     RadialSolution,
     _decay_rate,
@@ -172,11 +166,8 @@ def derivative_identity_check(
 
 def predicted_bracket(pot, ch: Channel):
     """Energy bracket for the target state, from closed forms where known."""
-    if isinstance(pot, PureCoulomb):
-        e = coulomb_eigenvalue(pot.u, ch)
-        return e - 1e-5, e + 1e-5
-    if isinstance(pot, (ShiftedCoulomb, TangentPotential)):
-        e = pot.origin_offset + coulomb_eigenvalue(pot.origin_strength, ch)
+    if isinstance(pot, ShiftedCoulomb):
+        e = pot.shift + coulomb_eigenvalue(pot.coupling, ch)
         return e - 1e-5, e + 1e-5
     if isinstance(pot, ScreenedCoulomb) and ch.tau == -1 and ch.n == 1:
         return screened_state_bracket(pot, ch)

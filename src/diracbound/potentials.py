@@ -1,7 +1,9 @@
-"""Central potential models: pure Coulomb, shifted Coulomb, screened Coulomb.
+"""Central potential models: shifted Coulomb and screened Coulomb.
 
-All three are Coulombic at the origin, which is what the radial solver's
-series seed assumes.  The screened model is
+ShiftedCoulomb is shift - coupling/r; pure Coulomb -u/r (PureCoulomb(u)) and
+every tangent of a screened potential are members of it.  Both models are
+Coulombic at the origin, which is what the radial solver's series seed
+assumes.  The screened model is
 
     V(r) = -(v/r) * [1 - r*lam*(1 - 1/Z)/(1 + lam*r)],
 
@@ -35,51 +37,29 @@ def _check_radius(r) -> None:
 
 
 @dataclass(frozen=True)
-class PureCoulomb:
-    """V(r) = -u/r with dimensionless coupling u > 0."""
-
-    u: float
-
-    def __post_init__(self) -> None:
-        if self.u <= 0.0:
-            raise ValueError(f"Coulomb coupling must be positive, got {self.u}")
-
-    def evaluate(self, r):
-        _check_radius(r)
-        return -self.u / r
-
-    # origin/tail data used by the radial solver's series seed
-    @property
-    def origin_strength(self) -> float:
-        return self.u
-
-    @property
-    def origin_offset(self) -> float:
-        return 0.0
-
-    @property
-    def value_at_infinity(self) -> float:
-        return 0.0
-
-    def describe(self) -> dict:
-        return {"type": "coulomb", "u": self.u}
-
-
-@dataclass(frozen=True)
 class ShiftedCoulomb:
-    """V(r) = shift - coupling/r; the family every tangent line of g lives in."""
+    """V(r) = shift - coupling/r, the one exactly solvable family.
+
+    Pure Coulomb is shift = 0; every tangent of a screened potential is a
+    member, and then also records its contact radius and parent.  Only
+    coupling > 0 is checked here: whether the origin is subcritical
+    (coupling < k) depends on the channel and is checked by the solvers.
+    """
 
     shift: float
     coupling: float
+    contact_radius: float | None = None
+    parent: ScreenedCoulomb | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.coupling < 1.0:
-            raise ValueError(f"shifted-Coulomb coupling must lie in (0, 1), got {self.coupling}")
+        if self.coupling <= 0.0:
+            raise ValueError(f"Coulomb coupling must be positive, got {self.coupling}")
 
     def evaluate(self, r):
         _check_radius(r)
         return self.shift - self.coupling / r
 
+    # origin/tail data used by the radial solver's series seed
     @property
     def origin_strength(self) -> float:
         return self.coupling
@@ -93,7 +73,15 @@ class ShiftedCoulomb:
         return self.shift
 
     def describe(self) -> dict:
-        return {"type": "shifted-coulomb", "shift": self.shift, "coupling": self.coupling}
+        d = {"type": "shifted-coulomb", "shift": self.shift, "coupling": self.coupling}
+        if self.parent is not None:
+            d.update(contact_radius=self.contact_radius, parent=self.parent.describe())
+        return d
+
+
+def PureCoulomb(u: float) -> ShiftedCoulomb:
+    """V(r) = -u/r: the shifted Coulomb potential with shift 0."""
+    return ShiftedCoulomb(shift=0.0, coupling=u)
 
 
 @dataclass(frozen=True)
@@ -144,48 +132,6 @@ class ScreenedCoulomb:
                 "coupling": self.coupling, "screening": self.screening}
 
 
-PotentialModel = PureCoulomb | ShiftedCoulomb | ScreenedCoulomb
-
-
-@dataclass(frozen=True)
-class TangentPotential:
-    """Shifted Coulomb tangent to a screened-Coulomb potential at r = contact_radius.
-
-    Tangency in the transformed picture means shift = g(h) - h*g'(h) and
-    coupling = g'(h) at h = -1/contact_radius; concavity of g guarantees the
-    tangent lies above its parent everywhere.
-    """
-
-    contact_radius: float
-    shift: float
-    coupling: float
-    parent: ScreenedCoulomb
-
-    def evaluate(self, r):
-        _check_radius(r)
-        return self.shift - self.coupling / r
-
-    @property
-    def origin_strength(self) -> float:
-        return self.coupling
-
-    @property
-    def origin_offset(self) -> float:
-        return self.shift
-
-    @property
-    def value_at_infinity(self) -> float:
-        return self.shift
-
-    def as_shifted(self) -> ShiftedCoulomb:
-        return ShiftedCoulomb(shift=self.shift, coupling=self.coupling)
-
-    def describe(self) -> dict:
-        return {"type": "tangent-shifted-coulomb", "contact_radius": self.contact_radius,
-                "shift": self.shift, "coupling": self.coupling,
-                "parent": self.parent.describe()}
-
-
 def g_transform(pot: ScreenedCoulomb, h):
     """g(h) with h in the range of -1/r, i.e. h < 0; g(h(r)) equals V(r).
 
@@ -215,10 +161,12 @@ def g_transform_derivative(pot: ScreenedCoulomb, h):
     return out if out.ndim else float(out)
 
 
-def tangent_at(pot: ScreenedCoulomb, t: float) -> TangentPotential:
+def tangent_at(pot: ScreenedCoulomb, t: float) -> ShiftedCoulomb:
     """Tangent shifted-Coulomb potential touching pot at radius t > 0.
 
-    The shift g(h) - h*g'(h) collapses to v*lam*(1 - 1/Z)*h^2/(h - lam)^2,
+    Tangency in the transformed picture means shift = g(h) - h*g'(h) and
+    coupling = g'(h) at h = -1/t; concavity of g guarantees the tangent
+    lies above pot everywhere.  The shift g(h) - h*g'(h) collapses to v*lam*(1 - 1/Z)*h^2/(h - lam)^2,
     whose terms are all positive; the direct subtraction would lose ~1e-14
     absolute for near-origin tangents where both pieces are O(v/t).
     """
@@ -228,7 +176,7 @@ def tangent_at(pot: ScreenedCoulomb, t: float) -> TangentPotential:
     slope = g_transform_derivative(pot, h)
     v, lam = pot.coupling, pot.screening
     shift = v * lam * (1.0 - 1.0 / pot.Z) * h * h / (h - lam) ** 2
-    return TangentPotential(contact_radius=t, shift=shift, coupling=slope, parent=pot)
+    return ShiftedCoulomb(shift=shift, coupling=slope, contact_radius=t, parent=pot)
 
 
 def ordering_gap(pot: ScreenedCoulomb, t, r):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import simpson
@@ -46,6 +47,8 @@ from .errors import ConvergenceError, NoBoundStateError
 WINDOW_EDGE = 1e-9
 # bracket width below which phase bisection hands over to Wronskian root finding
 PHASE_BRACKET = 1e-6
+# grid rebuilds a solve may make before it gives up
+MAX_GRID_REBUILDS = 5
 # renormalization threshold for off-eigenvalue sweeps
 RENORM_LIMIT = 1e250
 RENORM_FACTOR = 1e-250
@@ -114,7 +117,6 @@ class SweepResult:
     first_index: int
     last_index: int
     theta: float  # unwound phase accumulated along the sweep (outward only)
-    match_ratio: float  # psi2/psi1 at the terminal point of the sweep
 
 
 def build_grid(kappa_ref: float, scale: float = 1.0) -> RadialGrid:
@@ -197,10 +199,12 @@ def _stage_tables(pot, tk: float, base: np.ndarray, step: np.ndarray) -> list:
     return out
 
 
-def _sweep(stages, hs, E, y1, y2, n_steps, winding=False, out1=None, out2=None):
-    """Integrate the first n_steps intervals; returns (y1, y2, theta) at their end.
+def _sweep(table, E, y1, y2, n_steps, winding=False, out1=None, out2=None):
+    """Integrate the first n_steps intervals of table = (stage tables, steps);
+    returns (y1, y2, theta) at their end.
 
-    Inward sweeps pass tables and steps in inward order and reversed output views."""
+    Inward sweeps pass a table in inward order and reversed output views."""
+    stages, hs = table
     theta = 0.0
     p = 1.0 + E
     q = 1.0 - E
@@ -264,23 +268,41 @@ def _sweep(stages, hs, E, y1, y2, n_steps, winding=False, out1=None, out2=None):
     return y1, y2, theta
 
 
+def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
+    """Wronskian of outward (o1, o2) and inward (i1, i2) end values, amplitude-scaled."""
+    den = (abs(o1) + abs(o2)) * (abs(i1) + abs(i2))
+    if den == 0.0:
+        raise ConvergenceError(f"degenerate sweep amplitudes at E={E}")
+    return (o1 * i2 - o2 * i1) / den
+
+
 class _ShootingWorkspace:
-    """Stage tables and scalar sweep functionals for one (pot, ch, grid)."""
+    """Stage tables and scalar sweep functionals for one (pot, ch, grid).
+
+    Each direction's tables are built on first use, so a one-directional
+    sweep pays only for its own."""
 
     def __init__(self, pot, ch: Channel, grid: RadialGrid):
         self.pot = pot
         self.ch = ch
         self.grid = grid
-        r = grid.points
-        h = np.diff(r)
-        self.n_int = len(r) - 1
-        tk = ch.tau * ch.k
-        self.stages_fwd = _stage_tables(pot, tk, r[:-1], h)
-        self.h_fwd = h.tolist()
-        self.stages_bwd = _stage_tables(pot, tk, r[:0:-1], -h[::-1])
-        self.h_bwd = (-h[::-1]).tolist()
+        self.n_int = grid.count - 1
         self.v_inf = pot.value_at_infinity
-        self.v_grid = pot.evaluate(r)
+        self.v_grid = pot.evaluate(grid.points)
+
+    @cached_property
+    def fwd(self) -> tuple[list, list]:
+        """Outward (stage tables, steps)."""
+        r = self.grid.points
+        h = np.diff(r)
+        return _stage_tables(self.pot, self.ch.tau * self.ch.k, r[:-1], h), h.tolist()
+
+    @cached_property
+    def bwd(self) -> tuple[list, list]:
+        """Inward (stage tables, steps), stored in inward order."""
+        r = self.grid.points
+        h = -np.diff(r)[::-1]
+        return _stage_tables(self.pot, self.ch.tau * self.ch.k, r[:0:-1], h), h.tolist()
 
     def _seed_out(self, E):
         return origin_series_seed(self.pot, self.ch, E, self.grid.points[0])
@@ -292,12 +314,22 @@ class _ShootingWorkspace:
     def phase(self, E: float) -> float:
         """Unwound matching phase; strictly decreasing in E."""
         s1, s2 = self._seed_out(E)
-        _, _, theta = _sweep(self.stages_fwd, self.h_fwd, E, s1, s2, self.n_int, winding=True)
+        _, _, theta = _sweep(self.fwd, E, s1, s2, self.n_int, winding=True)
         return math.atan2(s2, s1) + theta - decaying_tail_angle(E - self.v_inf)
 
     def count(self, E: float) -> int:
         """floor(phase/pi); drops by one at each eigenvalue as E grows."""
         return math.floor(self.phase(E) / math.pi)
+
+    def bisect_count(self, level: int, lo: float, hi: float, width: float):
+        """Shrink (lo, hi) to width, keeping count(lo) >= level > count(hi)."""
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            if self.count(mid) >= level:
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
 
     def match_index(self, E: float) -> int:
         """Outermost classically allowed grid index (fallback: least forbidden)."""
@@ -310,33 +342,27 @@ class _ShootingWorkspace:
     def wronskian(self, E: float, i_match: int) -> float:
         """Scaled Wronskian of outward and inward sweeps at the match point."""
         s1, s2 = self._seed_out(E)
-        o1, o2, _ = _sweep(self.stages_fwd, self.h_fwd, E, s1, s2, i_match)
+        o1, o2, _ = _sweep(self.fwd, E, s1, s2, i_match)
         t1, t2 = self._seed_in(E)
-        i1, i2, _ = _sweep(self.stages_bwd, self.h_bwd, E, t1, t2, self.n_int - i_match)
-        den = (abs(o1) + abs(o2)) * (abs(i1) + abs(i2))
-        if den == 0.0:
-            raise ConvergenceError(f"degenerate sweep amplitudes at E={E}")
-        return (o1 * i2 - o2 * i1) / den
+        i1, i2, _ = _sweep(self.bwd, E, t1, t2, self.n_int - i_match)
+        return _scaled_wronskian(o1, o2, i1, i2, E)
 
     def eigenfunction(self, E: float, i_match: int):
-        """Assemble components on the full grid from both sweeps."""
+        """Components on the full grid from both sweeps, plus their Wronskian."""
         n = self.n_int + 1
         p1 = np.zeros(n)
         p2 = np.zeros(n)
         s1, s2 = self._seed_out(E)
-        o1, o2, _ = _sweep(self.stages_fwd, self.h_fwd, E, s1, s2, i_match, out1=p1, out2=p2)
+        o1, o2, _ = _sweep(self.fwd, E, s1, s2, i_match, out1=p1, out2=p2)
         q1 = np.zeros(n)
         q2 = np.zeros(n)
         t1, t2 = self._seed_in(E)
-        i1, i2, _ = _sweep(
-            self.stages_bwd, self.h_bwd, E, t1, t2, self.n_int - i_match,
-            out1=q1[::-1], out2=q2[::-1],
-        )
+        i1, i2, _ = _sweep(self.bwd, E, t1, t2, self.n_int - i_match, out1=q1[::-1], out2=q2[::-1])
         # join on the component the inward sweep resolves best
         scale = o1 / i1 if abs(i1) >= abs(i2) else o2 / i2
         p1[i_match + 1 :] = scale * q1[i_match + 1 :]
         p2[i_match + 1 :] = scale * q2[i_match + 1 :]
-        return p1, p2
+        return p1, p2, _scaled_wronskian(o1, o2, i1, i2, E)
 
 
 def integrate_radial(
@@ -364,29 +390,16 @@ def integrate_radial(
     if direction == "outward":
         i_stop = ws.n_int if match_index is None else int(match_index)
         s1, s2 = ws._seed_out(E)
-        y1, y2, theta = _sweep(
-            ws.stages_fwd, ws.h_fwd, E, s1, s2, i_stop, winding=True, out1=p1, out2=p2
-        )
+        _, _, theta = _sweep(ws.fwd, E, s1, s2, i_stop, winding=True, out1=p1, out2=p2)
         first, last = 0, i_stop
     elif direction == "inward":
         i_stop = 0 if match_index is None else int(match_index)
         t1, t2 = ws._seed_in(E)
-        y1, y2, theta = _sweep(
-            ws.stages_bwd, ws.h_bwd, E, t1, t2, ws.n_int - i_stop, out1=p1[::-1], out2=p2[::-1]
-        )
+        _, _, theta = _sweep(ws.bwd, E, t1, t2, ws.n_int - i_stop, out1=p1[::-1], out2=p2[::-1])
         first, last = i_stop, ws.n_int
     else:
         raise ValueError(f"direction must be 'outward' or 'inward', got {direction!r}")
-    ratio = y2 / y1 if y1 != 0.0 else math.copysign(math.inf, y2)
-    return SweepResult(
-        direction=direction,
-        psi1=p1,
-        psi2=p2,
-        first_index=first,
-        last_index=last,
-        theta=theta,
-        match_ratio=ratio,
-    )
+    return SweepResult(direction, p1, p2, first, last, theta)
 
 
 def matching_mismatch(
@@ -425,15 +438,13 @@ def normalize(sol: RadialSolution) -> RadialSolution:
 def solve_eigenvalue(
     pot,
     ch: Channel,
-    n_target: int | None = None,
     *,
     grid_scale: float = 1.0,
     tol_e: float = 1e-10,
     bracket_hint: tuple[float, float] | None = None,
-    max_grid_rebuilds: int = 5,
     grid: RadialGrid | None = None,
 ) -> RadialSolution:
-    """n_target-th discrete eigenvalue (counted from the bottom of the window).
+    """The ch.n-th discrete eigenvalue of ch (counted from the bottom of the window).
 
     A bracket_hint (E_lo, E_hi) expected to contain the target state speeds
     up the search; it is verified against the anchored phase count and
@@ -441,10 +452,6 @@ def solve_eigenvalue(
     supplied by the caller (e.g. one shared between the two solves of a
     comparison pair) is used as-is instead of the rebuild loop.
     """
-    if n_target is None:
-        n_target = ch.n
-    if n_target < 1:
-        raise ValueError(f"n_target must be >= 1, got {n_target}")
     v_inf = pot.value_at_infinity
     win_lo = v_inf - 1.0 + WINDOW_EDGE
     win_hi = v_inf + 1.0 - WINDOW_EDGE
@@ -461,7 +468,7 @@ def solve_eigenvalue(
 
     fixed_grid = grid
     last_bracket = None
-    for _ in range(max_grid_rebuilds):
+    for _ in range(MAX_GRID_REBUILDS):
         grid = fixed_grid if fixed_grid is not None else build_grid(kappa_ref, grid_scale)
         ws = _ShootingWorkspace(pot, ch, grid)
         c_bot = ws.count(win_lo)
@@ -469,7 +476,7 @@ def solve_eigenvalue(
         if hint is not None:
             c_lo = ws.count(hint[0])
             c_hi = ws.count(hint[1])
-            if c_bot - c_lo == n_target - 1 and c_bot - c_hi >= n_target:
+            if c_bot - c_lo == ch.n - 1 and c_bot - c_hi >= ch.n:
                 lo, hi = hint
             else:
                 hint = None
@@ -477,22 +484,17 @@ def solve_eigenvalue(
             lo, hi = win_lo, win_hi
             c_hi = ws.count(hi)
             n_found = c_bot - c_hi
-            if n_found < n_target:
+            if n_found < ch.n:
                 if n_found == 0 and kappa_ref > 6e-3 and fixed_grid is None:
                     # tail may simply be too short for a weakly bound state
                     kappa_ref = max(kappa_ref / 6.0, 1e-3)
                     continue
                 raise NoBoundStateError(
                     f"{pot!r} supports {n_found} bound state(s) in channel {ch}, "
-                    f"target was n={n_target}"
+                    f"target was n={ch.n}"
                 )
-        level = c_bot - (n_target - 1)
-        while hi - lo > PHASE_BRACKET:
-            mid = 0.5 * (lo + hi)
-            if ws.count(mid) >= level:
-                lo = mid
-            else:
-                hi = mid
+        level = c_bot - (ch.n - 1)
+        lo, hi = ws.bisect_count(level, lo, hi, PHASE_BRACKET)
         last_bracket = (lo, hi)
         i_match = ws.match_index(0.5 * (lo + hi))
         w_lo = ws.wronskian(lo, i_match)
@@ -512,12 +514,7 @@ def solve_eigenvalue(
         else:
             # the Wronskian failed to change sign (seen only with degenerate
             # brackets); fall back to phase bisection at full tolerance
-            while hi - lo > tol_e:
-                mid = 0.5 * (lo + hi)
-                if ws.count(mid) >= level:
-                    lo = mid
-                else:
-                    hi = mid
+            lo, hi = ws.bisect_count(level, lo, hi, tol_e)
             energy = 0.5 * (lo + hi)
         kappa_e = _decay_rate(energy - v_inf)
         if kappa_e < 1e-3:
@@ -537,11 +534,11 @@ def solve_eigenvalue(
         hint = (energy - 1e-5, energy + 1e-5)
     else:
         raise ConvergenceError(
-            f"grid did not stabilize after {max_grid_rebuilds} rebuilds; "
+            f"grid did not stabilize after {MAX_GRID_REBUILDS} rebuilds; "
             f"last bracket {last_bracket}"
         )
 
-    psi1, psi2 = ws.eigenfunction(energy, i_match)
+    psi1, psi2, mismatch = ws.eigenfunction(energy, i_match)
     sol = RadialSolution(
         ch=ch,
         E=energy,
@@ -553,7 +550,7 @@ def solve_eigenvalue(
         norm=0.0,
         potential=pot,
         match_radius=float(grid.points[i_match]),
-        mismatch=ws.wronskian(energy, i_match),
+        mismatch=mismatch,
     )
     sol = normalize(sol)
     return replace(sol, nodes1=count_nodes(sol.psi1), nodes2=count_nodes(sol.psi2))

@@ -33,7 +33,6 @@ from diracbound.potentials import (
     PureCoulomb,
     ScreenedCoulomb,
     ShiftedCoulomb,
-    TangentPotential,
     ordering_gap,
 )
 from diracbound.radial import build_grid, solve_eigenvalue
@@ -229,7 +228,8 @@ class TestPredictedBracket:
         expected = tangent.shift + coulomb_eigenvalue(tangent.coupling, ch_s)
         lo, hi = predicted_bracket(tangent, ch_s)
         assert lo < expected < hi
-        lo, hi = predicted_bracket(tangent.as_shifted(), ch_s)
+        shifted = ShiftedCoulomb(shift=tangent.shift, coupling=tangent.coupling)
+        lo, hi = predicted_bracket(shifted, ch_s)
         assert lo < expected < hi
 
     def test_screened_uses_rigorous_bracket(self, screened_z20, z20_ground, ch_s):
@@ -256,7 +256,7 @@ class TestRandomPairs:
     def test_pairs_are_ordered_by_construction(self, seed):
         pot, tangent = random_screened_tangent_pair(np.random.default_rng(seed))
         assert isinstance(pot, ScreenedCoulomb)
-        assert isinstance(tangent, TangentPotential)
+        assert isinstance(tangent, ShiftedCoulomb)
         assert tangent.parent == pot
         assert 20 <= pot.Z <= 80
         assert 0.3 <= tangent.contact_radius <= 30.0

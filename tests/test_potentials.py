@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diracbound.channels import DEFAULT_CONSTANTS
+from diracbound.channels import DEFAULT_CONSTANTS, Channel
+from diracbound.comparison import predicted_bracket
+from diracbound.coulomb import coulomb_eigenvalue
 from diracbound.potentials import (
     SCREENING_PREFACTOR,
     PureCoulomb,
     ScreenedCoulomb,
     ShiftedCoulomb,
-    TangentPotential,
     g_transform,
     g_transform_derivative,
     ordering_gap,
     tangent_at,
 )
+from diracbound.radial import solve_eigenvalue
 
 # log-uniform radii/contact points spanning the physically active range
 radii = st.floats(min_value=1e-4, max_value=1e4).map(lambda x: x)
@@ -33,6 +35,16 @@ class TestEvaluate:
     def test_shifted_coulomb(self):
         pot = ShiftedCoulomb(shift=0.1, coupling=0.5)
         assert pot.evaluate(1.0) == pytest.approx(-0.4, rel=1e-15)
+
+    def test_pure_coulomb_is_unshifted_member(self):
+        u = 0.37
+        pot = PureCoulomb(u)
+        assert isinstance(pot, ShiftedCoulomb)
+        assert pot.shift == 0.0 and pot.coupling == u
+        assert pot.contact_radius is None and pot.parent is None
+        # 0.0 - u/r is exactly -u/r, so solver outputs cannot move
+        r = np.geomspace(1e-6, 1e5, 2000)
+        assert np.array_equal(pot.evaluate(r), -u / r)
 
     def test_screened_z1_is_pure_coulomb(self):
         pot = ScreenedCoulomb.from_charge(1)
@@ -68,10 +80,26 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             PureCoulomb(u=0.0)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.2])
+    @pytest.mark.parametrize("bad", [0.0, -0.2])
     def test_shifted_coupling_in_unit_interval(self, bad):
-        with pytest.raises(ValueError):
+        # the constructor checks only coupling > 0; the upper end is the
+        # channel's critical coupling k (next test)
+        with pytest.raises(ValueError, match="positive"):
             ShiftedCoulomb(shift=0.0, coupling=bad)
+
+    @pytest.mark.parametrize("coupling", [1.0, 1.5])
+    def test_supercritical_coupling_rejected_per_channel(self, coupling):
+        pot = ShiftedCoulomb(shift=0.0, coupling=coupling)
+        ch = Channel(tau=-1, two_j=1)  # k = 1
+        with pytest.raises(ValueError, match="origin Coulomb strength"):
+            solve_eigenvalue(pot, ch)
+        with pytest.raises(ValueError, match="coupling u"):
+            predicted_bracket(pot, ch)
+
+    def test_coupling_above_one_solves_in_higher_channel(self):
+        ch = Channel(tau=-1, two_j=3)  # 2p_3/2, k = 2
+        sol = solve_eigenvalue(ShiftedCoulomb(shift=0.1, coupling=1.5), ch)
+        assert abs(sol.E - (0.1 + coulomb_eigenvalue(1.5, ch))) < 1e-8
 
     def test_screened_coupling_subcritical(self):
         with pytest.raises(ValueError, match="coupling"):
@@ -97,6 +125,20 @@ class TestModelValidation:
         td = tangent.describe()
         assert td["parent"] == d
         assert td["contact_radius"] == 2.0
+
+    def test_describe_tangent_fields_only_on_tangents(self):
+        tangent = tangent_at(ScreenedCoulomb.from_charge(30), 2.0)
+        assert tangent.describe() == {
+            "type": "shifted-coulomb",
+            "shift": tangent.shift,
+            "coupling": tangent.coupling,
+            "contact_radius": 2.0,
+            "parent": tangent.parent.describe(),
+        }
+        for pot in (PureCoulomb(0.6), ShiftedCoulomb(shift=0.1, coupling=0.5)):
+            assert pot.describe() == {
+                "type": "shifted-coulomb", "shift": pot.shift, "coupling": pot.coupling
+            }
 
 
 class TestGTransform:
@@ -202,9 +244,9 @@ class TestTangent:
         assert tangent.origin_strength == tangent.coupling
         assert tangent.origin_offset == tangent.shift
         assert tangent.value_at_infinity == tangent.shift
-        shifted = tangent.as_shifted()
-        assert isinstance(shifted, ShiftedCoulomb)
-        assert shifted.evaluate(0.3) == pytest.approx(tangent.evaluate(0.3), rel=1e-15)
+        assert isinstance(tangent, ShiftedCoulomb)
+        shifted = ShiftedCoulomb(shift=tangent.shift, coupling=tangent.coupling)
+        assert shifted.evaluate(0.3) == tangent.evaluate(0.3)
 
 
 class TestOrderingGap:
@@ -265,4 +307,4 @@ class TestPotentialPurity:
 
     def test_tangent_type(self):
         assert isinstance(tangent_at(ScreenedCoulomb.from_charge(20), 1.0),
-                          TangentPotential)
+                          ShiftedCoulomb)

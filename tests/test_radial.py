@@ -440,10 +440,6 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="collapses"):
             solve_eigenvalue(PureCoulomb(0.5), ch_s, bracket_hint=(2.0, 3.0))
 
-    def test_bad_n_target(self, ch_s):
-        with pytest.raises(ValueError, match="n_target"):
-            solve_eigenvalue(PureCoulomb(0.5), ch_s, n_target=0)
-
     def test_weakly_bound_state_found_automatically(self, ch_s):
         # same u=0.05 state as above, but with the rebuild loop enabled the
         # solver stretches the tail on its own
