@@ -6,8 +6,9 @@ Four subcommands:
   bound and shooting eigenvalue for 1s_1/2 and 2p_3/2, Z = 20..80) and diff it
   against the embedded golden values;
 * ``bound``   -- envelope upper bound for user-supplied (Z, state);
-* ``solve``   -- shooting-solver eigenvalue for a screened, pure-Coulomb or
-  shifted-Coulomb potential, optionally dumping the wave function;
+* ``solve``   -- shooting-solver eigenvalue for a screened or shifted-Coulomb
+  potential (``--shift`` defaults to 0, the pure Coulomb -u/r), optionally
+  dumping the wave function;
 * ``compare`` -- run the ordering harness on a screened potential vs. one of
   its tangent shifted-Coulomb potentials.
 
@@ -20,6 +21,9 @@ digits), ``json`` (full float precision), ``pretty`` (aligned text table).
 Energies honor --units: ``kev-binding`` reports E - mc^2 in keV, ``mc2``
 reports the raw eigenvalue in rest-energy units.  All output is deterministic
 for a fixed configuration.
+
+The commands read the parsed namespace, on which ``main`` resolves the
+constants, normalised state labels and units once.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .channels import (
@@ -41,7 +44,7 @@ from .channels import (
 from .comparison import assert_ordering
 from .envelope import minimize_bound
 from .errors import HypothesisViolationError, SolverError
-from .potentials import PureCoulomb, ScreenedCoulomb, ShiftedCoulomb, tangent_at
+from .potentials import ScreenedCoulomb, ShiftedCoulomb, tangent_at
 from .radial import solve_eigenvalue
 from .table1 import DEFAULT_Z_VALUES, STATE_LABELS, compute_table
 
@@ -51,27 +54,6 @@ _UNIT_SUFFIX = {"kev-binding": "keV", "mc2": "mc2"}
 
 class UsageError(Exception):
     """Bad flag combination detected after argparse (maps to exit code 2)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one subcommand run needs, parsed and validated."""
-
-    command: str
-    z_values: tuple[int, ...]
-    states: tuple[str, ...]
-    constants: PhysicalConstants
-    units: str  # "kev-binding" | "mc2"
-    fmt: str  # "csv" | "json" | "pretty"
-    out: str | None
-    tol_e: float
-    grid_scale: float
-    potential: str = "screened"  # solve only: screened | coulomb | shifted
-    u: float | None = None
-    shift: float | None = None
-    coupling: float | None = None
-    contact_radius: float | None = None  # compare only; None = optimal tangent
-    dump_wavefunction: str | None = None
 
 
 # ---------------------------------------------------------------- rendering
@@ -105,18 +87,16 @@ def _render_pretty(header: list[str], rows: list[dict], footer: list[str]) -> st
     return "\n".join(lines + footer) + "\n"
 
 
-def _render(cfg: RunConfig, header: list[str], rows: list[dict],
-            json_obj, footer: list[str]) -> str:
-    if cfg.fmt == "csv":
-        return _render_csv(header, rows)
-    if cfg.fmt == "json":
-        return json.dumps(json_obj, indent=2) + "\n"
-    return _render_pretty(header, rows, footer)
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+def _emit(args: argparse.Namespace, rows: list[dict], json_obj, footer: list[str]) -> None:
+    header = list(rows[0])
+    if args.fmt == "csv":
+        text = _render_csv(header, rows)
+    elif args.fmt == "json":
+        text = json.dumps(json_obj, indent=2) + "\n"
+    else:
+        text = _render_pretty(header, rows, footer)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -124,28 +104,28 @@ def _emit(cfg: RunConfig, text: str) -> None:
 # ----------------------------------------------------- unit conversions
 
 
-def _energy_display(energy_mc2: float | None, cfg: RunConfig) -> float | None:
+def _energy_display(energy_mc2: float | None, args: argparse.Namespace) -> float | None:
     if energy_mc2 is None:
         return None
-    if cfg.units == "mc2":
+    if args.units == "mc2":
         return energy_mc2
-    return cfg.constants.binding_kev(energy_mc2)
+    return args.constants.binding_kev(energy_mc2)
 
 
-def _kev_display(kev: float | None, cfg: RunConfig) -> float | None:
+def _kev_display(kev: float | None, args: argparse.Namespace) -> float | None:
     if kev is None:
         return None
-    if cfg.units == "kev-binding":
+    if args.units == "kev-binding":
         return kev
-    return 1.0 + kev / cfg.constants.electron_rest_energy_kev
+    return 1.0 + kev / args.constants.electron_rest_energy_kev
 
 
-def _kev_delta_display(kev: float | None, cfg: RunConfig) -> float | None:
+def _kev_delta_display(kev: float | None, args: argparse.Namespace) -> float | None:
     if kev is None:
         return None
-    if cfg.units == "kev-binding":
+    if args.units == "kev-binding":
         return kev
-    return kev / cfg.constants.electron_rest_energy_kev
+    return kev / args.constants.electron_rest_energy_kev
 
 
 def _pot_label(pot) -> str:
@@ -159,93 +139,82 @@ def _pot_label(pot) -> str:
 # ----------------------------------------------------------- subcommands
 
 
-def cmd_table1(cfg: RunConfig) -> int:
+def cmd_table1(args: argparse.Namespace) -> int:
     result = compute_table(
-        cfg.z_values, cfg.constants, grid_scale=cfg.grid_scale, tol_e=cfg.tol_e
+        args.z, args.constants, grid_scale=args.grid_scale, tol_e=args.tol_e
     )
-    header = ["z", "state", "quantity", "computed", "reference", "deviation", "status"]
     rows = []
     for c in result.cells:
         rows.append({
             "z": c.z,
             "state": c.state,
             "quantity": c.quantity,
-            "computed": _energy_display(c.energy, cfg),
-            "reference": _kev_display(c.reference_kev, cfg),
-            "deviation": _kev_delta_display(c.deviation_kev, cfg),
+            "computed": _energy_display(c.energy, args),
+            "reference": _kev_display(c.reference_kev, args),
+            "deviation": _kev_delta_display(c.deviation_kev, args),
             "status": "FAILED" if c.failed else "ok",
         })
-    max_dev = _kev_delta_display(result.max_abs_deviation_kev, cfg)
+    max_dev = _kev_delta_display(result.max_abs_deviation_kev, args)
     json_obj = {
-        "units": cfg.units,
+        "units": args.units,
         "cells": [dict(row, error=c.error) for row, c in zip(rows, result.cells)],
         "max_abs_deviation": max_dev,
         "failed_cells": result.failed_cells,
     }
-    unit = _UNIT_SUFFIX[cfg.units]
+    unit = _UNIT_SUFFIX[args.units]
     footer = [
         f"# units: {unit}",
         f"# max |deviation| vs reference: {_fmt_cell(max_dev)} {unit}",
         f"# failed cells: {result.failed_cells}",
     ]
-    _emit(cfg, _render(cfg, header, rows, json_obj, footer))
+    _emit(args, rows, json_obj, footer)
     return 0 if result.ok else 1
 
 
-def cmd_bound(cfg: RunConfig) -> int:
+def cmd_bound(args: argparse.Namespace) -> int:
     rows = []
-    for z in cfg.z_values:
-        pot = ScreenedCoulomb.from_charge(z, cfg.constants)
-        for state in cfg.states:
+    for z in args.z:
+        pot = ScreenedCoulomb.from_charge(z, args.constants)
+        for state in args.state:
             b = minimize_bound(pot, parse_state_label(state), keep_curve=False)
             rows.append({
                 "z": z,
                 "state": state,
                 "u_star": b.u_star,
                 "t_star": b.t_star,
-                "E_upper": _energy_display(b.E_upper, cfg),
+                "E_upper": _energy_display(b.E_upper, args),
                 "at_domain_edge": b.at_domain_edge,
                 "local_minima": b.local_minima,
             })
-    header = list(rows[0].keys())
-    json_obj = {"units": cfg.units, "rows": rows}
-    _emit(cfg, _render(cfg, header, rows, json_obj, [f"# units: {_UNIT_SUFFIX[cfg.units]}"]))
+    json_obj = {"units": args.units, "rows": rows}
+    _emit(args, rows, json_obj, [f"# units: {_UNIT_SUFFIX[args.units]}"])
     return 0
 
 
-def _build_solve_potential(cfg: RunConfig, z: int | None):
-    if cfg.potential == "screened":
-        if z is None:
+def cmd_solve(args: argparse.Namespace) -> int:
+    if args.potential == "screened":
+        if not args.z:
             raise UsageError("--potential screened requires --z")
-        return ScreenedCoulomb.from_charge(z, cfg.constants)
-    if cfg.potential == "coulomb":
-        if cfg.u is None:
-            raise UsageError("--potential coulomb requires --u")
-        return PureCoulomb(cfg.u)
-    if cfg.shift is None or cfg.coupling is None:
-        raise UsageError("--potential shifted requires --shift and --coupling")
-    return ShiftedCoulomb(shift=cfg.shift, coupling=cfg.coupling)
-
-
-def cmd_solve(cfg: RunConfig) -> int:
-    if cfg.potential != "screened" and cfg.z_values:
-        raise UsageError(f"--z is only meaningful with --potential screened, "
-                         f"not {cfg.potential}")
-    z_list: tuple[int | None, ...] = cfg.z_values or (None,)
-    tasks = [(z, state) for z in z_list for state in cfg.states]
-    if cfg.dump_wavefunction and len(tasks) != 1:
+        pots = [ScreenedCoulomb.from_charge(z, args.constants) for z in args.z]
+    elif args.z:
+        raise UsageError("--z is only meaningful with --potential screened, not shifted")
+    elif args.coupling is None:
+        raise UsageError("--potential shifted requires --coupling")
+    else:
+        pots = [ShiftedCoulomb(shift=args.shift, coupling=args.coupling)]
+    tasks = [(pot, state) for pot in pots for state in args.state]
+    if args.dump_wavefunction and len(tasks) != 1:
         raise UsageError("--dump-wavefunction needs exactly one (z, state) pair")
 
     rows, reports = [], []
-    for z, state in tasks:
-        pot = _build_solve_potential(cfg, z)
+    for pot, state in tasks:
         sol = solve_eigenvalue(
-            pot, parse_state_label(state), grid_scale=cfg.grid_scale, tol_e=cfg.tol_e
+            pot, parse_state_label(state), grid_scale=args.grid_scale, tol_e=args.tol_e
         )
         rows.append({
             "potential": _pot_label(pot),
             "state": state,
-            "E": _energy_display(sol.E, cfg),
+            "E": _energy_display(sol.E, args),
             "nodes_psi1": sol.nodes1,
             "nodes_psi2": sol.nodes2,
             "match_radius": sol.match_radius,
@@ -253,11 +222,10 @@ def cmd_solve(cfg: RunConfig) -> int:
             "grid_points": sol.grid.count,
         })
         reports.append(dict(rows[-1], potential=pot.describe()))
-        if cfg.dump_wavefunction:
-            _dump_wavefunction(cfg.dump_wavefunction, sol)
-    header = list(rows[0].keys())
-    json_obj = {"units": cfg.units, "rows": reports}
-    _emit(cfg, _render(cfg, header, rows, json_obj, [f"# units: {_UNIT_SUFFIX[cfg.units]}"]))
+        if args.dump_wavefunction:
+            _dump_wavefunction(args.dump_wavefunction, sol)
+    json_obj = {"units": args.units, "rows": reports}
+    _emit(args, rows, json_obj, [f"# units: {_UNIT_SUFFIX[args.units]}"])
     return 0
 
 
@@ -270,25 +238,25 @@ def _dump_wavefunction(path: str, sol) -> None:
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     rows, reports = [], []
-    for z in cfg.z_values:
-        pot = ScreenedCoulomb.from_charge(z, cfg.constants)
-        for state in cfg.states:
+    for z in args.z:
+        pot = ScreenedCoulomb.from_charge(z, args.constants)
+        for state in args.state:
             ch = parse_state_label(state)
-            t = cfg.contact_radius
+            t = args.contact_radius
             if t is None:
                 t = minimize_bound(pot, ch, keep_curve=False).t_star
             report = assert_ordering(
                 pot, tangent_at(pot, t), ch,
-                grid_scale=cfg.grid_scale, tol_e=cfg.tol_e,
+                grid_scale=args.grid_scale, tol_e=args.tol_e,
             )
             rows.append({
                 "z": z,
                 "state": state,
                 "t": t,
-                "E_a": _energy_display(report.E_a, cfg),
-                "E_b": _energy_display(report.E_b, cfg),
+                "E_a": _energy_display(report.E_a, args),
+                "E_b": _energy_display(report.E_b, args),
                 "identity_rel": report.identity.relative,
                 "derivative_residual": report.derivative_residual,
                 "min_gap": report.min_gap,
@@ -297,26 +265,10 @@ def cmd_compare(cfg: RunConfig) -> int:
                 "verdict": report.verdict,
             })
             reports.append(report.to_dict())
-    header = list(rows[0].keys())
     json_obj = {"reports": reports}  # reports carry raw mc2 energies
-    footer = [f"# units: {_UNIT_SUFFIX[cfg.units]} (gaps and residuals unitless/mc2)"]
-    _emit(cfg, _render(cfg, header, rows, json_obj, footer))
+    footer = [f"# units: {_UNIT_SUFFIX[args.units]} (gaps and residuals unitless/mc2)"]
+    _emit(args, rows, json_obj, footer)
     return 0 if all(r["verdict"] == "PASS" for r in rows) else 1
-
-
-_DISPATCH = {
-    "table1": cmd_table1,
-    "bound": cmd_bound,
-    "solve": cmd_solve,
-    "compare": cmd_compare,
-}
-
-_DEFAULT_UNITS = {
-    "table1": "kev-binding",
-    "bound": "kev-binding",
-    "solve": "mc2",
-    "compare": "mc2",
-}
 
 
 # --------------------------------------------------------------- parsing
@@ -350,24 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", parents=[common],
                        help="reference binding-energy table with golden diff")
+    p.set_defaults(run=cmd_table1, default_units="kev-binding")
     p.add_argument("--z", type=int, nargs="+", default=list(DEFAULT_Z_VALUES),
                    help="nuclear charges (default: the full reference set)")
 
     p = sub.add_parser("bound", parents=[common],
                        help="envelope upper bound for (Z, state)")
+    p.set_defaults(run=cmd_bound, default_units="kev-binding")
     p.add_argument("--z", type=int, nargs="+", required=True)
     p.add_argument("--state", nargs="+", default=list(STATE_LABELS),
                    help="spectroscopic labels, e.g. 1s_1/2 2p_3/2")
 
     p = sub.add_parser("solve", parents=[common],
                        help="shooting-solver eigenvalue for one potential")
-    p.add_argument("--potential", choices=("screened", "coulomb", "shifted"),
-                   default="screened")
+    p.set_defaults(run=cmd_solve, default_units="mc2")
+    p.add_argument("--potential", choices=("screened", "shifted"), default="screened")
     p.add_argument("--z", type=int, nargs="+", default=[],
                    help="nuclear charges (screened potential only)")
-    p.add_argument("--u", type=float, default=None, help="pure-Coulomb coupling")
-    p.add_argument("--shift", type=float, default=None,
-                   help="constant offset of the shifted-Coulomb potential")
+    p.add_argument("--shift", type=float, default=0.0,
+                   help="constant offset of the shifted-Coulomb potential (default 0)")
     p.add_argument("--coupling", type=float, default=None,
                    help="coupling of the shifted-Coulomb potential")
     p.add_argument("--state", nargs="+", default=["1s_1/2"])
@@ -376,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", parents=[common],
                        help="ordering harness: screened potential vs. tangent")
+    p.set_defaults(run=cmd_compare, default_units="mc2")
     p.add_argument("--z", type=int, nargs="+", required=True)
     p.add_argument("--t", type=float, default=None, dest="contact_radius",
                    help="tangent contact radius (default: the optimal t*)")
@@ -384,40 +338,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    constants = PhysicalConstants(
-        alpha=args.alpha, electron_rest_energy_kev=args.mc2_kev
-    )
-    raw_states = getattr(args, "state", list(STATE_LABELS))
-    states = tuple(spectroscopic_label(parse_state_label(s)) for s in raw_states)
-    return RunConfig(
-        command=args.command,
-        z_values=tuple(getattr(args, "z", ()) or ()),
-        states=states,
-        constants=constants,
-        units=args.units or _DEFAULT_UNITS[args.command],
-        fmt=args.fmt,
-        out=args.out,
-        tol_e=args.tol_e,
-        grid_scale=args.grid_scale,
-        potential=getattr(args, "potential", "screened"),
-        u=getattr(args, "u", None),
-        shift=getattr(args, "shift", None),
-        coupling=getattr(args, "coupling", None),
-        contact_radius=getattr(args, "contact_radius", None),
-        dump_wavefunction=getattr(args, "dump_wavefunction", None),
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # default_units, not set_defaults(units=): --units is one action shared by all
+    args.units = args.units or args.default_units
     try:
-        cfg = config_from_args(args)
+        args.constants = PhysicalConstants(
+            alpha=args.alpha, electron_rest_energy_kev=args.mc2_kev
+        )
+        args.state = [spectroscopic_label(parse_state_label(s))
+                      for s in getattr(args, "state", ())]
     except ValueError as exc:
         print(f"diracbound: usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return args.run(args)
     except UsageError as exc:
         print(f"diracbound: usage error: {exc}", file=sys.stderr)
         return 2

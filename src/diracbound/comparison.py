@@ -15,9 +15,9 @@ and integrating with the vanishing boundary values gives
     S = phi1 psi1 + phi2 psi2.
 
 When all four components are nodeless, S has a single sign, so the sign
-of E_a - E_b is pinned by the sign of V_a - V_b.  This module checks the
-derivative identity pointwise, the integral identity by quadrature, and
-the eigenvalue ordering itself on concrete solved pairs.
+of E_a - E_b is pinned by the sign of V_a - V_b.  This module solves a
+pair on one shared grid and checks the derivative identity pointwise, the
+integral identity by quadrature, and the eigenvalue ordering itself.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.interpolate import PchipInterpolator
 
 from .channels import Channel
 from .coulomb import coulomb_eigenvalue
@@ -71,7 +70,7 @@ class ComparisonReport:
     max_gap: float
     nodes_a: tuple[int, int]
     nodes_b: tuple[int, int]
-    hypothesis_ok: bool  # ordered potentials and all four components nodeless
+    hypothesis_ok: bool  # all four components nodeless
     ordered: bool  # E_a < E_b
     verdict: str  # PASS / FAIL when the hypothesis holds, else INFO
 
@@ -97,41 +96,22 @@ class ComparisonReport:
         }
 
 
-def _same_grid(sol_a: RadialSolution, sol_b: RadialSolution) -> bool:
-    ra, rb = sol_a.grid.points, sol_b.grid.points
-    return len(ra) == len(rb) and bool(np.array_equal(ra, rb))
-
-
-def _on_common_grid(sol_a: RadialSolution, sol_b: RadialSolution):
-    """Samples of both solutions at shared radii.
-
-    Pairs solved on one shared grid are used as-is; otherwise both are
-    re-sampled on the union of the grids with monotone cubic interpolation
-    (which cannot manufacture sign changes between samples)."""
+def _shared_samples(sol_a: RadialSolution, sol_b: RadialSolution):
+    """(r, a1, a2, b1, b2) of a pair solved in one channel on one shared grid."""
     if sol_a.ch != sol_b.ch:
         raise ValueError(f"channel mismatch: {sol_a.ch} vs {sol_b.ch}")
-    if _same_grid(sol_a, sol_b):
-        return sol_a.grid.points, sol_a.psi1, sol_a.psi2, sol_b.psi1, sol_b.psi2
-    r = np.union1d(sol_a.grid.points, sol_b.grid.points)
-    lo = max(sol_a.grid.points[0], sol_b.grid.points[0])
-    hi = min(sol_a.grid.points[-1], sol_b.grid.points[-1])
-    r = r[(r >= lo) & (r <= hi)]
-
-    def _resample(sol):
-        p1 = PchipInterpolator(sol.grid.points, sol.psi1)(r)
-        p2 = PchipInterpolator(sol.grid.points, sol.psi2)(r)
-        return p1, p2
-
-    a1, a2 = _resample(sol_a)
-    b1, b2 = _resample(sol_b)
-    return r, a1, a2, b1, b2
+    r = sol_a.grid.points
+    if not np.array_equal(r, sol_b.grid.points):
+        raise ValueError("identity checks need both solutions on one shared grid")
+    return r, sol_a.psi1, sol_a.psi2, sol_b.psi1, sol_b.psi2
 
 
 def identity_residual(
     sol_a: RadialSolution, sol_b: RadialSolution, pot_a, pot_b
 ) -> IdentityCheck:
-    """Quadrature check of int S (V_a - V_b) dr = (E_a - E_b) int S dr."""
-    r, a1, a2, b1, b2 = _on_common_grid(sol_a, sol_b)
+    """Quadrature check of int S (V_a - V_b) dr = (E_a - E_b) int S dr
+    for two solutions on one shared grid."""
+    r, a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
     S = a1 * b1 + a2 * b2
     dv = pot_a.evaluate(r) - pot_b.evaluate(r)
     lhs = float(simpson(S * dv, x=r))
@@ -148,15 +128,8 @@ def derivative_identity_check(
 
     Requires both solutions on one shared grid (the graded sections are
     uniform there, so fourth-order difference stencils apply cleanly)."""
-    if sol_a.ch != sol_b.ch:
-        raise ValueError(f"channel mismatch: {sol_a.ch} vs {sol_b.ch}")
-    if not _same_grid(sol_a, sol_b):
-        raise ValueError("derivative check needs both solutions on one shared grid")
-    grid = sol_a.grid
-    r = grid.points
-    a1, a2 = sol_a.psi1, sol_a.psi2
-    b1, b2 = sol_b.psi1, sol_b.psi2
-    lhs = grid_derivative(b1 * a2 - a1 * b2, grid)
+    r, a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
+    lhs = grid_derivative(b1 * a2 - a1 * b2, sol_a.grid)
     bracket = pot_a.evaluate(r) - pot_b.evaluate(r) - (sol_a.E - sol_b.E)
     rhs = bracket * (a1 * b1 + a2 * b2)
     amp = np.abs(b1 * a2) + np.abs(a1 * b2) + np.abs(a1 * b1) + np.abs(a2 * b2)
@@ -176,8 +149,9 @@ def predicted_bracket(pot, ch: Channel):
 
 def _check_ordering_mesh(pot_a, pot_b):
     """Verify V_a <= V_b with a strict gap somewhere; reject crossing pairs."""
-    diff = pot_b.evaluate(_ORDERING_MESH) - pot_a.evaluate(_ORDERING_MESH)
-    scale = np.abs(pot_a.evaluate(_ORDERING_MESH)) + np.abs(pot_b.evaluate(_ORDERING_MESH))
+    va, vb = pot_a.evaluate(_ORDERING_MESH), pot_b.evaluate(_ORDERING_MESH)
+    diff = vb - va
+    scale = np.abs(va) + np.abs(vb)
     tol = 1e-13 * np.maximum(scale, 1.0)
     below = diff < -tol
     above = diff > tol
@@ -198,11 +172,10 @@ def _check_ordering_mesh(pot_a, pot_b):
     return float(diff.min()), float(diff.max())
 
 
-def _shared_grid(pot_a, pot_b, ch: Channel, grid_scale: float):
+def _shared_grid(pots, brackets, grid_scale: float):
     """One grid adequate for both states, sized by the slowest decay."""
     rates = []
-    for pot in (pot_a, pot_b):
-        bracket = predicted_bracket(pot, ch)
+    for pot, bracket in zip(pots, brackets):
         if bracket is None:
             rates.append(0.25)
             continue
@@ -219,34 +192,28 @@ def assert_ordering(
     *,
     grid_scale: float = 1.0,
     tol_e: float = 1e-10,
-    allow_noded: bool = False,
 ) -> ComparisonReport:
-    """Solve an ordered pair and report the full comparison evidence.
+    """Solve an ordered pair on one shared grid and report the evidence.
 
     Channels other than the nodeless bottom state (tau=-1, n=1) are outside
-    the theorem and rejected unless allow_noded is set, in which case the
-    run is labeled informational.
+    the theorem and rejected.  A nodeless channel whose solves nevertheless
+    show nodes gets the verdict INFO, since the theorem's hypothesis fails.
     """
-    restricted = ch.tau == -1 and ch.n == 1
-    if not restricted and not allow_noded:
+    if ch.tau != -1 or ch.n != 1:
         raise HypothesisViolationError(
             f"channel {ch} has noded states; the ordering theorem covers only "
-            "tau=-1, n=1 channels (pass allow_noded=True for diagnostics)"
+            "tau=-1, n=1 channels"
         )
     min_gap, max_gap = _check_ordering_mesh(pot_a, pot_b)
-    grid = _shared_grid(pot_a, pot_b, ch, grid_scale)
-    sol_a = solve_eigenvalue(
-        pot_a, ch, grid=grid, tol_e=tol_e, bracket_hint=predicted_bracket(pot_a, ch)
-    )
-    sol_b = solve_eigenvalue(
-        pot_b, ch, grid=grid, tol_e=tol_e, bracket_hint=predicted_bracket(pot_b, ch)
-    )
+    hint_a, hint_b = predicted_bracket(pot_a, ch), predicted_bracket(pot_b, ch)
+    grid = _shared_grid((pot_a, pot_b), (hint_a, hint_b), grid_scale)
+    sol_a = solve_eigenvalue(pot_a, ch, grid=grid, tol_e=tol_e, bracket_hint=hint_a)
+    sol_b = solve_eigenvalue(pot_b, ch, grid=grid, tol_e=tol_e, bracket_hint=hint_b)
     identity = identity_residual(sol_a, sol_b, pot_a, pot_b)
     deriv = derivative_identity_check(sol_a, sol_b, pot_a, pot_b)
     nodes_a = (sol_a.nodes1, sol_a.nodes2)
     nodes_b = (sol_b.nodes1, sol_b.nodes2)
-    nodeless = not any(nodes_a) and not any(nodes_b)
-    hypothesis_ok = nodeless and restricted
+    hypothesis_ok = not any(nodes_a) and not any(nodes_b)
     ordered = sol_a.E < sol_b.E
     if hypothesis_ok:
         verdict = "PASS" if ordered else "FAIL"

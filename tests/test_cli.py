@@ -42,7 +42,7 @@ def parse_csv(text):
 class TestSolve:
     def test_coulomb_exact_point(self, capsys):
         code, out, _ = run_cli(
-            capsys, "solve", "--potential", "coulomb", "--u", "0.6", "--format", "csv"
+            capsys, "solve", "--potential", "shifted", "--coupling", "0.6", "--format", "csv"
         )
         assert code == 0
         (row,) = parse_csv(out)
@@ -76,8 +76,8 @@ class TestSolve:
             capsys,
             "solve",
             "--potential",
-            "coulomb",
-            "--u",
+            "shifted",
+            "--coupling",
             "0.6",
             "--state",
             "2s_1/2",
@@ -93,8 +93,8 @@ class TestSolve:
             capsys,
             "solve",
             "--potential",
-            "coulomb",
-            "--u",
+            "shifted",
+            "--coupling",
             "0.6",
             "--units",
             "kev-binding",
@@ -111,8 +111,8 @@ class TestSolve:
             capsys,
             "solve",
             "--potential",
-            "coulomb",
-            "--u",
+            "shifted",
+            "--coupling",
             "0.6",
             "--dump-wavefunction",
             str(dump),
@@ -139,15 +139,15 @@ class TestSolve:
         "argv,fragment",
         [
             (("solve",), "requires --z"),
-            (("solve", "--potential", "coulomb"), "requires --u"),
+            (("solve", "--potential", "shifted"), "requires --coupling"),
             (("solve", "--potential", "shifted", "--shift", "0.1"), "--coupling"),
-            (("solve", "--potential", "coulomb", "--u", "0.6", "--z", "20"), "--z"),
+            (("solve", "--potential", "shifted", "--coupling", "0.6", "--z", "20"), "--z"),
             (
                 (
                     "solve",
                     "--potential",
-                    "coulomb",
-                    "--u",
+                    "shifted",
+                    "--coupling",
                     "0.6",
                     "--state",
                     "1s_1/2",
@@ -166,7 +166,9 @@ class TestSolve:
         assert fragment in err
 
     def test_invalid_coupling_is_numerical_failure(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "--potential", "coulomb", "--u", "-0.5")
+        code, _, err = run_cli(
+            capsys, "solve", "--potential", "shifted", "--coupling", "-0.5"
+        )
         assert code == 1
         assert "invalid parameter" in err
 
@@ -312,8 +314,8 @@ class TestPlumbing:
             capsys,
             "solve",
             "--potential",
-            "coulomb",
-            "--u",
+            "shifted",
+            "--coupling",
             "0.6",
             "--format",
             "csv",
@@ -323,7 +325,7 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         code2, stdout_text, _ = run_cli(
-            capsys, "solve", "--potential", "coulomb", "--u", "0.6", "--format", "csv"
+            capsys, "solve", "--potential", "shifted", "--coupling", "0.6", "--format", "csv"
         )
         assert code2 == 0
         assert target.read_text(encoding="utf-8") == stdout_text

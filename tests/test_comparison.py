@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from diracbound import envelope
 from diracbound.channels import Channel
 from diracbound.comparison import (
     ComparisonReport,
@@ -149,20 +150,30 @@ class TestScreenedTangentPair:
         )
         assert corrupted.relative > 1e3 * honest.relative
 
-    def test_different_grids_take_resample_path(self, z20_optimal_pair, ch_s):
-        # solutions solved independently land on different grids; the identity
-        # must still close through the monotone-interpolation resampling
-        screened, tangent, _ = z20_optimal_pair
-        sol_a = solve_eigenvalue(
-            screened, ch_s, bracket_hint=screened_state_bracket(screened, ch_s)
+    def test_different_grids_rejected(self, shared_pair, ch_s):
+        # both identity checks need the pair on one shared grid
+        screened, tangent, sol_a, _ = shared_pair
+        sol_b = solve_eigenvalue(
+            tangent, ch_s, grid=build_grid(0.11), bracket_hint=predicted_bracket(tangent, ch_s)
         )
-        sol_b = solve_eigenvalue(tangent, ch_s, grid=build_grid(0.11))
         assert len(sol_a.grid.points) != len(sol_b.grid.points)
-        check = identity_residual(sol_a, sol_b, screened, tangent)
-        assert check.relative < 1e-6
-        # the pointwise derivative stencil, however, needs one shared grid
-        with pytest.raises(ValueError, match="shared grid"):
-            derivative_identity_check(sol_a, sol_b, screened, tangent)
+        for check in (identity_residual, derivative_identity_check):
+            with pytest.raises(ValueError, match="shared grid"):
+                check(sol_a, sol_b, screened, tangent)
+
+    def test_screened_bracket_computed_once(self, z20_optimal_pair, ch_s, monkeypatch):
+        # the envelope bracket sizes the shared grid and hints the solve
+        screened, tangent, _ = z20_optimal_pair
+        calls = []
+        real = envelope.minimize_bound
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(envelope, "minimize_bound", counting)
+        assert assert_ordering(screened, tangent, ch_s).verdict == "PASS"
+        assert len(calls) == 1
 
     def test_channel_mismatch_rejected(self, shared_pair, ch_p):
         screened, tangent, sol_a, _ = shared_pair
@@ -200,17 +211,6 @@ class TestHypothesisGuards:
         ch2 = Channel(tau=-1, two_j=1, n=2)
         with pytest.raises(HypothesisViolationError, match="noded"):
             assert_ordering(PureCoulomb(0.6), PureCoulomb(0.55), ch2)
-
-    def test_noded_channel_is_informational_when_allowed(self):
-        ch2 = Channel(tau=-1, two_j=1, n=2)
-        report = assert_ordering(
-            PureCoulomb(0.6), PureCoulomb(0.55), ch2, allow_noded=True
-        )
-        assert report.verdict == "INFO"
-        assert not report.hypothesis_ok
-        assert report.nodes_a == (1, 1)
-        # the ordering itself still holds for these levels
-        assert report.ordered
 
 
 # --------------------------------------------------------------------------

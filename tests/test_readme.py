@@ -1,11 +1,18 @@
-"""The README's Python quick start runs and prints what its comments claim."""
+"""The README's samples run and print what the README shows."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from diracbound.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+# each CLI sample: the "$ diracbound ..." line and the header row below it
+CLI_SAMPLES = re.findall(r"^\$ diracbound (.*)\n(.*)$", README.read_text(), re.M)
 
 
 def test_python_quick_start_runs_as_documented(capsys):
@@ -21,3 +28,15 @@ def test_python_quick_start_runs_as_documented(capsys):
     assert claims and len(printed) == len(claims)
     for out, claim in zip(printed, claims):
         assert out.startswith(claim), (out, claim)
+
+
+def test_cli_samples_found():
+    assert [argv.split()[0] for argv, _ in CLI_SAMPLES] == [
+        "table1", "bound", "solve", "compare"
+    ]
+
+
+@pytest.mark.parametrize("argv,header", CLI_SAMPLES, ids=[a for a, _ in CLI_SAMPLES])
+def test_cli_sample_runs_as_documented(capsys, argv, header):
+    assert main(shlex.split(argv)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == header
