@@ -11,10 +11,11 @@ discrete spectrum lives in the window |E - V(inf)| < 1.
 
 The solver combines three classical ingredients:
 
-* fixed Cash-Karp fifth-order sweeps over a graded radial grid (log-spaced
-  near the origin, linear in the tail) with per-interval stage tables of
-  tau*k/r and V precomputed once, so a full sweep is a cheap scalar
-  function of the trial energy;
+* fixed Cash-Karp fifth-order steps over a graded radial grid (log-spaced
+  near the origin, linear in the tail).  The system is linear, so each step
+  is a 2x2 propagator M_i(E); one vectorized pass builds them all from stage
+  tables of tau*k/r and V, and a normalized prefix scan (every sample) or a
+  pairwise reduction (end value only) composes them;
 * Pruefer phase counting: the continuously unwound rotation angle of
   (psi1, psi2) at r_max, minus the angle of the decaying tail solution, is
   strictly decreasing in E and drops through a multiple of pi at every
@@ -33,6 +34,7 @@ radius and normalized with Simpson quadrature on the grid.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -49,25 +51,21 @@ WINDOW_EDGE = 1e-9
 PHASE_BRACKET = 1e-6
 # grid rebuilds a solve may make before it gives up
 MAX_GRID_REBUILDS = 5
-# renormalization threshold for off-eigenvalue sweeps
-RENORM_LIMIT = 1e250
-RENORM_FACTOR = 1e-250
 
 # Cash-Karp 5(4) tableau (fifth-order weights only; steps are fixed per
 # grid interval, so no embedded error estimate is needed)
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0
-_A51, _A52, _A53, _A54 = -11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0
-_A61, _A62, _A63, _A64, _A65 = (
-    1631.0 / 55296.0,
-    175.0 / 512.0,
-    575.0 / 13824.0,
-    44275.0 / 110592.0,
-    253.0 / 4096.0,
+_CK_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0],
+        [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0],
+        [3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0, 0.0, 0.0],
+        [-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0, 0.0],
+        [1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0, 44275.0 / 110592.0, 253.0 / 4096.0],
+    ]
 )
-_B1, _B3, _B4, _B6 = 37.0 / 378.0, 250.0 / 621.0, 125.0 / 594.0, 512.0 / 1771.0
-_STAGE_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0)
+_CK_B = np.array([37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0])
+_CK_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,85 +185,87 @@ def _decay_rate(w: float) -> float:
     return math.sqrt(max((1.0 - w) * (1.0 + w), 0.0))
 
 
-def _stage_tables(pot, tk: float, base: np.ndarray, step: np.ndarray) -> list:
-    """Per-interval tuples of (tau*k/r, V) at the six stage radii."""
-    cols = []
-    for c in _STAGE_C:
-        rs = base + c * step
-        cols.append((tk / rs, pot.evaluate(rs)))
-    out = []
-    for i in range(len(base)):
-        out.append(tuple((cols[s][0][i], cols[s][1][i]) for s in range(6)))
-    return out
+def _stage_tables(pot, tk: float, base: np.ndarray, step: np.ndarray):
+    """(tau*k/r, V) at the six stage radii of each interval, shape (6, n) each, and the steps."""
+    rs = base + _CK_C[:, None] * step
+    return tk / rs, pot.evaluate(rs), step
 
 
-def _sweep(table, E, y1, y2, n_steps, winding=False, out1=None, out2=None):
-    """Integrate the first n_steps intervals of table = (stage tables, steps);
-    returns (y1, y2, theta) at their end.
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a_i b_i of two (2, 2, n) stacks of 2x2 matrices."""
+    return np.stack([a[0, 0] * b[0] + a[0, 1] * b[1], a[1, 0] * b[0] + a[1, 1] * b[1]])
 
-    Inward sweeps pass a table in inward order and reversed output views."""
-    stages, hs = table
-    theta = 0.0
-    p = 1.0 + E
-    q = 1.0 - E
-    rescales = []
-    if out1 is not None:
-        out1[0] = y1
-        out2[0] = y2
-    for i in range(n_steps):
-        st = stages[i]
-        h = hs[i]
-        tkr, V = st[0]
-        k1a = (p - V) * y2 - tkr * y1
-        k1b = (q + V) * y1 + tkr * y2
-        tkr, V = st[1]
-        t1 = y1 + h * (_A21 * k1a)
-        t2 = y2 + h * (_A21 * k1b)
-        k2a = (p - V) * t2 - tkr * t1
-        k2b = (q + V) * t1 + tkr * t2
-        tkr, V = st[2]
-        t1 = y1 + h * (_A31 * k1a + _A32 * k2a)
-        t2 = y2 + h * (_A31 * k1b + _A32 * k2b)
-        k3a = (p - V) * t2 - tkr * t1
-        k3b = (q + V) * t1 + tkr * t2
-        tkr, V = st[3]
-        t1 = y1 + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
-        t2 = y2 + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b)
-        k4a = (p - V) * t2 - tkr * t1
-        k4b = (q + V) * t1 + tkr * t2
-        tkr, V = st[4]
-        t1 = y1 + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
-        t2 = y2 + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b)
-        k5a = (p - V) * t2 - tkr * t1
-        k5b = (q + V) * t1 + tkr * t2
-        tkr, V = st[5]
-        t1 = y1 + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a)
-        t2 = y2 + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b)
-        k6a = (p - V) * t2 - tkr * t1
-        k6b = (q + V) * t1 + tkr * t2
-        ny1 = y1 + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B6 * k6a)
-        ny2 = y2 + h * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B6 * k6b)
-        if winding:
-            # atan2 is scale-invariant; normalize first so the quadratic
-            # products cannot overflow when |y| sits near RENORM_LIMIT
-            s = 1.0 / (abs(y1) + abs(y2))
-            u1, u2 = y1 * s, y2 * s
-            theta += math.atan2(u1 * ny2 - u2 * ny1, u1 * ny1 + u2 * ny2)
-        y1, y2 = ny1, ny2
-        if out1 is not None:
-            out1[i + 1] = y1
-            out2[i + 1] = y2
-        if abs(y1) + abs(y2) > RENORM_LIMIT:
-            y1 *= RENORM_FACTOR
-            y2 *= RENORM_FACTOR
-            rescales.append(i + 1)
-    if not (math.isfinite(y1) and math.isfinite(y2)):
+
+def _unit(m: np.ndarray):
+    """m_i scaled to unit 1-norm, and the log of each scale."""
+    nrm = np.abs(m).sum(axis=(0, 1))
+    return m / nrm, np.log(nrm)
+
+
+def _propagators(table, E: float, n: int) -> np.ndarray:
+    """Cash-Karp propagators M_i(E) of the first n intervals, a (2, 2, n) stack.
+
+    y' = A y with A = [[-tk/r, 1 + E - V], [1 - E + V, tk/r]] is linear, so
+    one fixed step is y -> M_i y with K_1 = A_1, K_s = A_s (I + h sum a_sj K_j)
+    and M_i = I + h sum b_s K_s."""
+    tkr, v, h = (x[..., :n] for x in table)
+    p = (1.0 + E) - v
+    q = (1.0 - E) + v
+    eye = np.eye(2)[:, :, None]
+    ks = np.empty((6, 2, 2, n))
+    flat = ks.reshape(6, -1)
+    for s in range(6):
+        y = eye + h * (_CK_A[s, :s] @ flat[:s]).reshape(2, 2, n)
+        ks[s, 0] = p[s] * y[1] - tkr[s] * y[0]
+        ks[s, 1] = q[s] * y[0] + tkr[s] * y[1]
+    return eye + h * (_CK_B @ flat).reshape(2, 2, n)
+
+
+def _trajectory(table, E: float, y0, n: int):
+    """States over the first n intervals of table from y0, shape (2, n + 1),
+    as y_i = Y_i exp(ls_i); returns (Y, ls).
+
+    P_i = M_i ... M_0 comes from a Hillis-Steele inclusive scan with doubling
+    offsets, each level rescaled to unit 1-norm and its log-scale carried."""
+    prod, ls = _unit(_propagators(table, E, n))
+    d = 1
+    while d < n:
+        nxt, lnxt = _unit(_mul(prod[..., d:], prod[..., :-d]))
+        prod[..., d:] = nxt
+        ls[d:] += ls[:-d] + lnxt
+        d *= 2
+    y0 = np.asarray(y0, dtype=float)
+    Y = np.concatenate([y0[:, None], prod[:, 0] * y0[0] + prod[:, 1] * y0[1]], axis=1)
+    ls = np.concatenate([[0.0], ls])
+    if not (np.all(np.isfinite(Y[:, -1])) and math.isfinite(ls[-1])):
         raise ConvergenceError(f"sweep lost finiteness at E={E}")
-    if out1 is not None:
-        for idx in rescales:
-            out1[: idx + 1] *= RENORM_FACTOR
-            out2[: idx + 1] *= RENORM_FACTOR
-    return y1, y2, theta
+    return Y, ls
+
+
+def _end_value(table, E: float, y0, n: int) -> np.ndarray:
+    """State after the first n intervals of table from y0, up to a positive scale
+    (pairwise tree reduction of the propagators)."""
+    prod = _propagators(table, E, n)
+    while prod.shape[-1] > 1:
+        m = prod.shape[-1] // 2 * 2
+        pairs, _ = _unit(_mul(prod[..., 1:m:2], prod[..., 0:m:2]))
+        prod = np.concatenate([pairs, prod[..., m:]], axis=-1)
+    y = prod[..., 0] @ y0 if n else np.asarray(y0, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ConvergenceError(f"sweep lost finiteness at E={E}")
+    return y
+
+
+def _samples(Y: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """Y_i exp(ls_i - max ls): the far side of a growing sweep underflows to zero."""
+    return Y * np.exp(ls - ls.max())
+
+
+def _winding(Y: np.ndarray) -> float:
+    """Unwound rotation angle of the path through the columns of Y."""
+    u = Y / np.abs(Y).sum(axis=0)
+    a, b = u[:, :-1], u[:, 1:]
+    return float(np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1]).sum())
 
 
 def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
@@ -273,11 +273,11 @@ def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
     den = (abs(o1) + abs(o2)) * (abs(i1) + abs(i2))
     if den == 0.0:
         raise ConvergenceError(f"degenerate sweep amplitudes at E={E}")
-    return (o1 * i2 - o2 * i1) / den
+    return float((o1 * i2 - o2 * i1) / den)
 
 
 class _ShootingWorkspace:
-    """Stage tables and scalar sweep functionals for one (pot, ch, grid).
+    """Stage tables and sweep functionals for one (pot, ch, grid).
 
     Each direction's tables are built on first use, so a one-directional
     sweep pays only for its own."""
@@ -291,18 +291,16 @@ class _ShootingWorkspace:
         self.v_grid = pot.evaluate(grid.points)
 
     @cached_property
-    def fwd(self) -> tuple[list, list]:
-        """Outward (stage tables, steps)."""
+    def fwd(self):
+        """Outward stage tables and steps."""
         r = self.grid.points
-        h = np.diff(r)
-        return _stage_tables(self.pot, self.ch.tau * self.ch.k, r[:-1], h), h.tolist()
+        return _stage_tables(self.pot, self.ch.tau * self.ch.k, r[:-1], np.diff(r))
 
     @cached_property
-    def bwd(self) -> tuple[list, list]:
-        """Inward (stage tables, steps), stored in inward order."""
+    def bwd(self):
+        """Inward stage tables and steps, stored in inward order."""
         r = self.grid.points
-        h = -np.diff(r)[::-1]
-        return _stage_tables(self.pot, self.ch.tau * self.ch.k, r[:0:-1], h), h.tolist()
+        return _stage_tables(self.pot, self.ch.tau * self.ch.k, r[:0:-1], -np.diff(r)[::-1])
 
     def _seed_out(self, E):
         return origin_series_seed(self.pot, self.ch, E, self.grid.points[0])
@@ -313,9 +311,8 @@ class _ShootingWorkspace:
 
     def phase(self, E: float) -> float:
         """Unwound matching phase; strictly decreasing in E."""
-        s1, s2 = self._seed_out(E)
-        _, _, theta = _sweep(self.fwd, E, s1, s2, self.n_int, winding=True)
-        return math.atan2(s2, s1) + theta - decaying_tail_angle(E - self.v_inf)
+        Y, _ = _trajectory(self.fwd, E, self._seed_out(E), self.n_int)
+        return math.atan2(Y[1, 0], Y[0, 0]) + _winding(Y) - decaying_tail_angle(E - self.v_inf)
 
     def count(self, E: float) -> int:
         """floor(phase/pi); drops by one at each eigenvalue as E grows."""
@@ -341,28 +338,21 @@ class _ShootingWorkspace:
 
     def wronskian(self, E: float, i_match: int) -> float:
         """Scaled Wronskian of outward and inward sweeps at the match point."""
-        s1, s2 = self._seed_out(E)
-        o1, o2, _ = _sweep(self.fwd, E, s1, s2, i_match)
-        t1, t2 = self._seed_in(E)
-        i1, i2, _ = _sweep(self.bwd, E, t1, t2, self.n_int - i_match)
+        o1, o2 = _end_value(self.fwd, E, self._seed_out(E), i_match)
+        i1, i2 = _end_value(self.bwd, E, self._seed_in(E), self.n_int - i_match)
         return _scaled_wronskian(o1, o2, i1, i2, E)
 
     def eigenfunction(self, E: float, i_match: int):
         """Components on the full grid from both sweeps, plus their Wronskian."""
-        n = self.n_int + 1
-        p1 = np.zeros(n)
-        p2 = np.zeros(n)
-        s1, s2 = self._seed_out(E)
-        o1, o2, _ = _sweep(self.fwd, E, s1, s2, i_match, out1=p1, out2=p2)
-        q1 = np.zeros(n)
-        q2 = np.zeros(n)
-        t1, t2 = self._seed_in(E)
-        i1, i2, _ = _sweep(self.bwd, E, t1, t2, self.n_int - i_match, out1=q1[::-1], out2=q2[::-1])
+        Yo, ls_o = _trajectory(self.fwd, E, self._seed_out(E), i_match)
+        Yi, ls_i = _trajectory(self.bwd, E, self._seed_in(E), self.n_int - i_match)
+        out = _samples(Yo, ls_o)
+        inw = _samples(Yi, ls_i)[:, ::-1]
         # join on the component the inward sweep resolves best
+        (o1, o2), (i1, i2) = out[:, -1], inw[:, 0]
         scale = o1 / i1 if abs(i1) >= abs(i2) else o2 / i2
-        p1[i_match + 1 :] = scale * q1[i_match + 1 :]
-        p2[i_match + 1 :] = scale * q2[i_match + 1 :]
-        return p1, p2, _scaled_wronskian(o1, o2, i1, i2, E)
+        psi = np.concatenate([out, scale * inw[:, 1:]], axis=1)
+        return psi[0], psi[1], _scaled_wronskian(*Yo[:, -1], *Yi[:, -1], E)
 
 
 def integrate_radial(
@@ -378,28 +368,28 @@ def integrate_radial(
     Outward sweeps start from the origin series seed and run up to
     match_index (default: the whole grid); inward sweeps start from the
     decaying-tail seed at r_max and run down to match_index (default: 0).
-    Samples outside the swept range are zero.
+    Samples outside the swept range are zero; inside it they are scaled so
+    the largest log-amplitude is 0, with the far side of a growing sweep
+    underflowing to zero.
     """
     v_inf = pot.value_at_infinity
     if not v_inf - 1.0 < E < v_inf + 1.0:
         raise ValueError(f"trial energy {E} outside the bound-state window of {pot!r}")
     ws = _ShootingWorkspace(pot, ch, grid)
-    n = ws.n_int + 1
-    p1 = np.zeros(n)
-    p2 = np.zeros(n)
+    psi = np.zeros((2, ws.n_int + 1))
     if direction == "outward":
         i_stop = ws.n_int if match_index is None else int(match_index)
-        s1, s2 = ws._seed_out(E)
-        _, _, theta = _sweep(ws.fwd, E, s1, s2, i_stop, winding=True, out1=p1, out2=p2)
-        first, last = 0, i_stop
+        Y, ls = _trajectory(ws.fwd, E, ws._seed_out(E), i_stop)
+        psi[:, : i_stop + 1] = _samples(Y, ls)
+        first, last, theta = 0, i_stop, _winding(Y)
     elif direction == "inward":
         i_stop = 0 if match_index is None else int(match_index)
-        t1, t2 = ws._seed_in(E)
-        _, _, theta = _sweep(ws.bwd, E, t1, t2, ws.n_int - i_stop, out1=p1[::-1], out2=p2[::-1])
-        first, last = i_stop, ws.n_int
+        Y, ls = _trajectory(ws.bwd, E, ws._seed_in(E), ws.n_int - i_stop)
+        psi[:, i_stop:] = _samples(Y, ls)[:, ::-1]
+        first, last, theta = i_stop, ws.n_int, 0.0
     else:
         raise ValueError(f"direction must be 'outward' or 'inward', got {direction!r}")
-    return SweepResult(direction, p1, p2, first, last, theta)
+    return SweepResult(direction, psi[0], psi[1], first, last, theta)
 
 
 def matching_mismatch(
@@ -504,8 +494,11 @@ def solve_eigenvalue(
         elif w_hi == 0.0:
             energy = hi
         elif w_lo * w_hi < 0.0:
+            # brentq wraps f in a closure that refers to itself, so f stays
+            # alive until a full gc pass; hold ws weakly so it dies with the solve
+            ws_ref = weakref.ref(ws)
             energy = brentq(
-                lambda e: ws.wronskian(e, i_match),
+                lambda e: ws_ref().wronskian(e, i_match),
                 lo,
                 hi,
                 xtol=max(0.01 * tol_e, 5e-16),

@@ -8,6 +8,7 @@ can be checked against analytic oracles rather than against itself.
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from diracbound import radial
 from diracbound.channels import Channel
 from diracbound.coulomb import coulomb_eigenvalue
 from diracbound.errors import ConvergenceError, NoBoundStateError
@@ -360,6 +362,96 @@ class TestSweeps:
         below = matching_mismatch(pot, ch_s, exact - 1e-4, grid)
         above = matching_mismatch(pot, ch_s, exact + 1e-4, grid)
         assert below * above < 0.0
+
+
+# --------------------------------------------------------------------------
+# propagator kernel
+
+# Cash-Karp 5(4) fifth-order tableau, written out independently of the solver
+_CK_ROWS = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (3 / 10, -9 / 10, 6 / 5),
+    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
+    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
+)
+_CK_WEIGHTS = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
+
+
+def _scalar_step(table, E, i, y):
+    """One Cash-Karp step of interval i applied to the vector y."""
+    tkr, v, h = table[0][:, i], table[1][:, i], table[2][i]
+    ks = []
+    for s, row in enumerate(_CK_ROWS):
+        t = y + h * sum((a * k for a, k in zip(row, ks)), np.zeros(2))
+        ks.append(np.array([
+            (1.0 + E - v[s]) * t[1] - tkr[s] * t[0],
+            (1.0 - E + v[s]) * t[0] + tkr[s] * t[1],
+        ]))
+    return y + h * sum(b * k for b, k in zip(_CK_WEIGHTS, ks))
+
+
+@pytest.fixture(scope="module")
+def z80_workspace(ch_s):
+    """Workspace on the grid of the unhinted Z = 80 1s_1/2 solve."""
+    pot = ScreenedCoulomb.from_charge(80)
+    return radial._ShootingWorkspace(pot, ch_s, solve_eigenvalue(pot, ch_s).grid)
+
+
+WINDOW_ENERGIES = [-0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.999]
+
+
+class TestPropagatorKernel:
+    @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
+    def test_columns_are_scalar_steps_of_unit_vectors(self, z80_workspace, E):
+        ws = z80_workspace
+        for table in (ws.fwd, ws.bwd):
+            m = radial._propagators(table, E, ws.n_int)
+            for i in range(0, ws.n_int, 97):
+                for j, e in enumerate(np.eye(2)):
+                    np.testing.assert_allclose(
+                        m[:, j, i], _scalar_step(table, E, i, e), rtol=0, atol=4e-15
+                    )
+
+    @pytest.mark.parametrize("E", WINDOW_ENERGIES)
+    def test_unit_determinant(self, z80_workspace, E):
+        # tr A = 0, so each exact propagator has det 1 (Liouville); the fifth-order
+        # step misses it by O((h |A|)^6), at most about 3e-10 on this grid
+        ws = z80_workspace
+        for table in (ws.fwd, ws.bwd):
+            m = radial._propagators(table, E, ws.n_int)
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            assert np.max(np.abs(det - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
+    def test_end_value_matches_scan(self, z80_workspace, E):
+        ws = z80_workspace
+        i_match = ws.match_index(E)
+        seed = ws._seed_out(E)
+        Y, _ = radial._trajectory(ws.fwd, E, seed, i_match)
+        end = radial._end_value(ws.fwd, E, seed, i_match)
+        np.testing.assert_allclose(
+            end / np.abs(end).sum(), Y[:, -1] / np.abs(Y[:, -1]).sum(), rtol=1e-12
+        )
+
+    def test_no_workspace_outlives_its_solve(self, ch_s):
+        # brentq keeps its callable in a reference cycle, so a workspace the
+        # callable holds strongly would stay alive until a full gc pass
+        def workspaces():
+            return {id(o) for o in gc.get_objects() if isinstance(o, radial._ShootingWorkspace)}
+
+        pot = ScreenedCoulomb.from_charge(40)
+        gc.collect()
+        gc.disable()
+        try:
+            before = workspaces()  # e.g. those held by fixtures
+            E = solve_eigenvalue(pot, ch_s).E
+            solve_eigenvalue(pot, ch_s, bracket_hint=(E - 1e-3, E + 1e-3))
+            alive = workspaces() - before
+        finally:
+            gc.enable()
+        assert alive == set()
 
 
 # --------------------------------------------------------------------------
