@@ -176,7 +176,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     for z in args.z:
         pot = ScreenedCoulomb.from_charge(z, args.constants)
         for state in args.state:
-            b = minimize_bound(pot, parse_state_label(state), keep_curve=False)
+            b = minimize_bound(pot, parse_state_label(state))
             rows.append({
                 "z": z,
                 "state": state,
@@ -184,7 +184,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 "t_star": b.t_star,
                 "E_upper": _energy_display(b.E_upper, args),
                 "at_domain_edge": b.at_domain_edge,
-                "local_minima": b.local_minima,
             })
     json_obj = {"units": args.units, "rows": rows}
     _emit(args, rows, json_obj, [f"# units: {_UNIT_SUFFIX[args.units]}"])
@@ -246,7 +245,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             ch = parse_state_label(state)
             t = args.contact_radius
             if t is None:
-                t = minimize_bound(pot, ch, keep_curve=False).t_star
+                t = minimize_bound(pot, ch).t_star
             report = assert_ordering(
                 pot, tangent_at(pot, t), ch,
                 grid_scale=args.grid_scale, tol_e=args.tol_e,

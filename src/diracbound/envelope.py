@@ -12,29 +12,32 @@ Minimizing over the contact radius t, or equivalently over the Coulomb
 coupling u after the change of variable u = g'(h(t)), t = -1/D'(u), gives
 the best tangent bound
 
-    E_upper = min_u { D(u) - u*D'(u) + V(-1/D'(u)) }.
+    E_upper = min_u F(u),   F(u) = D(u) - u*D'(u) + g(D'(u)).
 
-The t-form and the u-form agree exactly at the optimum (where the two
-change-of-variable constraints are simultaneously satisfied); away from it
-they differ, with bound_at_t(-1/D'(u)) <= F(u) pointwise because D is
-concave.  Both are implemented and cross-checked at the minimum.
+Since F'(u) = D''(u)*G(u) with G(u) = g'(D'(u)) - u and D'' < 0, the optimum
+is where G falls through zero: the tangent's own coupling equals u.  There
+the t-form and the u-form agree; elsewhere bound_at_t(-1/D'(u)) <= F(u)
+because D is concave.  Both are cross-checked at the optimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from .channels import Channel
 from .coulomb import coulomb_eigenvalue, coulomb_eigenvalue_derivative
 from .errors import ConvergenceError, HypothesisViolationError
-from .potentials import ScreenedCoulomb, tangent_at
+from .potentials import ScreenedCoulomb, g_transform_derivative, tangent_at
 
 # stay clear of u = 0 and of the sqrt singularity at u = k
 DOMAIN_EDGE = 1e-6
-COARSE_POINTS = 128
+# F(u*) in floats can land a few ulps below the exact tangent eigenvalue;
+# this many ulps on top make the bound's rounding go the safe way
+SAFETY_ULPS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +48,8 @@ class EnvelopeBound:
     u_star: float
     t_star: float
     E_upper: float
-    curve: tuple[np.ndarray, np.ndarray] | None  # coarse (u, F(u)) scan trace
+    curve: tuple[np.ndarray, np.ndarray] | None  # (u, F(u)) on a 128-point log mesh
     at_domain_edge: bool
-    local_minima: int
 
 
 def _require_nodeless_channel(ch: Channel) -> None:
@@ -75,41 +77,30 @@ def bound_objective(pot: ScreenedCoulomb, ch: Channel, u: float) -> float:
 
 
 def minimize_bound(
-    pot: ScreenedCoulomb, ch: Channel, keep_curve: bool = True
+    pot: ScreenedCoulomb, ch: Channel, keep_curve: bool = False
 ) -> EnvelopeBound:
-    """Best tangent bound: coarse log-uniform scan in u, then Brent refinement.
+    """Best tangent bound: the root of G(u) = g'(D'(u)) - u in u's domain.
 
-    Every local minimum of the scan, the two domain edges included, is
-    refined over its neighbouring scan interval(s) and the global one is
-    returned; a minimum still pinned at a domain edge after refinement is
-    flagged (the bound is still valid, just unlikely to be tight).
+    If G <= 0 already at the lower edge, or G >= 0 still at the upper edge,
+    F is monotone and its minimum is that edge, which is flagged.  Every F(u)
+    is a tangent bound, so the result is rigorous either way.  E_upper is
+    F(u*) floored at D(v) and raised by SAFETY_ULPS ulps; keep_curve adds F
+    on a 128-point log mesh of u.
     """
     _require_nodeless_channel(ch)
     u_lo = DOMAIN_EDGE
     u_hi = min(1.0, float(ch.k)) - DOMAIN_EDGE
-    us = np.geomspace(u_lo, u_hi, COARSE_POINTS)
-    fs = np.array([bound_objective(pot, ch, u) for u in us])
 
-    last = len(us) - 1
-    scan_minima = list(np.nonzero((fs[1:-1] <= fs[:-2]) & (fs[1:-1] <= fs[2:]))[0] + 1)
-    scan_minima += [i for i, j in ((0, 1), (last, last - 1)) if fs[i] < fs[j]]
-    candidates = []  # (refined u, F(u), at the domain edge)
-    for i in scan_minima:
-        res = minimize_scalar(
-            lambda u: bound_objective(pot, ch, u),
-            bounds=(us[max(i - 1, 0)], us[min(i + 1, last)]),
-            method="bounded",
-            options={"xatol": 1e-11},
-        )
-        if i in (0, last) and fs[i] <= res.fun:
-            candidates.append((float(us[i]), float(fs[i]), True))
-        else:
-            candidates.append((float(res.x), float(res.fun), False))
-    if not candidates:
-        # flat scan (cannot happen for these potentials, but fail loudly)
-        raise ConvergenceError(f"bound objective is flat over ({u_lo}, {u_hi})")
+    def stationarity(u: float) -> float:
+        return g_transform_derivative(pot, coulomb_eigenvalue_derivative(u, ch)) - u
 
-    u_star, f_star, at_edge = min(candidates, key=lambda c: c[1])
+    if stationarity(u_lo) <= 0.0:
+        u_star, at_edge = u_lo, True
+    elif stationarity(u_hi) >= 0.0:
+        u_star, at_edge = u_hi, True
+    else:
+        u_star, at_edge = brentq(stationarity, u_lo, u_hi, xtol=1e-15), False
+    f_star = bound_objective(pot, ch, u_star)
     t_star = -1.0 / coulomb_eigenvalue_derivative(u_star, ch)
     if not at_edge:
         crosscheck = bound_at_t(pot, ch, t_star)
@@ -120,14 +111,17 @@ def minimize_bound(
             )
     # -v/r <= V, so D(v) is a rigorous floor: F(u*) below it is round-off
     f_star = max(f_star, coulomb_eigenvalue(pot.coupling, ch))
+    curve = None
+    if keep_curve:
+        us = np.geomspace(u_lo, u_hi, 128)
+        curve = (us, np.array([bound_objective(pot, ch, u) for u in us]))
     return EnvelopeBound(
         ch=ch,
         u_star=u_star,
         t_star=t_star,
-        E_upper=f_star,
-        curve=(us, fs) if keep_curve else None,
+        E_upper=f_star + SAFETY_ULPS * math.ulp(f_star),
+        curve=curve,
         at_domain_edge=at_edge,
-        local_minima=max(len(candidates), 1),
     )
 
 
@@ -139,5 +133,5 @@ def screened_state_bracket(pot: ScreenedCoulomb, ch: Channel) -> tuple[float, fl
     E_upper.  Used to seed the shooting solver."""
     _require_nodeless_channel(ch)
     lo = coulomb_eigenvalue(pot.coupling, ch)
-    hi = minimize_bound(pot, ch, keep_curve=False).E_upper
+    hi = minimize_bound(pot, ch).E_upper
     return lo - 1e-9, hi + 1e-9

@@ -135,7 +135,7 @@ def compute_state_pair(
 
     hint = None
     try:
-        bound = minimize_bound(pot, ch, keep_curve=False)
+        bound = minimize_bound(pot, ch)
     except (SolverError, ValueError) as exc:
         upper = _cell(z, state, "upper", None, constants, error=str(exc))
     else:

@@ -44,5 +44,5 @@ def z20_ground(screened_z20, ch_s):
 @pytest.fixture(scope="session")
 def z20_optimal_pair(screened_z20, ch_s):
     """(screened, tangent, bound) at the optimal contact radius for Z=20."""
-    bound = minimize_bound(screened_z20, ch_s)
+    bound = minimize_bound(screened_z20, ch_s, keep_curve=True)
     return screened_z20, tangent_at(screened_z20, bound.t_star), bound

@@ -179,7 +179,7 @@ def test_criterion_05_identity_suite():
     control_ratio = None
     for z in (20, 35, 50, 65, 80):
         pot = ScreenedCoulomb.from_charge(z)
-        t_star = minimize_bound(pot, ch, keep_curve=False).t_star
+        t_star = minimize_bound(pot, ch).t_star
         tangent = tangent_at(pot, t_star)
         report = assert_ordering(pot, tangent, ch)
         id_rels.append(report.identity.relative)

@@ -190,6 +190,13 @@ class TestBound:
         assert row["at_domain_edge"] == "False"
         assert float(row["t_star"]) > 0.0
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "bound", "--z", "20", "--format", fmt)
+        assert code == 0
+        (row, _) = parse_csv(out) if fmt == "csv" else json.loads(out)["rows"]
+        assert list(row) == ["z", "state", "u_star", "t_star", "E_upper", "at_domain_edge"]
+
     def test_default_states_both_channels(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--z", "20", "--format", "csv")
         assert code == 0
@@ -359,7 +366,7 @@ class TestPlumbing:
         (row,) = parse_csv(out)
         constants = PhysicalConstants(alpha=alpha)
         pot = ScreenedCoulomb.from_charge(10, constants)
-        bound = minimize_bound(pot, Channel(tau=-1, two_j=1), keep_curve=False)
+        bound = minimize_bound(pot, Channel(tau=-1, two_j=1))
         expected = constants.binding_kev(bound.E_upper)
         assert float(row["E_upper"]) == pytest.approx(expected, rel=2e-5)
 

@@ -9,23 +9,28 @@ its validity class (only nodeless tau = -1, n = 1 states are bounded).
 
 from __future__ import annotations
 
+import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracbound.channels import Channel, DEFAULT_CONSTANTS
+from diracbound.channels import Channel, DEFAULT_CONSTANTS, PhysicalConstants
+from diracbound.cli import main
 from diracbound.coulomb import coulomb_eigenvalue, coulomb_eigenvalue_derivative
 from diracbound.envelope import (
+    DOMAIN_EDGE,
+    SAFETY_ULPS,
     bound_at_t,
     bound_objective,
     minimize_bound,
     screened_state_bracket,
 )
 from diracbound.errors import HypothesisViolationError
-from diracbound.potentials import ScreenedCoulomb
+from diracbound.potentials import ScreenedCoulomb, g_transform_derivative
 
 
 # frozen values from converged runs of this code (regression anchors);
@@ -46,16 +51,15 @@ class TestMinimizeBound:
         assert bound.t_star > 0.0
         assert -1.0 < bound.E_upper < 1.0
         assert bound.at_domain_edge is False
-        assert bound.local_minima >= 1
         us, fs = bound.curve
         assert len(us) == len(fs) == 128
-        # the refined optimum can only improve on the coarse scan
+        # the optimum can only improve on the 128-point curve
         assert bound.E_upper <= np.min(fs) + 1e-15
         assert tangent.contact_radius == pytest.approx(bound.t_star)
 
     def test_curve_can_be_dropped(self, screened_z20, ch_s):
-        bound = minimize_bound(screened_z20, ch_s, keep_curve=False)
-        assert bound.curve is None
+        # dropped by default: only the optimum is computed
+        assert minimize_bound(screened_z20, ch_s).curve is None
 
     @pytest.mark.parametrize("Z,two_j,kev,t_star", FROZEN_BOUNDS)
     def test_frozen_values(self, Z, two_j, kev, t_star):
@@ -104,11 +108,11 @@ class TestMinimizeBound:
 
     @pytest.mark.parametrize("Z", range(132, 137))
     def test_edge_scan_minimum_is_refined(self, Z):
-        # the coarse scan is lowest at its last point, u = 1 - 1e-6, but the
-        # true minimum lies inside the last scan interval
+        # the 128-point curve is lowest at its last point, u = 1 - 1e-6, but
+        # the true minimum lies inside the last mesh interval
         ch = Channel(tau=-1, two_j=3)
         pot = ScreenedCoulomb.from_charge(Z)
-        bound = minimize_bound(pot, ch)
+        bound = minimize_bound(pot, ch, keep_curve=True)
         us, fs = bound.curve
         assert fs[-1] < fs[-2]
         assert bound.at_domain_edge is False
@@ -121,10 +125,100 @@ class TestMinimizeBound:
     def test_monotone_in_charge(self, two_j):
         ch = Channel(tau=-1, two_j=two_j)
         uppers = [
-            minimize_bound(ScreenedCoulomb.from_charge(z), ch, keep_curve=False).E_upper
+            minimize_bound(ScreenedCoulomb.from_charge(z), ch).E_upper
             for z in (20, 35, 50, 65, 80)
         ]
         assert all(b < a for a, b in zip(uppers, uppers[1:]))
+
+
+# nodeless states of the stationarity and rounding checks below
+NODELESS_STATES = [Channel(tau=-1, two_j=two_j) for two_j in (1, 3, 5, 7, 9, 11)]
+
+
+def _stationarity_on_mesh(pot, ch, us):
+    """G(u) = g'(D'(u)) - u over an array, with D' written out in numpy."""
+    k = float(ch.k)
+    s = np.sqrt((k - us) * (k + us))
+    big_n = ch.n - (1 - ch.tau) // 2 + s
+    dp = -us * (big_n + us * us / s) * (big_n * big_n + us * us) ** -1.5
+    return g_transform_derivative(pot, dp) - us
+
+
+def _tangent_level_50_digits(pot, ch, t):
+    """Exact eigenvalue A(t) + D(B(t)) of the tangent at t, in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        v, lam, Z = mpmath.mpf(pot.coupling), mpmath.mpf(pot.screening), pot.Z
+        h = -1 / mpmath.mpf(t)
+        shift = v * lam * (1 - mpmath.mpf(1) / Z) * h * h / (h - lam) ** 2
+        c = v * (h * h - 2 * h * lam + lam * lam / Z) / (h - lam) ** 2
+        big_n = ch.n - (1 - ch.tau) // 2 + mpmath.sqrt(ch.k**2 - c * c)
+        return shift + big_n / mpmath.sqrt(big_n * big_n + c * c)
+
+
+def _upper_edge_direct(capsys):
+    # v lies above u_hi = 1 - 1e-6, so G(u_hi) = +5.0e-7 and F still falls there
+    pot = ScreenedCoulomb(
+        Z=137, coupling=0.9999995, screening=ScreenedCoulomb.from_charge(137).screening
+    )
+    ch = Channel(tau=-1, two_j=1)
+    bound = minimize_bound(pot, ch)
+    return pot, ch, bound.u_star, bound.E_upper, bound.at_domain_edge
+
+
+def _lower_edge_cli(capsys):
+    # nothing to screen at Z = 1 and v = 1e-7 < u_lo, so G(u_lo) = v - u_lo < 0
+    argv = ["bound", "--z", "1", "--alpha", "1e-7", "--state", "1s_1/2",
+            "--units", "mc2", "--format", "json"]
+    assert main(argv) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    pot = ScreenedCoulomb.from_charge(1, PhysicalConstants(alpha=1e-7))
+    return pot, Channel(tau=-1, two_j=1), row["u_star"], row["E_upper"], row["at_domain_edge"]
+
+
+# (case, u at the edge, E_upper of the scan-and-refine minimizer G = 0 replaced)
+DOMAIN_EDGE_CASES = [
+    (_upper_edge_direct, 1.0 - DOMAIN_EDGE, 0.037656108509622754),
+    (_lower_edge_cli, DOMAIN_EDGE, 1.0000000000004001),
+]
+
+
+class TestStationarityRoot:
+    def test_one_sign_change_per_cell(self):
+        # F'(u) = D''(u)*G(u) with D'' < 0: one + to - crossing of G means one
+        # minimum of F, so the root minimize_bound finds is the optimum
+        bad = []
+        for Z in range(1, 138):
+            pot = ScreenedCoulomb.from_charge(Z)
+            for ch in NODELESS_STATES:
+                us = np.geomspace(DOMAIN_EDGE, min(1.0, ch.k) - DOMAIN_EDGE, 4001)
+                g = _stationarity_on_mesh(pot, ch, us)
+                changes = np.count_nonzero(np.sign(g[1:]) != np.sign(g[:-1]))
+                if not (g[0] > 0.0 > g[-1] and changes == 1):
+                    bad.append((Z, str(ch), changes))
+        assert bad == []
+
+    def test_bound_not_below_exact_tangent_level(self):
+        # the optimal tangent's exact level is a rigorous bound; the float
+        # E_upper must round to its safe side, never below it
+        below = []
+        for Z in range(1, 137):
+            pot = ScreenedCoulomb.from_charge(Z)
+            for ch in NODELESS_STATES[:4]:
+                bound = minimize_bound(pot, ch)
+                if bound.E_upper < _tangent_level_50_digits(pot, ch, bound.t_star):
+                    below.append((Z, str(ch)))
+        assert below == []
+
+    @pytest.mark.parametrize(
+        "case,u_edge,previous", DOMAIN_EDGE_CASES, ids=["upper-direct", "lower-cli"]
+    )
+    def test_minimum_at_domain_edge(self, capsys, case, u_edge, previous):
+        pot, ch, u_star, e_upper, at_edge = case(capsys)
+        assert at_edge is True
+        assert u_star == u_edge
+        f = bound_objective(pot, ch, u_star)
+        assert e_upper == f + SAFETY_ULPS * math.ulp(f)
+        assert e_upper == pytest.approx(previous, abs=1e-14)
 
 
 class TestVariationalInequalities:
