@@ -21,11 +21,17 @@ The solver combines three classical ingredients:
   strictly decreasing in E and drops through a multiple of pi at every
   eigenvalue of the truncated problem.  Counting those crossings from the
   bottom of the spectral window locates the n-th eigenvalue by index, so a
-  bisection bracket can neither miss a state nor confuse neighbours;
+  bisection bracket can neither miss a state nor confuse neighbours.  The
+  bisection stops as soon as the bracket holds the target state alone (a
+  verified hint usually does from the start: 3 phase sweeps in all);
 * Wronskian matching: inside the phase-isolated bracket the eigenvalue is
-  polished by a Brent root find on the normalized Wronskian of outward and
+  found by a Brent root find on the normalized Wronskian of outward and
   inward sweeps evaluated at the outer classical turning point, where both
-  sweeps are locally oscillatory and the mismatch is most sensitive.
+  sweeps are locally oscillatory and the mismatch is most sensitive.  The
+  Wronskian is the sine of the angle between the two sweeps, which passes a
+  multiple of pi only at eigenvalues, so an isolating bracket shows a sign
+  change unless round-off puts an end on the root; then the phase count is
+  bisected to tol_e instead.
 
 The eigenfunction is assembled from the two sweeps joined at the matching
 radius and normalized with Simpson quadrature on the grid.
@@ -33,6 +39,7 @@ radius and normalized with Simpson quadrature on the grid.
 
 from __future__ import annotations
 
+import logging
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -45,10 +52,10 @@ from scipy.optimize import brentq
 from .channels import Channel
 from .errors import ConvergenceError, NoBoundStateError
 
+_log = logging.getLogger(__name__)
+
 # window edge margin: kappa = sqrt(1 - (E - V_inf)^2) degenerates at |w| = 1
 WINDOW_EDGE = 1e-9
-# bracket width below which phase bisection hands over to Wronskian root finding
-PHASE_BRACKET = 1e-6
 # grid rebuilds a solve may make before it gives up
 MAX_GRID_REBUILDS = 5
 
@@ -318,14 +325,21 @@ class _ShootingWorkspace:
         """floor(phase/pi); drops by one at each eigenvalue as E grows."""
         return math.floor(self.phase(E) / math.pi)
 
-    def bisect_count(self, level: int, lo: float, hi: float, width: float):
-        """Shrink (lo, hi) to width, keeping count(lo) >= level > count(hi)."""
-        while hi - lo > width:
+    def bisect_count(
+        self, level: int, lo: float, hi: float, c_lo: int, c_hi: int, width: float
+    ) -> tuple[float, float]:
+        """Bisect (lo, hi) with counts c_lo >= level > c_hi at its ends until it
+        holds the crossing at level alone (c_lo == level == c_hi + 1) and is at
+        most width wide, or cannot be split further."""
+        while c_lo > level or c_hi < level - 1 or hi - lo > width:
             mid = 0.5 * (lo + hi)
-            if self.count(mid) >= level:
-                lo = mid
+            if not lo < mid < hi:
+                break
+            c = self.count(mid)
+            if c >= level:
+                lo, c_lo = mid, c
             else:
-                hi = mid
+                hi, c_hi = mid, c
         return lo, hi
 
     def match_index(self, E: float) -> int:
@@ -438,7 +452,8 @@ def solve_eigenvalue(
 
     A bracket_hint (E_lo, E_hi) expected to contain the target state speeds
     up the search; it is verified against the anchored phase count and
-    silently discarded if it does not isolate the requested state.  A grid
+    discarded, with a DEBUG record on the "diracbound" logger, if it does not
+    hold the requested state.  A grid
     supplied by the caller (e.g. one shared between the two solves of a
     comparison pair) is used as-is instead of the rebuild loop.
     """
@@ -462,29 +477,41 @@ def solve_eigenvalue(
         grid = fixed_grid if fixed_grid is not None else build_grid(kappa_ref, grid_scale)
         ws = _ShootingWorkspace(pot, ch, grid)
         c_bot = ws.count(win_lo)
-        lo = hi = None
         if hint is not None:
-            c_lo = ws.count(hint[0])
-            c_hi = ws.count(hint[1])
-            if c_bot - c_lo == ch.n - 1 and c_bot - c_hi >= ch.n:
-                lo, hi = hint
-            else:
+            lo, hi = hint
+            c_lo, c_hi = ws.count(lo), ws.count(hi)
+            if not (c_bot - c_lo == ch.n - 1 and c_bot - c_hi >= ch.n):
+                _log.debug(
+                    "bracket hint %s rejected for %s: phase counts %d at the window "
+                    "bottom, %d and %d at the hint ends",
+                    hint,
+                    ch,
+                    c_bot,
+                    c_lo,
+                    c_hi,
+                )
                 hint = None
-        if lo is None:
-            lo, hi = win_lo, win_hi
+        if hint is None:
+            lo, hi, c_lo = win_lo, win_hi, c_bot
             c_hi = ws.count(hi)
             n_found = c_bot - c_hi
             if n_found < ch.n:
                 if n_found == 0 and kappa_ref > 6e-3 and fixed_grid is None:
                     # tail may simply be too short for a weakly bound state
-                    kappa_ref = max(kappa_ref / 6.0, 1e-3)
+                    new_ref = max(kappa_ref / 6.0, 1e-3)
+                    _log.debug(
+                        "no bound state on the grid: rebuilding with kappa_ref=%g (was %g)",
+                        new_ref,
+                        kappa_ref,
+                    )
+                    kappa_ref = new_ref
                     continue
                 raise NoBoundStateError(
                     f"{pot!r} supports {n_found} bound state(s) in channel {ch}, "
                     f"target was n={ch.n}"
                 )
         level = c_bot - (ch.n - 1)
-        lo, hi = ws.bisect_count(level, lo, hi, PHASE_BRACKET)
+        lo, hi = ws.bisect_count(level, lo, hi, c_lo, c_hi, math.inf)
         last_bracket = (lo, hi)
         i_match = ws.match_index(0.5 * (lo + hi))
         w_lo = ws.wronskian(lo, i_match)
@@ -505,9 +532,15 @@ def solve_eigenvalue(
                 rtol=8.9e-16,
             )
         else:
-            # the Wronskian failed to change sign (seen only with degenerate
-            # brackets); fall back to phase bisection at full tolerance
-            lo, hi = ws.bisect_count(level, lo, hi, tol_e)
+            # the bracket isolates one state, so only round-off at an end lying
+            # on the root can hide the sign change; bisect the phase count instead
+            _log.debug(
+                "Wronskian keeps one sign on (%r, %r); bisecting the phase count to %g",
+                lo,
+                hi,
+                tol_e,
+            )
+            lo, hi = ws.bisect_count(level, lo, hi, level, level - 1, tol_e)
             energy = 0.5 * (lo + hi)
         kappa_e = _decay_rate(energy - v_inf)
         if kappa_e < 1e-3:
@@ -523,7 +556,14 @@ def solve_eigenvalue(
                 f"state found at E={energy} (decay rate {kappa_e:.3g})"
             )
         # tail too short for the state actually found: rebuild around it
-        kappa_ref = 0.95 * kappa_e
+        new_ref = 0.95 * kappa_e
+        _log.debug(
+            "grid tail too short for E=%r: rebuilding with kappa_ref=%g (was %g)",
+            energy,
+            new_ref,
+            kappa_ref,
+        )
+        kappa_ref = new_ref
         hint = (energy - 1e-5, energy + 1e-5)
     else:
         raise ConvergenceError(
@@ -531,6 +571,9 @@ def solve_eigenvalue(
             f"last bracket {last_bracket}"
         )
 
+    # an isolating bracket can be wide, so its midpoint's turning point may miss
+    # the state's; join the sweeps at the turning point of the energy found
+    i_match = ws.match_index(energy)
     psi1, psi2, mismatch = ws.eigenfunction(energy, i_match)
     sol = RadialSolution(
         ch=ch,

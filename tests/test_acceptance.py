@@ -216,19 +216,31 @@ def test_criterion_06_ordering_sweep():
     ch = Channel(tau=-1, two_j=1)
     failures = []
     min_split = math.inf
+    max_tangent_err = 0.0
     for i in range(50):
         pot, tangent = random_screened_tangent_pair(rng)
         report = assert_ordering(pot, tangent, ch)
         nodeless = report.nodes_a == (0, 0) and report.nodes_b == (0, 0)
-        if report.verdict != "PASS" or not report.ordered or not nodeless:
-            failures.append((i, pot.Z, tangent.contact_radius, report.verdict))
+        # the tangent is a shifted Coulomb potential with a closed-form level
+        tangent_err = abs(
+            report.E_b - (tangent.shift + coulomb_eigenvalue(tangent.coupling, ch))
+        )
+        if (
+            report.verdict != "PASS"
+            or not report.ordered
+            or not nodeless
+            or tangent_err >= 1e-14
+        ):
+            failures.append((i, pot.Z, tangent.contact_radius, report.verdict, tangent_err))
         min_split = min(min_split, report.E_b - report.E_a)
+        max_tangent_err = max(max_tangent_err, tangent_err)
     ok = not failures
     _report(
         6,
         ok,
         f"50 seeded pairs (Z in [20,80], log-uniform t): failures {len(failures)}, "
-        f"min E_b - E_a = {min_split:.2e} mc^2"
+        f"min E_b - E_a = {min_split:.2e} mc^2, "
+        f"max |E_b - closed form| = {max_tangent_err:.1e} mc^2"
         + (f"; first failures: {failures[:3]}" if failures else ""),
     )
 

@@ -9,6 +9,7 @@ can be checked against analytic oracles rather than against itself.
 from __future__ import annotations
 
 import gc
+import logging
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from diracbound.radial import (
     origin_series_seed,
     solve_eigenvalue,
 )
+from diracbound.table1 import compute_state_pair
 
 
 # --------------------------------------------------------------------------
@@ -231,6 +233,80 @@ class TestCoulombOracle:
 
 
 # --------------------------------------------------------------------------
+# search: phase-isolated bracket, Brent hand-off, fallback and its records
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Counts of phase counts and Wronskian evaluations made by the solver."""
+    calls = {"count": 0, "wronskian": 0}
+    ws_cls = radial._ShootingWorkspace
+    for name in calls:
+        inner = getattr(ws_cls, name)
+
+        def wrapped(self, *args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(self, *args)
+
+        monkeypatch.setattr(ws_cls, name, wrapped)
+    return calls
+
+
+class TestSearch:
+    def test_hinted_table_solve_sweep_budget(self, sweep_calls):
+        # the envelope hint already holds exactly the target state: three
+        # verifying counts, then Brent on the Wronskian
+        numeric = compute_state_pair(40, "1s_1/2")[1]
+        assert not numeric.failed
+        assert sweep_calls["count"] <= 3
+        assert sweep_calls["wronskian"] <= 10
+
+    def test_unhinted_sweep_budget(self, ch_s, sweep_calls):
+        # bisection stops once the bracket isolates the state, not at a fixed width
+        sol = solve_eigenvalue(PureCoulomb(0.4), ch_s)
+        assert abs(sol.E - coulomb_eigenvalue(0.4, ch_s)) < 1e-10
+        assert sweep_calls["count"] <= 8
+
+    @pytest.mark.parametrize("hinted", [False, True], ids=["unhinted", "hinted"])
+    def test_fallback_bisection_when_wronskian_keeps_sign(
+        self, ch_s, monkeypatch, caplog, hinted
+    ):
+        wronskian = radial._ShootingWorkspace.wronskian
+        monkeypatch.setattr(
+            radial._ShootingWorkspace,
+            "wronskian",
+            lambda self, E, i_match: abs(wronskian(self, E, i_match)) + 1e-300,
+        )
+        exact = coulomb_eigenvalue(0.5, ch_s)
+        hint = (exact - 1e-4, exact + 3e-4) if hinted else None
+        tol_e = 1e-10
+        with caplog.at_level(logging.DEBUG, logger="diracbound"):
+            sol = solve_eigenvalue(PureCoulomb(0.5), ch_s, tol_e=tol_e, bracket_hint=hint)
+        assert abs(sol.E - exact) < tol_e
+        assert any("keeps one sign" in r.getMessage() for r in caplog.records)
+
+    def test_wrong_hint_is_logged(self, ch_s, caplog):
+        with caplog.at_level(logging.DEBUG, logger="diracbound"):
+            sol = solve_eigenvalue(PureCoulomb(0.6), ch_s, bracket_hint=(0.93, 0.97))
+        assert sol.E == pytest.approx(0.8, abs=1e-8)
+        (record,) = [r for r in caplog.records if "rejected" in r.getMessage()]
+        assert record.levelno == logging.DEBUG
+        assert record.name.startswith("diracbound")
+        # the hint holds the 2s_1/2 level (about 0.9487), one state above the
+        # target: the counts place one state below it and two below its top
+        c_bot, c_lo, c_hi = record.args[2:]
+        assert (c_bot - c_lo, c_bot - c_hi) == (1, 2)
+
+    def test_grid_rebuild_is_logged(self, ch_s, caplog):
+        with caplog.at_level(logging.DEBUG, logger="diracbound"):
+            solve_eigenvalue(PureCoulomb(0.05), ch_s)
+        rebuilds = [r for r in caplog.records if "rebuilding with kappa_ref" in r.getMessage()]
+        assert rebuilds
+        new_ref, old_ref = rebuilds[-1].args[-2:]
+        assert new_ref < old_ref
+
+
+# --------------------------------------------------------------------------
 # solved-state structure (exact Coulomb ground state has constant psi2/psi1)
 
 
@@ -286,6 +362,14 @@ class TestSolutionStructure:
     def test_match_radius_inside_grid(self, coulomb_half):
         g = coulomb_half.grid
         assert g.points[0] < coulomb_half.match_radius < g.points[-1]
+
+    @pytest.mark.parametrize("u", [0.5, 0.6])
+    def test_match_radius_at_turning_point(self, ch_s, u):
+        # for the Coulomb ground state (E + u/r)^2 - 1 - 1/r^2 peaks at zero at
+        # r = E/u, so the sweeps join there whatever bracket the search used
+        sol = solve_eigenvalue(PureCoulomb(u), ch_s)
+        r_turn = math.sqrt(1.0 - u * u) / u
+        assert sol.match_radius == pytest.approx(r_turn, rel=0.005)
 
     def test_mismatch_tiny_at_eigenvalue(self, coulomb_half):
         assert abs(coulomb_half.mismatch) < 1e-9
