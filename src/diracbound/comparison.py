@@ -30,14 +30,14 @@ from scipy.integrate import simpson
 
 from .channels import Channel
 from .coulomb import coulomb_eigenvalue
-from .envelope import screened_state_bracket
+from .envelope import minimize_bound
 from .errors import HypothesisViolationError
 from .potentials import ScreenedCoulomb, ShiftedCoulomb, tangent_at
 from .radial import (
     RadialSolution,
-    _decay_rate,
     build_grid,
     grid_derivative,
+    reference_rate,
     solve_eigenvalue,
 )
 
@@ -106,14 +106,12 @@ def _shared_samples(sol_a: RadialSolution, sol_b: RadialSolution):
     return r, sol_a.psi1, sol_a.psi2, sol_b.psi1, sol_b.psi2
 
 
-def identity_residual(
-    sol_a: RadialSolution, sol_b: RadialSolution, pot_a, pot_b
-) -> IdentityCheck:
+def identity_residual(sol_a: RadialSolution, sol_b: RadialSolution) -> IdentityCheck:
     """Quadrature check of int S (V_a - V_b) dr = (E_a - E_b) int S dr
     for two solutions on one shared grid."""
     r, a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
     S = a1 * b1 + a2 * b2
-    dv = pot_a.evaluate(r) - pot_b.evaluate(r)
+    dv = sol_a.V - sol_b.V
     lhs = float(simpson(S * dv, x=r))
     rhs = (sol_a.E - sol_b.E) * float(simpson(S, x=r))
     residual = lhs - rhs
@@ -121,16 +119,14 @@ def identity_residual(
     return IdentityCheck(lhs=lhs, rhs=rhs, residual=residual, relative=abs(residual) / scale)
 
 
-def derivative_identity_check(
-    sol_a: RadialSolution, sol_b: RadialSolution, pot_a, pot_b
-) -> float:
+def derivative_identity_check(sol_a: RadialSolution, sol_b: RadialSolution) -> float:
     """Max pointwise residual of the derivative identity, amplitude-scaled.
 
     Requires both solutions on one shared grid (the graded sections are
     uniform there, so fourth-order difference stencils apply cleanly)."""
-    r, a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
+    _, a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
     lhs = grid_derivative(b1 * a2 - a1 * b2, sol_a.grid)
-    bracket = pot_a.evaluate(r) - pot_b.evaluate(r) - (sol_a.E - sol_b.E)
+    bracket = sol_a.V - sol_b.V - (sol_a.E - sol_b.E)
     rhs = bracket * (a1 * b1 + a2 * b2)
     amp = np.abs(b1 * a2) + np.abs(a1 * b2) + np.abs(a1 * b1) + np.abs(a2 * b2)
     denom = np.maximum(amp, 1e-3 * np.max(amp))
@@ -143,7 +139,7 @@ def predicted_bracket(pot, ch: Channel):
         e = pot.shift + coulomb_eigenvalue(pot.coupling, ch)
         return e - 1e-5, e + 1e-5
     if isinstance(pot, ScreenedCoulomb) and ch.tau == -1 and ch.n == 1:
-        return screened_state_bracket(pot, ch)
+        return minimize_bound(pot, ch).bracket
     return None
 
 
@@ -172,19 +168,6 @@ def _check_ordering_mesh(pot_a, pot_b):
     return float(diff.min()), float(diff.max())
 
 
-def _shared_grid(pots, brackets, grid_scale: float):
-    """One grid adequate for both states, sized by the slowest decay."""
-    rates = []
-    for pot, bracket in zip(pots, brackets):
-        if bracket is None:
-            rates.append(0.25)
-            continue
-        v_inf = pot.value_at_infinity
-        rates.extend(_decay_rate(e - v_inf) for e in bracket)
-    kappa = min(max(min(rates), 1e-3), 1.0)
-    return build_grid(kappa, grid_scale)
-
-
 def assert_ordering(
     pot_a,
     pot_b,
@@ -206,11 +189,13 @@ def assert_ordering(
         )
     min_gap, max_gap = _check_ordering_mesh(pot_a, pot_b)
     hint_a, hint_b = predicted_bracket(pot_a, ch), predicted_bracket(pot_b, ch)
-    grid = _shared_grid((pot_a, pot_b), (hint_a, hint_b), grid_scale)
+    # one grid for both states, sized by the slower decay
+    kappa = min(reference_rate(pot_a, hint_a), reference_rate(pot_b, hint_b))
+    grid = build_grid(kappa, grid_scale)
     sol_a = solve_eigenvalue(pot_a, ch, grid=grid, tol_e=tol_e, bracket_hint=hint_a)
     sol_b = solve_eigenvalue(pot_b, ch, grid=grid, tol_e=tol_e, bracket_hint=hint_b)
-    identity = identity_residual(sol_a, sol_b, pot_a, pot_b)
-    deriv = derivative_identity_check(sol_a, sol_b, pot_a, pot_b)
+    identity = identity_residual(sol_a, sol_b)
+    deriv = derivative_identity_check(sol_a, sol_b)
     nodes_a = (sol_a.nodes1, sol_a.nodes2)
     nodes_b = (sol_b.nodes1, sol_b.nodes2)
     hypothesis_ok = not any(nodes_a) and not any(nodes_b)

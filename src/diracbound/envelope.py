@@ -42,14 +42,24 @@ SAFETY_ULPS = 32
 
 @dataclass(frozen=True, eq=False)
 class EnvelopeBound:
-    """Optimized tangent bound for one (potential, channel) pair."""
+    """Optimized tangent bound for one (potential, channel) pair.
+
+    The pure Coulomb potential -v/r lies below V and the optimal tangent above
+    it, so the comparison theorem pins the eigenvalue between E_lower = D(v)
+    and E_upper."""
 
     ch: Channel
     u_star: float
     t_star: float
+    E_lower: float
     E_upper: float
     curve: tuple[np.ndarray, np.ndarray] | None  # (u, F(u)) on a 128-point log mesh
     at_domain_edge: bool
+
+    @property
+    def bracket(self) -> tuple[float, float]:
+        """(E_lower, E_upper) widened by 1e-9: the shooting solver's hint."""
+        return self.E_lower - 1e-9, self.E_upper + 1e-9
 
 
 def _require_nodeless_channel(ch: Channel) -> None:
@@ -110,7 +120,8 @@ def minimize_bound(
                 f"F(u*)={f_star!r} vs A+D(B)={crosscheck!r}"
             )
     # -v/r <= V, so D(v) is a rigorous floor: F(u*) below it is round-off
-    f_star = max(f_star, coulomb_eigenvalue(pot.coupling, ch))
+    e_lower = coulomb_eigenvalue(pot.coupling, ch)
+    f_star = max(f_star, e_lower)
     curve = None
     if keep_curve:
         us = np.geomspace(u_lo, u_hi, 128)
@@ -119,19 +130,9 @@ def minimize_bound(
         ch=ch,
         u_star=u_star,
         t_star=t_star,
+        E_lower=e_lower,
         E_upper=f_star + SAFETY_ULPS * math.ulp(f_star),
         curve=curve,
         at_domain_edge=at_edge,
     )
 
-
-def screened_state_bracket(pot: ScreenedCoulomb, ch: Channel) -> tuple[float, float]:
-    """Rigorous (E_lo, E_hi) bracket for the nodeless screened eigenvalue.
-
-    The pure Coulomb potential -v/r lies below V, and the optimal tangent
-    lies above it, so the comparison theorem pins E between D(v) and
-    E_upper.  Used to seed the shooting solver."""
-    _require_nodeless_channel(ch)
-    lo = coulomb_eigenvalue(pot.coupling, ch)
-    hi = minimize_bound(pot, ch).E_upper
-    return lo - 1e-9, hi + 1e-9

@@ -108,6 +108,7 @@ class RadialSolution:
     nodes2: int
     norm: float
     potential: object
+    V: np.ndarray  # the potential on grid.points
     match_radius: float
     mismatch: float  # Wronskian residual of the two sweeps at the eigenvalue
 
@@ -190,6 +191,15 @@ def decaying_tail_angle(w: float) -> float:
 
 def _decay_rate(w: float) -> float:
     return math.sqrt(max((1.0 - w) * (1.0 + w), 0.0))
+
+
+def reference_rate(pot, bracket: tuple[float, float] | None) -> float:
+    """kappa_ref of a grid for a state expected in bracket (E_lo, E_hi): the
+    slower decay rate at its ends, clamped to [1e-3, 1]; 0.25 without one."""
+    if bracket is None:
+        return 0.25
+    v_inf = pot.value_at_infinity
+    return min(max(min(_decay_rate(e - v_inf) for e in bracket), 1e-3), 1.0)
 
 
 def _stage_tables(pot, tk: float, base: np.ndarray, step: np.ndarray):
@@ -466,10 +476,7 @@ def solve_eigenvalue(
         hint = (max(bracket_hint[0], win_lo), min(bracket_hint[1], win_hi))
         if not hint[0] < hint[1]:
             raise ValueError(f"bracket hint {bracket_hint} collapses inside the window")
-        kappa_ref = min(_decay_rate(hint[0] - v_inf), _decay_rate(hint[1] - v_inf))
-        kappa_ref = min(max(kappa_ref, 1e-3), 1.0)
-    else:
-        kappa_ref = 0.25
+    kappa_ref = reference_rate(pot, hint)
 
     fixed_grid = grid
     last_bracket = None
@@ -514,16 +521,11 @@ def solve_eigenvalue(
         lo, hi = ws.bisect_count(level, lo, hi, c_lo, c_hi, math.inf)
         last_bracket = (lo, hi)
         i_match = ws.match_index(0.5 * (lo + hi))
-        w_lo = ws.wronskian(lo, i_match)
-        w_hi = ws.wronskian(hi, i_match)
-        if w_lo == 0.0:
-            energy = lo
-        elif w_hi == 0.0:
-            energy = hi
-        elif w_lo * w_hi < 0.0:
-            # brentq wraps f in a closure that refers to itself, so f stays
-            # alive until a full gc pass; hold ws weakly so it dies with the solve
-            ws_ref = weakref.ref(ws)
+        # brentq wraps f in a closure that refers to itself, so f stays
+        # alive until a full gc pass; hold ws weakly so it dies with the solve
+        ws_ref = weakref.ref(ws)
+        try:
+            # brentq evaluates both ends and returns one whose Wronskian is 0
             energy = brentq(
                 lambda e: ws_ref().wronskian(e, i_match),
                 lo,
@@ -531,9 +533,10 @@ def solve_eigenvalue(
                 xtol=max(0.01 * tol_e, 5e-16),
                 rtol=8.9e-16,
             )
-        else:
-            # the bracket isolates one state, so only round-off at an end lying
-            # on the root can hide the sign change; bisect the phase count instead
+        except ValueError:
+            # the ends share a sign: the bracket isolates one state, so only
+            # round-off at an end lying on the root can hide the sign change;
+            # bisect the phase count instead
             _log.debug(
                 "Wronskian keeps one sign on (%r, %r); bisecting the phase count to %g",
                 lo,
@@ -585,6 +588,7 @@ def solve_eigenvalue(
         nodes2=0,
         norm=0.0,
         potential=pot,
+        V=ws.v_grid,
         match_radius=float(grid.points[i_match]),
         mismatch=mismatch,
     )
@@ -611,17 +615,14 @@ def grid_derivative(y: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return d
 
 
-def ode_residual(sol: RadialSolution, pot=None) -> float:
+def ode_residual(sol: RadialSolution) -> float:
     """Max pointwise residual of the radial system, scaled by local amplitude.
 
     Derivatives are fourth-order finite differences, so the result reflects
     the integrator and assembly accuracy rather than the stencil's own
     truncation error.
     """
-    if pot is None:
-        pot = sol.potential
-    r = sol.grid.points
-    V = pot.evaluate(r)
+    r, V = sol.grid.points, sol.V
     tk = sol.ch.tau * sol.ch.k
     d1 = grid_derivative(sol.psi1, sol.grid)
     d2 = grid_derivative(sol.psi2, sol.grid)

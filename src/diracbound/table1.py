@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .channels import DEFAULT_CONSTANTS, Channel, PhysicalConstants, parse_state_label
-from .coulomb import coulomb_eigenvalue
 from .envelope import minimize_bound
 from .errors import SolverError
 from .potentials import ScreenedCoulomb
@@ -119,9 +118,8 @@ def compute_state_pair(
     """Envelope-bound and solver cells for one (Z, state) pair.
 
     Each cell is computed independently; a solver failure is recorded in the
-    cell rather than raised.  The successful envelope bound, together with the
-    pure-Coulomb eigenvalue at the full coupling, gives a rigorous energy
-    bracket that seeds the shooting solver.
+    cell rather than raised.  The successful envelope bound's rigorous energy
+    bracket seeds the shooting solver.
     """
     ch = parse_state_label(state)
     try:
@@ -140,10 +138,7 @@ def compute_state_pair(
         upper = _cell(z, state, "upper", None, constants, error=str(exc))
     else:
         upper = _cell(z, state, "upper", bound.E_upper, constants)
-        hint = (
-            coulomb_eigenvalue(pot.coupling, ch) - 1e-9,
-            bound.E_upper + 1e-9,
-        )
+        hint = bound.bracket
     if upper_only:
         return (upper,)
 

@@ -25,7 +25,7 @@ from diracbound.comparison import (
     random_screened_tangent_pair,
 )
 from diracbound.coulomb import coulomb_eigenvalue, coulomb_eigenvalue_derivative
-from diracbound.envelope import minimize_bound, screened_state_bracket
+from diracbound.envelope import minimize_bound
 from diracbound.potentials import (
     PureCoulomb,
     ScreenedCoulomb,
@@ -189,9 +189,9 @@ def test_criterion_05_identity_suite():
             # negative control: corrupt one eigenvalue by 1e-4 and require
             # the relative residual to inflate by at least 1e3
             sol_a, sol_b = _solve_pair_on_shared_grid(pot, tangent, ch)
-            honest = identity_residual(sol_a, sol_b, pot, tangent).relative
+            honest = identity_residual(sol_a, sol_b).relative
             corrupted = identity_residual(
-                dataclasses.replace(sol_a, E=sol_a.E + 1e-4), sol_b, pot, tangent
+                dataclasses.replace(sol_a, E=sol_a.E + 1e-4), sol_b
             ).relative
             control_ratio = corrupted / honest
     ok = (

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from diracbound import envelope
+from diracbound import comparison
 from diracbound.channels import Channel
 from diracbound.comparison import (
     ComparisonReport,
@@ -28,13 +28,14 @@ from diracbound.comparison import (
     random_screened_tangent_pair,
 )
 from diracbound.coulomb import coulomb_eigenvalue
-from diracbound.envelope import screened_state_bracket
+from diracbound.envelope import minimize_bound
 from diracbound.errors import HypothesisViolationError
 from diracbound.potentials import (
     PureCoulomb,
     ScreenedCoulomb,
     ShiftedCoulomb,
     ordering_gap,
+    tangent_at,
 )
 from diracbound.radial import build_grid, solve_eigenvalue
 
@@ -42,11 +43,9 @@ from diracbound.radial import build_grid, solve_eigenvalue
 @pytest.fixture(scope="module")
 def shared_pair(z20_optimal_pair, ch_s):
     """Screened Z=20 and its optimal tangent, solved on one shared grid."""
-    screened, tangent, _ = z20_optimal_pair
+    screened, tangent, bound = z20_optimal_pair
     grid = build_grid(0.12)  # long enough for both decay rates (~0.13)
-    sol_a = solve_eigenvalue(
-        screened, ch_s, grid=grid, bracket_hint=screened_state_bracket(screened, ch_s)
-    )
+    sol_a = solve_eigenvalue(screened, ch_s, grid=grid, bracket_hint=bound.bracket)
     sol_b = solve_eigenvalue(
         tangent, ch_s, grid=grid, bracket_hint=predicted_bracket(tangent, ch_s)
     )
@@ -102,9 +101,9 @@ class TestScreenedTangentPair:
     def test_identity_and_ordering(self, shared_pair):
         screened, tangent, sol_a, sol_b = shared_pair
         assert sol_a.E < sol_b.E
-        check = identity_residual(sol_a, sol_b, screened, tangent)
+        check = identity_residual(sol_a, sol_b)
         assert check.relative < 1e-6
-        assert derivative_identity_check(sol_a, sol_b, screened, tangent) < 1e-4
+        assert derivative_identity_check(sol_a, sol_b) < 1e-4
 
     def test_diagonal_weight_has_single_sign(self, shared_pair):
         _, _, sol_a, sol_b = shared_pair
@@ -143,45 +142,69 @@ class TestScreenedTangentPair:
 
     def test_negative_control_detects_wrong_eigenvalue(self, shared_pair):
         # corrupting E_a by 1e-4 must blow the relative residual up by >= 1e3
-        screened, tangent, sol_a, sol_b = shared_pair
-        honest = identity_residual(sol_a, sol_b, screened, tangent)
-        corrupted = identity_residual(
-            dataclasses.replace(sol_a, E=sol_a.E + 1e-4), sol_b, screened, tangent
-        )
+        _, _, sol_a, sol_b = shared_pair
+        honest = identity_residual(sol_a, sol_b)
+        corrupted = identity_residual(dataclasses.replace(sol_a, E=sol_a.E + 1e-4), sol_b)
         assert corrupted.relative > 1e3 * honest.relative
 
     def test_different_grids_rejected(self, shared_pair, ch_s):
         # both identity checks need the pair on one shared grid
-        screened, tangent, sol_a, _ = shared_pair
+        _, tangent, sol_a, _ = shared_pair
         sol_b = solve_eigenvalue(
             tangent, ch_s, grid=build_grid(0.11), bracket_hint=predicted_bracket(tangent, ch_s)
         )
         assert len(sol_a.grid.points) != len(sol_b.grid.points)
         for check in (identity_residual, derivative_identity_check):
             with pytest.raises(ValueError, match="shared grid"):
-                check(sol_a, sol_b, screened, tangent)
+                check(sol_a, sol_b)
 
     def test_screened_bracket_computed_once(self, z20_optimal_pair, ch_s, monkeypatch):
         # the envelope bracket sizes the shared grid and hints the solve
         screened, tangent, _ = z20_optimal_pair
         calls = []
-        real = envelope.minimize_bound
+        real = comparison.minimize_bound
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(envelope, "minimize_bound", counting)
+        monkeypatch.setattr(comparison, "minimize_bound", counting)
         assert assert_ordering(screened, tangent, ch_s).verdict == "PASS"
         assert len(calls) == 1
 
+    def test_potentials_evaluated_once_on_shared_grid(self, ch_s, monkeypatch):
+        # the solves keep V on the grid; the identity checks read it back
+        screened = ScreenedCoulomb.from_charge(40)
+        tangent = tangent_at(screened, minimize_bound(screened, ch_s).t_star)
+        grids = []
+        real_build = comparison.build_grid
+
+        def recording_build(*args):
+            grids.append(real_build(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(comparison, "build_grid", recording_build)
+        on_grid = {ScreenedCoulomb: 0, ShiftedCoulomb: 0}
+        for cls in on_grid:
+
+            def counting(self, r, _cls=cls, _real=cls.evaluate):
+                if grids and np.array_equal(r, grids[0].points):
+                    on_grid[_cls] += 1
+                return _real(self, r)
+
+            monkeypatch.setattr(cls, "evaluate", counting)
+        report = assert_ordering(screened, tangent, ch_s)
+        assert report.verdict == "PASS"
+        assert len(grids) == 1
+        assert on_grid == {ScreenedCoulomb: 1, ShiftedCoulomb: 1}
+
     def test_channel_mismatch_rejected(self, shared_pair, ch_p):
-        screened, tangent, sol_a, _ = shared_pair
+        _, _, sol_a, _ = shared_pair
         other = solve_eigenvalue(
             PureCoulomb(0.3), ch_p, bracket_hint=predicted_bracket(PureCoulomb(0.3), ch_p)
         )
         with pytest.raises(ValueError, match="channel mismatch"):
-            identity_residual(sol_a, other, screened, PureCoulomb(0.3))
+            identity_residual(sol_a, other)
 
 
 # --------------------------------------------------------------------------

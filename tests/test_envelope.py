@@ -27,7 +27,6 @@ from diracbound.envelope import (
     bound_at_t,
     bound_objective,
     minimize_bound,
-    screened_state_bracket,
 )
 from diracbound.errors import HypothesisViolationError
 from diracbound.potentials import ScreenedCoulomb, g_transform_derivative
@@ -269,8 +268,6 @@ class TestChannelGuards:
             bound_at_t(screened_z20, ch, 1.0)
         with pytest.raises(HypothesisViolationError):
             bound_objective(screened_z20, ch, 0.1)
-        with pytest.raises(HypothesisViolationError):
-            screened_state_bracket(screened_z20, ch)
 
     def test_nonpositive_contact_radius_rejected(self, screened_z20, ch_s):
         with pytest.raises(ValueError, match="contact radius"):
@@ -279,20 +276,19 @@ class TestChannelGuards:
 
 class TestStateBracket:
     def test_brackets_the_solved_eigenvalue(self, screened_z20, z20_ground, ch_s):
-        lo, hi = screened_state_bracket(screened_z20, ch_s)
+        lo, hi = minimize_bound(screened_z20, ch_s).bracket
         assert lo < z20_ground.E < hi
         # the bracket is tight: width is the screening correction, not O(1)
         assert hi - lo < 0.01
 
     def test_lower_edge_is_pure_coulomb(self, screened_z20, ch_s):
-        lo, _ = screened_state_bracket(screened_z20, ch_s)
-        assert lo == pytest.approx(
-            coulomb_eigenvalue(screened_z20.coupling, ch_s), abs=2e-9
-        )
+        bound = minimize_bound(screened_z20, ch_s)
+        assert bound.E_lower == coulomb_eigenvalue(screened_z20.coupling, ch_s)
+        assert bound.bracket == (bound.E_lower - 1e-9, bound.E_upper + 1e-9)
 
     @pytest.mark.parametrize("two_j", [1, 3])
     def test_brackets_are_ordered(self, two_j):
         ch = Channel(tau=-1, two_j=two_j)
         for z in (20, 50, 80):
-            lo, hi = screened_state_bracket(ScreenedCoulomb.from_charge(z), ch)
+            lo, hi = minimize_bound(ScreenedCoulomb.from_charge(z), ch).bracket
             assert lo < hi

@@ -34,6 +34,7 @@ from diracbound.radial import (
     normalize,
     ode_residual,
     origin_series_seed,
+    reference_rate,
     solve_eigenvalue,
 )
 from diracbound.table1 import compute_state_pair
@@ -82,6 +83,15 @@ class TestBuildGrid:
     def test_scale_too_small(self):
         with pytest.raises(ValueError, match="scale"):
             build_grid(0.25, 0.2)
+
+    def test_reference_rate(self):
+        pot = ShiftedCoulomb(shift=0.1, coupling=0.5)
+        assert reference_rate(pot, None) == 0.25
+        # the slower decay of the two ends: w = E - V(inf) = 0.6 gives 0.8
+        assert reference_rate(pot, (0.0, 0.7)) == pytest.approx(0.8)
+        # clamped into build_grid's range at the window edges
+        assert reference_rate(pot, (0.5, 1.1)) == 1e-3
+        assert reference_rate(pot, (0.1, 0.1)) == 1.0
 
 
 # --------------------------------------------------------------------------
@@ -238,15 +248,15 @@ class TestCoulombOracle:
 
 @pytest.fixture
 def sweep_calls(monkeypatch):
-    """Counts of phase counts and Wronskian evaluations made by the solver."""
-    calls = {"count": 0, "wronskian": 0}
+    """Energies of the phase counts and Wronskian evaluations made by the solver."""
+    calls = {"count": [], "wronskian": []}
     ws_cls = radial._ShootingWorkspace
     for name in calls:
         inner = getattr(ws_cls, name)
 
-        def wrapped(self, *args, _inner=inner, _name=name):
-            calls[_name] += 1
-            return _inner(self, *args)
+        def wrapped(self, E, *args, _inner=inner, _name=name):
+            calls[_name].append(E)
+            return _inner(self, E, *args)
 
         monkeypatch.setattr(ws_cls, name, wrapped)
     return calls
@@ -255,17 +265,20 @@ def sweep_calls(monkeypatch):
 class TestSearch:
     def test_hinted_table_solve_sweep_budget(self, sweep_calls):
         # the envelope hint already holds exactly the target state: three
-        # verifying counts, then Brent on the Wronskian
+        # verifying counts, then Brent on the Wronskian, which evaluates the
+        # bracket ends itself
         numeric = compute_state_pair(40, "1s_1/2")[1]
         assert not numeric.failed
-        assert sweep_calls["count"] <= 3
-        assert sweep_calls["wronskian"] <= 10
+        assert len(sweep_calls["count"]) <= 3
+        energies = sweep_calls["wronskian"]
+        assert len(energies) <= 6
+        assert len(set(energies)) == len(energies)
 
     def test_unhinted_sweep_budget(self, ch_s, sweep_calls):
         # bisection stops once the bracket isolates the state, not at a fixed width
         sol = solve_eigenvalue(PureCoulomb(0.4), ch_s)
         assert abs(sol.E - coulomb_eigenvalue(0.4, ch_s)) < 1e-10
-        assert sweep_calls["count"] <= 8
+        assert len(sweep_calls["count"]) <= 8
 
     @pytest.mark.parametrize("hinted", [False, True], ids=["unhinted", "hinted"])
     def test_fallback_bisection_when_wronskian_keeps_sign(
@@ -350,6 +363,10 @@ class TestSolutionStructure:
 
     def test_ode_residual_small(self, coulomb_half):
         assert ode_residual(coulomb_half) < 1e-6
+
+    def test_carries_potential_on_grid(self, coulomb_half):
+        r = coulomb_half.grid.points
+        assert np.array_equal(coulomb_half.V, coulomb_half.potential.evaluate(r))
 
     def test_screened_state_residual_small(self, z20_ground):
         assert ode_residual(z20_ground) < 1e-6

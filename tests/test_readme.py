@@ -11,8 +11,8 @@ import pytest
 from diracbound.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# each CLI sample: the "$ diracbound ..." line and the header row below it
-CLI_SAMPLES = re.findall(r"^\$ diracbound (.*)\n(.*)$", README.read_text(), re.M)
+# each CLI sample: the "$ diracbound ..." line and the output shown below it
+CLI_SAMPLES = re.findall(r"^\$ diracbound (.*)\n([\s\S]*?)^```", README.read_text(), re.M)
 
 
 def test_python_quick_start_runs_as_documented(capsys):
@@ -36,7 +36,7 @@ def test_cli_samples_found():
     ]
 
 
-@pytest.mark.parametrize("argv,header", CLI_SAMPLES, ids=[a for a, _ in CLI_SAMPLES])
-def test_cli_sample_runs_as_documented(capsys, argv, header):
+@pytest.mark.parametrize("argv,shown", CLI_SAMPLES, ids=[a for a, _ in CLI_SAMPLES])
+def test_cli_sample_runs_as_documented(capsys, argv, shown):
     assert main(shlex.split(argv)) == 0
-    assert capsys.readouterr().out.splitlines()[0] == header
+    assert capsys.readouterr().out.splitlines() == shown.splitlines()
