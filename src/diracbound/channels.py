@@ -51,6 +51,13 @@ class Channel:
         """Orbital angular momentum of the upper spinor components, l = j + tau/2."""
         return (self.two_j + self.tau) // 2
 
+    @property
+    def nodeless(self) -> bool:
+        """The bottom state of a tau = -1 channel (n = 1), whose two components
+        have no nodes: the only states the envelope bound and the ordering
+        theorem cover."""
+        return self.tau == -1 and self.n == 1
+
     def __str__(self) -> str:
         return spectroscopic_label(self)
 

@@ -138,7 +138,7 @@ def predicted_bracket(pot, ch: Channel):
     if isinstance(pot, ShiftedCoulomb):
         e = pot.shift + coulomb_eigenvalue(pot.coupling, ch)
         return e - 1e-5, e + 1e-5
-    if isinstance(pot, ScreenedCoulomb) and ch.tau == -1 and ch.n == 1:
+    if isinstance(pot, ScreenedCoulomb) and ch.nodeless:
         return minimize_bound(pot, ch).bracket
     return None
 
@@ -182,7 +182,7 @@ def assert_ordering(
     the theorem and rejected.  A nodeless channel whose solves nevertheless
     show nodes gets the verdict INFO, since the theorem's hypothesis fails.
     """
-    if ch.tau != -1 or ch.n != 1:
+    if not ch.nodeless:
         raise HypothesisViolationError(
             f"channel {ch} has noded states; the ordering theorem covers only "
             "tau=-1, n=1 channels"

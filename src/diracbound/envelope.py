@@ -63,7 +63,7 @@ class EnvelopeBound:
 
 
 def _require_nodeless_channel(ch: Channel) -> None:
-    if ch.tau != -1 or ch.n != 1:
+    if not ch.nodeless:
         raise HypothesisViolationError(
             f"channel {ch} (tau={ch.tau}, n={ch.n}) is not the nodeless bottom "
             "state of its angular-momentum subspace; the tangent construction "

@@ -461,26 +461,31 @@ def solve_eigenvalue(
     """The ch.n-th discrete eigenvalue of ch (counted from the bottom of the window).
 
     A bracket_hint (E_lo, E_hi) expected to contain the target state speeds
-    up the search; it is verified against the anchored phase count and
-    discarded, with a DEBUG record on the "diracbound" logger, if it does not
-    hold the requested state.  A grid
-    supplied by the caller (e.g. one shared between the two solves of a
-    comparison pair) is used as-is instead of the rebuild loop.
+    up the search; it is clipped to the window, verified against the anchored
+    phase count and discarded, with a DEBUG record on the "diracbound" logger,
+    if it does not hold the requested state.  Unless the caller supplies a
+    grid (e.g. one shared by the two solves of a comparison pair), the grid is
+    rebuilt, with a DEBUG record, while it holds fewer than ch.n states or its
+    tail spans fewer than 30 decay lengths of the state found.  The grid family
+    reaches decay rates down to kappa = 1e-3, a binding of about 5e-7 mc^2.
+    NoBoundStateError: even the longest grid, or the caller's, holds fewer
+    than ch.n states.  ConvergenceError: the state decays slower than
+    kappa = 1e-3 ("too weakly bound"), or the caller's grid is "too short".
     """
     v_inf = pot.value_at_infinity
     win_lo = v_inf - 1.0 + WINDOW_EDGE
     win_hi = v_inf + 1.0 - WINDOW_EDGE
 
-    hint = None
-    if bracket_hint is not None:
-        hint = (max(bracket_hint[0], win_lo), min(bracket_hint[1], win_hi))
-        if not hint[0] < hint[1]:
-            raise ValueError(f"bracket hint {bracket_hint} collapses inside the window")
-    kappa_ref = reference_rate(pot, hint)
-
     fixed_grid = grid
+    hint, kappa_ref = bracket_hint, None
     last_bracket = None
     for _ in range(MAX_GRID_REBUILDS):
+        if hint is not None:
+            hint = (max(hint[0], win_lo), min(hint[1], win_hi))
+            if not hint[0] < hint[1]:
+                raise ValueError(f"bracket hint {bracket_hint} collapses inside the window")
+        if kappa_ref is None:
+            kappa_ref = reference_rate(pot, hint)
         grid = fixed_grid if fixed_grid is not None else build_grid(kappa_ref, grid_scale)
         ws = _ShootingWorkspace(pot, ch, grid)
         c_bot = ws.count(win_lo)
@@ -501,73 +506,65 @@ def solve_eigenvalue(
         if hint is None:
             lo, hi, c_lo = win_lo, win_hi, c_bot
             c_hi = ws.count(hi)
-            n_found = c_bot - c_hi
+        n_found = c_bot - c_hi
+        if n_found < ch.n:
+            # the tail may simply be too short for a weakly bound state
+            new_ref, reason = kappa_ref / 6.0, f"grid holds {n_found} of {ch.n} states"
+        else:
+            level = c_bot - (ch.n - 1)
+            lo, hi = ws.bisect_count(level, lo, hi, c_lo, c_hi, math.inf)
+            last_bracket = (lo, hi)
+            i_match = ws.match_index(0.5 * (lo + hi))
+            # brentq wraps f in a closure that refers to itself, so f stays
+            # alive until a full gc pass; hold ws weakly so it dies with the solve
+            ws_ref = weakref.ref(ws)
+            try:
+                # brentq evaluates both ends and returns one whose Wronskian is 0
+                energy = brentq(
+                    lambda e: ws_ref().wronskian(e, i_match),
+                    lo,
+                    hi,
+                    xtol=max(0.01 * tol_e, 5e-16),
+                    rtol=8.9e-16,
+                )
+            except ValueError:
+                # the ends share a sign: the bracket isolates one state, so only
+                # round-off at an end lying on the root can hide the sign change;
+                # bisect the phase count instead
+                _log.debug(
+                    "Wronskian keeps one sign on (%r, %r); bisecting the phase count to %g",
+                    lo,
+                    hi,
+                    tol_e,
+                )
+                lo, hi = ws.bisect_count(level, lo, hi, level, level - 1, tol_e)
+                energy = 0.5 * (lo + hi)
+            kappa_e = _decay_rate(energy - v_inf)
+            if kappa_e < 1e-3:
+                raise ConvergenceError(
+                    f"state at E={energy} is too weakly bound for the grid family "
+                    f"(decay rate {kappa_e:.2e})"
+                )
+            if grid.r_max * kappa_e >= 30.0:
+                break
+            # tail too short for the state actually found: rebuild around it
+            new_ref, reason = 0.95 * kappa_e, f"grid tail too short for E={energy!r}"
+            hint = (energy - 1e-5, energy + 1e-5)
+        # kappa_e >= 1e-3 always fits the tail of a 1e-3 grid, so only a
+        # missing state can stop a solve there
+        if fixed_grid is not None or kappa_ref == 1e-3:
             if n_found < ch.n:
-                if n_found == 0 and kappa_ref > 6e-3 and fixed_grid is None:
-                    # tail may simply be too short for a weakly bound state
-                    new_ref = max(kappa_ref / 6.0, 1e-3)
-                    _log.debug(
-                        "no bound state on the grid: rebuilding with kappa_ref=%g (was %g)",
-                        new_ref,
-                        kappa_ref,
-                    )
-                    kappa_ref = new_ref
-                    continue
                 raise NoBoundStateError(
                     f"{pot!r} supports {n_found} bound state(s) in channel {ch}, "
                     f"target was n={ch.n}"
                 )
-        level = c_bot - (ch.n - 1)
-        lo, hi = ws.bisect_count(level, lo, hi, c_lo, c_hi, math.inf)
-        last_bracket = (lo, hi)
-        i_match = ws.match_index(0.5 * (lo + hi))
-        # brentq wraps f in a closure that refers to itself, so f stays
-        # alive until a full gc pass; hold ws weakly so it dies with the solve
-        ws_ref = weakref.ref(ws)
-        try:
-            # brentq evaluates both ends and returns one whose Wronskian is 0
-            energy = brentq(
-                lambda e: ws_ref().wronskian(e, i_match),
-                lo,
-                hi,
-                xtol=max(0.01 * tol_e, 5e-16),
-                rtol=8.9e-16,
-            )
-        except ValueError:
-            # the ends share a sign: the bracket isolates one state, so only
-            # round-off at an end lying on the root can hide the sign change;
-            # bisect the phase count instead
-            _log.debug(
-                "Wronskian keeps one sign on (%r, %r); bisecting the phase count to %g",
-                lo,
-                hi,
-                tol_e,
-            )
-            lo, hi = ws.bisect_count(level, lo, hi, level, level - 1, tol_e)
-            energy = 0.5 * (lo + hi)
-        kappa_e = _decay_rate(energy - v_inf)
-        if kappa_e < 1e-3:
-            raise ConvergenceError(
-                f"state at E={energy} is too weakly bound for the grid family "
-                f"(decay rate {kappa_e:.2e})"
-            )
-        if grid.r_max * kappa_e >= 30.0:
-            break
-        if fixed_grid is not None:
             raise ConvergenceError(
                 f"supplied grid (r_max={grid.r_max:.3g}) is too short for the "
                 f"state found at E={energy} (decay rate {kappa_e:.3g})"
             )
-        # tail too short for the state actually found: rebuild around it
-        new_ref = 0.95 * kappa_e
-        _log.debug(
-            "grid tail too short for E=%r: rebuilding with kappa_ref=%g (was %g)",
-            energy,
-            new_ref,
-            kappa_ref,
-        )
+        new_ref = max(new_ref, 1e-3)
+        _log.debug("%s: rebuilding with kappa_ref=%g (was %g)", reason, new_ref, kappa_ref)
         kappa_ref = new_ref
-        hint = (energy - 1e-5, energy + 1e-5)
     else:
         raise ConvergenceError(
             f"grid did not stabilize after {MAX_GRID_REBUILDS} rebuilds; "

@@ -47,6 +47,19 @@ class TestChannelValidation:
                 ch = Channel(tau=tau, two_j=two_j)
                 assert ch.k == (two_j + 1) // 2
 
+    @pytest.mark.parametrize(
+        "label, nodeless",
+        [
+            ("1s_1/2", True),
+            ("2p_3/2", True),
+            ("4f_7/2", True),
+            ("2s_1/2", False),
+            ("2p_1/2", False),
+        ],
+    )
+    def test_nodeless_is_tau_minus_bottom_state(self, label, nodeless):
+        assert parse_state_label(label).nodeless is nodeless
+
 
 class TestPrincipalQuantumNumber:
     @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from diracbound import radial
-from diracbound.channels import Channel
+from diracbound.channels import DEFAULT_CONSTANTS, Channel, parse_state_label
 from diracbound.coulomb import coulomb_eigenvalue
 from diracbound.errors import ConvergenceError, NoBoundStateError
 from diracbound.potentials import PureCoulomb, ScreenedCoulomb, ShiftedCoulomb
@@ -639,3 +639,40 @@ class TestFailureModes:
         exact = coulomb_eigenvalue(0.05, ch_s)
         sol = solve_eigenvalue(PureCoulomb(0.05), ch_s)
         assert abs(sol.E - exact) < 1e-8
+
+
+# --------------------------------------------------------------------------
+# weakly bound edge inputs: the grid is rebuilt until it holds the state and
+# reaches 30 of its decay lengths, down to the kappa = 1e-3 floor
+
+
+class TestWeaklyBoundEdges:
+    @pytest.mark.parametrize("label", ["2s_1/2", "2p_1/2", "2p_3/2", "3d_5/2", "4f_7/2"])
+    def test_hydrogen_is_exact_coulomb(self, label):
+        # at Z = 1 the screening term vanishes, so V = -alpha/r exactly
+        ch = parse_state_label(label)
+        sol = solve_eigenvalue(ScreenedCoulomb.from_charge(1), ch)
+        assert abs(sol.E - coulomb_eigenvalue(DEFAULT_CONSTANTS.alpha, ch)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "label, nodes",
+        [("2s_1/2", (1, 1)), ("2p_1/2", (0, 1)), ("3d_5/2", (0, 0))],
+        ids=["2s_1/2", "2p_1/2", "3d_5/2"],
+    )
+    def test_helium_excited_states(self, label, nodes):
+        ch = parse_state_label(label)
+        pot = ScreenedCoulomb.from_charge(2)
+        sol = solve_eigenvalue(pot, ch)
+        assert (sol.nodes1, sol.nodes2) == nodes
+        # -v/r lies below the screened potential, so its level is a floor
+        assert coulomb_eigenvalue(pot.coupling, ch) <= sol.E < 1.0
+
+    @pytest.mark.parametrize("u", [1.0e-3, 1.02e-3, 1.2e-3, 2e-3])
+    def test_weak_coulomb_ground_state(self, ch_s, u):
+        sol = solve_eigenvalue(PureCoulomb(u), ch_s)
+        assert abs(sol.E - coulomb_eigenvalue(u, ch_s)) < 1e-12
+
+    @pytest.mark.parametrize("u, label", [(9e-4, "1s_1/2"), (1e-3, "3s_1/2")])
+    def test_below_grid_floor_is_typed(self, u, label):
+        with pytest.raises(ConvergenceError, match="too weakly bound"):
+            solve_eigenvalue(PureCoulomb(u), parse_state_label(label))
