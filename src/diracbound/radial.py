@@ -14,8 +14,10 @@ The solver combines three classical ingredients:
 * fixed Cash-Karp fifth-order steps over a graded radial grid (log-spaced
   near the origin, linear in the tail).  The system is linear, so each step
   is a 2x2 propagator M_i(E); one vectorized pass builds them all from stage
-  tables of tau*k/r and V, and a normalized prefix scan (every sample) or a
-  pairwise reduction (end value only) composes them;
+  tables of tau*k/r and V.  A normalized prefix scan composes them where
+  every sample is needed (the eigenfunction), a pairwise reduction where only
+  the end value is (the Wronskian) or the end angle (the phase count, which
+  carries each product's whole half-turns as an integer);
 * Pruefer phase counting: the continuously unwound rotation angle of
   (psi1, psi2) at r_max, minus the angle of the decaying tail solution, is
   strictly decreasing in E and drops through a multiple of pi at every
@@ -202,10 +204,16 @@ def reference_rate(pot, bracket: tuple[float, float] | None) -> float:
     return min(max(min(_decay_rate(e - v_inf) for e in bracket), 1e-3), 1.0)
 
 
-def _stage_tables(pot, tk: float, base: np.ndarray, step: np.ndarray):
-    """(tau*k/r, V) at the six stage radii of each interval, shape (6, n) each, and the steps."""
+def _stage_tables(pot, tk: float, base: np.ndarray, step: np.ndarray, v_ends):
+    """(tau*k/r, V) at the six stage radii of each interval, shape (6, n) each, and the steps.
+
+    Stages 0 and 4 (c = 0 and 1) are the interval ends, where v_ends gives V:
+    adjacent grid points differ by a ratio below 2, so base + step is exact."""
     rs = base + _CK_C[:, None] * step
-    return tk / rs, pot.evaluate(rs), step
+    v = np.empty_like(rs)
+    v[0], v[4] = v_ends
+    v[[1, 2, 3, 5]] = pot.evaluate(rs[[1, 2, 3, 5]])
+    return tk / rs, v, step
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -214,9 +222,14 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _unit(m: np.ndarray):
-    """m_i scaled to unit 1-norm, and the log of each scale."""
+    """m_i scaled to unit 1-norm, and each scale."""
     nrm = np.abs(m).sum(axis=(0, 1))
-    return m / nrm, np.log(nrm)
+    return m / nrm, nrm
+
+
+def _half(v: np.ndarray):
+    """1 where the vector v (each column, for a (2, n) stack) points into [pi, 2 pi), else 0."""
+    return ((v[1] < 0.0) | ((v[1] == 0.0) & (v[0] < 0.0))).astype(np.int64)
 
 
 def _propagators(table, E: float, n: int) -> np.ndarray:
@@ -243,13 +256,16 @@ def _trajectory(table, E: float, y0, n: int):
     as y_i = Y_i exp(ls_i); returns (Y, ls).
 
     P_i = M_i ... M_0 comes from a Hillis-Steele inclusive scan with doubling
-    offsets, each level rescaled to unit 1-norm and its log-scale carried."""
-    prod, ls = _unit(_propagators(table, E, n))
+    offsets, each level rescaled to unit 1-norm and its log-scale carried.
+    O(n log n): it serves only callers that need every sample (eigenfunction,
+    integrate_radial); phase counts use the O(n) reduction of _end_angle."""
+    prod, nrm = _unit(_propagators(table, E, n))
+    ls = np.log(nrm)
     d = 1
     while d < n:
-        nxt, lnxt = _unit(_mul(prod[..., d:], prod[..., :-d]))
+        nxt, nrm = _unit(_mul(prod[..., d:], prod[..., :-d]))
         prod[..., d:] = nxt
-        ls[d:] += ls[:-d] + lnxt
+        ls[d:] += ls[:-d] + np.log(nrm)
         d *= 2
     y0 = np.asarray(y0, dtype=float)
     Y = np.concatenate([y0[:, None], prod[:, 0] * y0[0] + prod[:, 1] * y0[1]], axis=1)
@@ -259,18 +275,50 @@ def _trajectory(table, E: float, y0, n: int):
     return Y, ls
 
 
-def _end_value(table, E: float, y0, n: int) -> np.ndarray:
-    """State after the first n intervals of table from y0, up to a positive scale
-    (pairwise tree reduction of the propagators)."""
-    prod = _propagators(table, E, n)
+def _reduce(prod: np.ndarray, k: np.ndarray | None = None):
+    """Product M_{n-1} ... M_0 of a nonempty (2, 2, n) stack, up to a positive
+    scale, by pairwise tree reduction; with the half-turn counts k of the M_i
+    (see _end_angle), also that of the product, else None."""
     while prod.shape[-1] > 1:
         m = prod.shape[-1] // 2 * 2
         pairs, _ = _unit(_mul(prod[..., 1:m:2], prod[..., 0:m:2]))
+        if k is not None:
+            kp = k[0:m:2] + k[1:m:2]
+            kp += (_half(pairs[:, 0]) - kp) % 2
+            k = np.concatenate([kp, k[m:]])
         prod = np.concatenate([pairs, prod[..., m:]], axis=-1)
-    y = prod[..., 0] @ y0 if n else np.asarray(y0, dtype=float)
+    return prod[..., 0], None if k is None else int(k[0])
+
+
+def _end_value(table, E: float, y0, n: int) -> np.ndarray:
+    """State after the first n intervals of table from y0, up to a positive scale."""
+    y = _reduce(_propagators(table, E, n))[0] @ y0 if n else np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ConvergenceError(f"sweep lost finiteness at E={E}")
     return y
+
+
+def _end_angle(table, E: float, y0, n: int) -> float:
+    """Unwound angle of the state after the first n >= 1 intervals of table from
+    y0, continued from atan2(y0) through every step: O(n), one atan2.
+
+    Assumes each step turns every direction by less than pi.  As det M > 0, a
+    product P turns directions monotonically and P(-y) = -P y, so its lifted
+    angle of e_0 pins the lift of every direction to within one half-turn.
+    The reduction carries k = floor(that angle / pi) exactly: a leaf's angle is
+    its principal value, in [-pi, pi), and G after F turns e_0 by k_F + k_G
+    half-turns or one more, whichever matches the half-plane of GF e_0 (the
+    parity of k).  The seed joins last, as a rotation by atan2(y0)."""
+    prod = _propagators(table, E, n)
+    p, k_p = _reduce(prod, -_half(prod[:, 0]))
+    y = p @ y0
+    if not np.all(np.isfinite(y)):
+        raise ConvergenceError(f"sweep lost finiteness at E={E}")
+    k_s = -int(_half(np.asarray(y0, dtype=float)))
+    h = int(_half(y))
+    k = k_p + k_s + (h - k_p - k_s) % 2
+    u = -y if h else y  # turned into [0, pi): the angle within its half-turn
+    return k * math.pi + math.atan2(u[1], u[0])
 
 
 def _samples(Y: np.ndarray, ls: np.ndarray) -> np.ndarray:
@@ -310,14 +358,16 @@ class _ShootingWorkspace:
     @cached_property
     def fwd(self):
         """Outward stage tables and steps."""
-        r = self.grid.points
-        return _stage_tables(self.pot, self.ch.tau * self.ch.k, r[:-1], np.diff(r))
+        r, v = self.grid.points, self.v_grid
+        return _stage_tables(self.pot, self.ch.tau * self.ch.k, r[:-1], np.diff(r), (v[:-1], v[1:]))
 
     @cached_property
     def bwd(self):
         """Inward stage tables and steps, stored in inward order."""
-        r = self.grid.points
-        return _stage_tables(self.pot, self.ch.tau * self.ch.k, r[:0:-1], -np.diff(r)[::-1])
+        r, v = self.grid.points, self.v_grid
+        return _stage_tables(
+            self.pot, self.ch.tau * self.ch.k, r[:0:-1], -np.diff(r)[::-1], (v[:0:-1], v[-2::-1])
+        )
 
     def _seed_out(self, E):
         return origin_series_seed(self.pot, self.ch, E, self.grid.points[0])
@@ -328,8 +378,8 @@ class _ShootingWorkspace:
 
     def phase(self, E: float) -> float:
         """Unwound matching phase; strictly decreasing in E."""
-        Y, _ = _trajectory(self.fwd, E, self._seed_out(E), self.n_int)
-        return math.atan2(Y[1, 0], Y[0, 0]) + _winding(Y) - decaying_tail_angle(E - self.v_inf)
+        theta = _end_angle(self.fwd, E, self._seed_out(E), self.n_int)
+        return theta - decaying_tail_angle(E - self.v_inf)
 
     def count(self, E: float) -> int:
         """floor(phase/pi); drops by one at each eigenvalue as E grows."""
@@ -469,8 +519,9 @@ def solve_eigenvalue(
     tail spans fewer than 30 decay lengths of the state found.  The grid family
     reaches decay rates down to kappa = 1e-3, a binding of about 5e-7 mc^2.
     NoBoundStateError: even the longest grid, or the caller's, holds fewer
-    than ch.n states.  ConvergenceError: the state decays slower than
-    kappa = 1e-3 ("too weakly bound"), or the caller's grid is "too short".
+    than ch.n states.  ConvergenceError: the level found on the longest grid,
+    or the caller's, decays slower than kappa = 1e-3 ("too weakly bound"), or
+    the caller's grid is "too short".
     """
     v_inf = pot.value_at_infinity
     win_lo = v_inf - 1.0 + WINDOW_EDGE
@@ -540,23 +591,25 @@ def solve_eigenvalue(
                 lo, hi = ws.bisect_count(level, lo, hi, level, level - 1, tol_e)
                 energy = 0.5 * (lo + hi)
             kappa_e = _decay_rate(energy - v_inf)
-            if kappa_e < 1e-3:
-                raise ConvergenceError(
-                    f"state at E={energy} is too weakly bound for the grid family "
-                    f"(decay rate {kappa_e:.2e})"
-                )
-            if grid.r_max * kappa_e >= 30.0:
+            if kappa_e >= 1e-3 and grid.r_max * kappa_e >= 30.0:
                 break
             # tail too short for the state actually found: rebuild around it
             new_ref, reason = 0.95 * kappa_e, f"grid tail too short for E={energy!r}"
             hint = (energy - 1e-5, energy + 1e-5)
         # kappa_e >= 1e-3 always fits the tail of a 1e-3 grid, so only a
-        # missing state can stop a solve there
+        # missing state or one below the floor can stop a solve there
         if fixed_grid is not None or kappa_ref == 1e-3:
             if n_found < ch.n:
                 raise NoBoundStateError(
                     f"{pot!r} supports {n_found} bound state(s) in channel {ch}, "
                     f"target was n={ch.n}"
+                )
+            if kappa_e < 1e-3:
+                which = "supplied" if fixed_grid is not None else "longest"
+                raise ConvergenceError(
+                    f"{ch} state too weakly bound: the level found on the {which} grid "
+                    f"(r_max={grid.r_max:.3g}) lies at E={energy!r}, so the state decays "
+                    "slower than the grid family's kappa = 1e-3 floor"
                 )
             raise ConvergenceError(
                 f"supplied grid (r_max={grid.r_max:.3g}) is too short for the "

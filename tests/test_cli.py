@@ -172,6 +172,21 @@ class TestSolve:
         assert code == 1
         assert "invalid parameter" in err
 
+    def test_too_weakly_bound_names_the_longest_grid(self, capsys):
+        # closed form: E = 0.99999987499996, kappa = 5.0e-4 (below the 1e-3 floor)
+        code, _, err = run_cli(
+            capsys, "solve", "--potential", "shifted", "--coupling", "0.001",
+            "--state", "2s_1/2",
+        )
+        assert code == 1
+        assert "solver failure" in err
+        assert "too weakly bound" in err
+        assert "longest grid (r_max=3.5e+04)" in err
+        assert "kappa = 1e-3 floor" in err
+        # the level quoted is that of the 1e-3 grid, close to the closed form
+        energy = float(err.split("lies at E=")[1].split(",")[0])
+        assert abs(energy - 0.99999987499996) < 1e-12
+
 
 # --------------------------------------------------------------------------
 # bound

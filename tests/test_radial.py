@@ -536,6 +536,25 @@ class TestPropagatorKernel:
             end / np.abs(end).sum(), Y[:, -1] / np.abs(Y[:, -1]).sum(), rtol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "pot", [ScreenedCoulomb.from_charge(40), PureCoulomb(0.3)], ids=["Z=40", "u=0.3"]
+    )
+    def test_stage_ends_reuse_grid_potential(self, ch_s, pot):
+        # stages 0 and 4 sit exactly on the grid points, so taking V there from
+        # v_grid leaves every table bit-identical to evaluating all six stages
+        ws = radial._ShootingWorkspace(pot, ch_s, build_grid(0.25))
+        r, vg = ws.grid.points, ws.v_grid
+        for table, base, ends in (
+            (ws.fwd, r[:-1], (vg[:-1], vg[1:])),
+            (ws.bwd, r[:0:-1], (vg[:0:-1], vg[-2::-1])),
+        ):
+            rs = base + radial._CK_C[:, None] * table[2]
+            np.testing.assert_array_equal(rs[4], base + table[2])
+            np.testing.assert_array_equal(table[1][0], ends[0])
+            np.testing.assert_array_equal(table[1][4], ends[1])
+            np.testing.assert_array_equal(table[1], pot.evaluate(rs))
+            np.testing.assert_array_equal(table[0], ch_s.tau * ch_s.k / rs)
+
     def test_no_workspace_outlives_its_solve(self, ch_s):
         # brentq keeps its callable in a reference cycle, so a workspace the
         # callable holds strongly would stay alive until a full gc pass
@@ -553,6 +572,103 @@ class TestPropagatorKernel:
         finally:
             gc.enable()
         assert alive == set()
+
+
+def _scan_phase(ws, E):
+    """Matching phase from every sample of the outward sweep: seed angle plus winding."""
+    Y, _ = radial._trajectory(ws.fwd, E, ws._seed_out(E), ws.n_int)
+    return math.atan2(Y[1, 0], Y[0, 0]) + radial._winding(Y) - decaying_tail_angle(E - ws.v_inf)
+
+
+def _near_identity_step(phi, a, b, c, d):
+    """Rotation by phi after a det > 0 distortion of the identity."""
+    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    return rot @ np.array([[1.0 + a, b], [c, 1.0 + d]])
+
+
+_distortion = st.floats(min_value=-0.3, max_value=0.3)
+_step = st.tuples(
+    st.one_of(
+        st.floats(min_value=-0.2, max_value=0.2),
+        st.floats(min_value=1.5, max_value=1.5707),
+        st.floats(min_value=-1.5707, max_value=-1.5),
+    ),
+    _distortion,
+    _distortion,
+    _distortion,
+    _distortion,
+)
+
+
+class TestHalfTurnReduction:
+    """Phase counts from the half-turn reduction agree with the full scan."""
+
+    @pytest.mark.parametrize("E", WINDOW_ENERGIES)
+    def test_phase_matches_scan_z80(self, z80_workspace, E):
+        ws = z80_workspace
+        assert abs(ws.phase(E) - _scan_phase(ws, E)) < 1e-10
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.25, 1.0])
+    @pytest.mark.parametrize(
+        "ch",
+        [Channel(tau=-1, two_j=1), Channel(tau=1, two_j=1), parse_state_label("4f_7/2")],
+        ids=["tau=-1", "tau=+1", "4f_7/2"],
+    )
+    def test_phase_matches_scan_across_grids(self, kappa, ch):
+        pot = ScreenedCoulomb.from_charge(80)
+        ws = radial._ShootingWorkspace(pot, ch, build_grid(kappa, 0.25))
+        for E in WINDOW_ENERGIES:
+            new, old = ws.phase(E), _scan_phase(ws, E)
+            assert abs(new - old) < 1e-10
+            assert math.floor(new / math.pi) == math.floor(old / math.pi)
+
+    @given(
+        st.lists(_step, min_size=1, max_size=65),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lifted_angle_is_sum_of_step_angles(self, steps, seed_angle):
+        stack = np.stack([_near_identity_step(*s) for s in steps], axis=-1)
+        y0 = (math.cos(seed_angle), math.sin(seed_angle))
+        y = np.array(y0)
+        expected = math.atan2(y[1], y[0])
+        for i in range(stack.shape[-1]):
+            nxt = stack[..., i] @ y
+            expected += math.atan2(y[0] * nxt[1] - y[1] * nxt[0], y @ nxt)
+            y = nxt / np.abs(nxt).sum()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(radial, "_propagators", lambda table, E, n: stack)
+            got = radial._end_angle(None, 0.0, y0, len(steps))
+        assert got == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "turns, expected",
+        [("++++", 2.0), ("----", -2.0), ("++--", 0.0), ("--++", 0.0), ("+++", 1.5)],
+    )
+    def test_exact_quarter_turns(self, turns, expected):
+        # pairs of exact quarter turns land on the negative x axis, the
+        # boundary between the two half-planes
+        quarter = {"+": [[0.0, -1.0], [1.0, 0.0]], "-": [[0.0, 1.0], [-1.0, 0.0]]}
+        stack = np.stack([np.array(quarter[t]) for t in turns], axis=-1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(radial, "_propagators", lambda table, E, n: stack)
+            got = radial._end_angle(None, 0.0, (1.0, 0.0), len(turns))
+        assert got == pytest.approx(expected * math.pi, abs=1e-12)
+
+    def test_counts_do_not_scan(self, monkeypatch):
+        # a hinted solve scans only for the eigenfunction's two sweeps; its
+        # three phase counts are reductions
+        calls = {"_trajectory": 0, "_end_angle": 0}
+        for name in calls:
+            inner = getattr(radial, name)
+
+            def wrapped(*args, _inner=inner, _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(radial, name, wrapped)
+        assert not compute_state_pair(40, "1s_1/2")[1].failed
+        assert calls == {"_trajectory": 2, "_end_angle": 3}
 
 
 # --------------------------------------------------------------------------
