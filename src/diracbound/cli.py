@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-e", type=float, default=1e-10,
                         help="eigenvalue tolerance (mc2 units)")
     common.add_argument("--grid-scale", type=float, default=1.0,
-                        help="grid density multiplier (>1 refines)")
+                        help="grid density multiplier (>= 0.5; >1 refines)")
 
     parser = argparse.ArgumentParser(
         prog="diracbound",

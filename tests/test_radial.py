@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.linalg import expm
 
 from diracbound import radial
 from diracbound.channels import DEFAULT_CONSTANTS, Channel, parse_state_label
@@ -54,7 +55,7 @@ class TestBuildGrid:
 
     @given(
         st.floats(min_value=1e-3, max_value=1.0),
-        st.floats(min_value=0.25, max_value=4.0),
+        st.floats(min_value=0.5, max_value=4.0),
     )
     @settings(max_examples=30)
     def test_invariants(self, kappa, scale):
@@ -82,7 +83,7 @@ class TestBuildGrid:
 
     def test_scale_too_small(self):
         with pytest.raises(ValueError, match="scale"):
-            build_grid(0.25, 0.2)
+            build_grid(0.25, 0.4)
 
     def test_reference_rate(self):
         pot = ShiftedCoulomb(shift=0.1, coupling=0.5)
@@ -216,6 +217,13 @@ class TestCoulombOracle:
         sol = solve_eigenvalue(PureCoulomb(u), ch)
         assert abs(sol.E - exact) < 1e-8
         assert sol.nodes1 == ch.n - 1
+
+    @pytest.mark.parametrize("u", [0.2, 0.5])
+    @pytest.mark.parametrize("label", ["2s_1/2", "2p_1/2", "3s_1/2", "3p_3/2", "3d_3/2"])
+    def test_states_with_nodes_at_round_off(self, label, u):
+        ch = parse_state_label(label)
+        sol = solve_eigenvalue(PureCoulomb(u), ch, tol_e=1e-14)
+        assert abs(sol.E - coulomb_eigenvalue(u, ch)) < 2e-15
 
     def test_shift_covariance(self, ch_s):
         # V -> V + A translates every eigenvalue by exactly A
@@ -468,29 +476,24 @@ class TestSweeps:
 # --------------------------------------------------------------------------
 # propagator kernel
 
-# Cash-Karp 5(4) fifth-order tableau, written out independently of the solver
-_CK_ROWS = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_WEIGHTS = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
+def _magnus_generator(pot, ch, r0, r1, E):
+    """Sixth-order Magnus generator of the step r0 -> r1, from A(r) itself."""
+    h, tk = r1 - r0, ch.tau * ch.k
+    rs = r0 + (0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0) * h
+    A1, A2, A3 = (
+        np.array([[-tk / r, 1.0 + E - v], [1.0 - E + v, tk / r]])
+        for r, v in zip(rs, pot.evaluate(rs))
+    )
+    a1 = h * A2
+    a2 = math.sqrt(15.0) * h / 3.0 * (A3 - A1)
+    a3 = 10.0 * h / 3.0 * (A3 - 2.0 * A2 + A1)
 
+    def comm(x, y):
+        return x @ y - y @ x
 
-def _scalar_step(table, E, i, y):
-    """One Cash-Karp step of interval i applied to the vector y."""
-    tkr, v, h = table[0][:, i], table[1][:, i], table[2][i]
-    ks = []
-    for s, row in enumerate(_CK_ROWS):
-        t = y + h * sum((a * k for a, k in zip(row, ks)), np.zeros(2))
-        ks.append(np.array([
-            (1.0 + E - v[s]) * t[1] - tkr[s] * t[0],
-            (1.0 - E + v[s]) * t[0] + tkr[s] * t[1],
-        ]))
-    return y + h * sum(b * k for b, k in zip(_CK_WEIGHTS, ks))
+    c1 = comm(a1, a2)
+    c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
+    return a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
 
 
 @pytest.fixture(scope="module")
@@ -505,25 +508,26 @@ WINDOW_ENERGIES = [-0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.999]
 
 class TestPropagatorKernel:
     @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
-    def test_columns_are_scalar_steps_of_unit_vectors(self, z80_workspace, E):
+    def test_columns_match_expm_of_generator(self, z80_workspace, E):
         ws = z80_workspace
-        for table in (ws.fwd, ws.bwd):
+        r = ws.grid.points
+        for table, ends in ((ws.fwd, (r[:-1], r[1:])), (ws.bwd, (r[:0:-1], r[-2::-1]))):
             m = radial._propagators(table, E, ws.n_int)
             for i in range(0, ws.n_int, 97):
-                for j, e in enumerate(np.eye(2)):
-                    np.testing.assert_allclose(
-                        m[:, j, i], _scalar_step(table, E, i, e), rtol=0, atol=4e-15
-                    )
+                exact = expm(_magnus_generator(ws.pot, ws.ch, ends[0][i], ends[1][i], E))
+                for j in range(2):
+                    scale = max(1.0, np.abs(exact[:, j]).max())
+                    np.testing.assert_allclose(m[:, j, i], exact[:, j], rtol=0, atol=4e-15 * scale)
 
     @pytest.mark.parametrize("E", WINDOW_ENERGIES)
     def test_unit_determinant(self, z80_workspace, E):
-        # tr A = 0, so each exact propagator has det 1 (Liouville); the fifth-order
-        # step misses it by O((h |A|)^6), at most about 3e-10 on this grid
+        # tr A = 0, so each exact propagator has det 1 (Liouville); so does
+        # the exponential of each traceless Magnus generator, up to round-off
         ws = z80_workspace
         for table in (ws.fwd, ws.bwd):
             m = radial._propagators(table, E, ws.n_int)
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            assert np.max(np.abs(det - 1.0)) < 1e-9
+            assert np.max(np.abs(det - 1.0)) < 4e-15
 
     @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
     def test_end_value_matches_scan(self, z80_workspace, E):
@@ -537,23 +541,17 @@ class TestPropagatorKernel:
         )
 
     @pytest.mark.parametrize(
-        "pot", [ScreenedCoulomb.from_charge(40), PureCoulomb(0.3)], ids=["Z=40", "u=0.3"]
+        "pot", [ScreenedCoulomb.from_charge(136), PureCoulomb(0.3)], ids=["Z=136", "u=0.3"]
     )
-    def test_stage_ends_reuse_grid_potential(self, ch_s, pot):
-        # stages 0 and 4 sit exactly on the grid points, so taking V there from
-        # v_grid leaves every table bit-identical to evaluating all six stages
-        ws = radial._ShootingWorkspace(pot, ch_s, build_grid(0.25))
-        r, vg = ws.grid.points, ws.v_grid
-        for table, base, ends in (
-            (ws.fwd, r[:-1], (vg[:-1], vg[1:])),
-            (ws.bwd, r[:0:-1], (vg[:0:-1], vg[-2::-1])),
-        ):
-            rs = base + radial._CK_C[:, None] * table[2]
-            np.testing.assert_array_equal(rs[4], base + table[2])
-            np.testing.assert_array_equal(table[1][0], ends[0])
-            np.testing.assert_array_equal(table[1][4], ends[1])
-            np.testing.assert_array_equal(table[1], pot.evaluate(rs))
-            np.testing.assert_array_equal(table[0], ch_s.tau * ch_s.k / rs)
+    def test_determinant_at_round_off_on_coarsest_grid(self, ch_s, pot):
+        # the longest, coarsest grid has the largest steps: hyperbolic steps
+        # in the log section's outer end and elliptic ones in the tail
+        ws = radial._ShootingWorkspace(pot, ch_s, build_grid(1e-3, 0.5))
+        for E in (-1.0 + 1e-9, -0.5, 0.5, 1.0 - 1e-9):
+            for table in (ws.fwd, ws.bwd):
+                m = radial._propagators(table, E, ws.n_int)[..., ::7]
+                det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+                assert np.max(np.abs(det - 1.0) / np.abs(m).max(axis=(0, 1)) ** 2) < 4e-15
 
     def test_no_workspace_outlives_its_solve(self, ch_s):
         # brentq keeps its callable in a reference cycle, so a workspace the
@@ -616,7 +614,7 @@ class TestHalfTurnReduction:
     )
     def test_phase_matches_scan_across_grids(self, kappa, ch):
         pot = ScreenedCoulomb.from_charge(80)
-        ws = radial._ShootingWorkspace(pot, ch, build_grid(kappa, 0.25))
+        ws = radial._ShootingWorkspace(pot, ch, build_grid(kappa, 0.5))
         for E in WINDOW_ENERGIES:
             new, old = ws.phase(E), _scan_phase(ws, E)
             assert abs(new - old) < 1e-10
@@ -787,6 +785,21 @@ class TestWeaklyBoundEdges:
     def test_weak_coulomb_ground_state(self, ch_s, u):
         sol = solve_eigenvalue(PureCoulomb(u), ch_s)
         assert abs(sol.E - coulomb_eigenvalue(u, ch_s)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "pot, label",
+        [(ShiftedCoulomb(shift=0.0, coupling=1e-3), "2s_1/2"), (PureCoulomb(1e-3), "3s_1/2")],
+        ids=["shifted-2s_1/2", "pure-3s_1/2"],
+    )
+    def test_rebuild_hint_stays_in_isolating_bracket(self, caplog, pot, label):
+        # near threshold E +- 1e-5 spans several levels; clipped to the bracket
+        # that isolated the state, the hint holds it alone on the rebuilt grid
+        with caplog.at_level(logging.DEBUG, logger="diracbound.radial"):
+            with pytest.raises(ConvergenceError, match="too weakly bound"):
+                solve_eigenvalue(pot, parse_state_label(label))
+        messages = [r.getMessage() for r in caplog.records]
+        assert any("grid tail too short" in m for m in messages)
+        assert not any("rejected" in m for m in messages)
 
     @pytest.mark.parametrize("u, label", [(9e-4, "1s_1/2"), (1e-3, "3s_1/2")])
     def test_below_grid_floor_is_typed(self, u, label):
