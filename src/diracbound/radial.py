@@ -15,11 +15,12 @@ The solver combines three classical ingredients:
   origin, linear in the tail).  The system is linear, so each step is a 2x2
   propagator M_i(E), the exact exponential of a traceless generator built
   from A at three Gauss nodes (det M_i = 1); one vectorized pass builds them
-  all from E-independent stage tables.  A normalized prefix scan composes
-  them where every sample is needed (the eigenfunction), a pairwise
-  reduction where only the end value is (the Wronskian) or the end angle
-  (the phase count, which carries each product's whole half-turns as an
-  integer);
+  all from E-independent stage tables: one propagator pass per energy; the
+  inward steps are its adjugates, as the nodes are symmetric.  A normalized
+  prefix scan composes them where every sample is needed (the
+  eigenfunction), a pairwise reduction where only the end value is (the
+  Wronskian) or the end angle (the phase count, which carries each
+  product's whole half-turns as an integer);
 * Pruefer phase counting: the continuously unwound rotation angle of
   (psi1, psi2) at r_max, minus the angle of the decaying tail solution, is
   strictly decreasing in E and drops through a multiple of pi at every
@@ -47,7 +48,6 @@ import logging
 import math
 import weakref
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import simpson
@@ -98,7 +98,6 @@ class RadialSolution:
     psi2: np.ndarray
     nodes1: int
     nodes2: int
-    norm: float
     potential: object
     V: np.ndarray  # the potential on grid.points
     match_radius: float
@@ -225,16 +224,17 @@ def _half(v: np.ndarray):
     return ((v[1] < 0.0) | ((v[1] == 0.0) & (v[0] < 0.0))).astype(np.int64)
 
 
-def _propagators(table, E: float, n: int) -> np.ndarray:
-    """Sixth-order Magnus propagators M_i(E) = exp(Omega_i) of the first n
+def _propagators(table, E: float) -> np.ndarray:
+    """Sixth-order Magnus propagators M_i(E) = exp(Omega_i) of the table's
     intervals, a (2, 2, n) stack (Blanes, Casas, Oteo and Ros, Phys. Rep. 470
     (2009) 151): from A_s = A(r + c_s h) at the three Gauss nodes, alpha_1 =
     h A_2, alpha_2 = (sqrt(15) h/3)(A_3 - A_1), alpha_3 = (10 h/3)(A_3 - 2 A_2 + A_1),
     C_1 = [alpha_1, alpha_2], C_2 = -[alpha_1, 2 alpha_3 + C_1]/60 and
     Omega = alpha_1 + alpha_3/12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2]/240.
     Omega = [[a, b], [c, -a]] squares to s^2 I, s^2 = a^2 + bc, so exp(Omega)
-    = cosh(s) I + (sinh(s)/s) Omega, or cos/sin of sqrt(-s^2): det M_i = 1."""
-    h, g1, g2, g3 = (x[..., :n] for x in table)
+    = cosh(s) I + (sinh(s)/s) Omega, or cos/sin of sqrt(-s^2): det M_i = 1.
+    The nodes are symmetric, so the step back over interval i is exp(-Omega_i) = adj(M_i)."""
+    h, g1, g2, g3 = table
     a1 = g1 + np.multiply.outer([0.0, E, -E], h)  # A = [[., 1 + E - V], [1 - E + V, .]]
     c1 = _comm(a1, g2)
     c2 = _comm(a1, 2.0 * g3 + c1) / -60.0
@@ -247,18 +247,23 @@ def _propagators(table, E: float, n: int) -> np.ndarray:
     return np.stack([np.stack([ch + sh * a, sh * b]), np.stack([sh * c, ch - sh * a])])
 
 
-def _trajectory(table, E: float, y0, n: int):
-    """States over the first n intervals of table from y0, shape (2, n + 1),
-    as y_i = Y_i exp(ls_i); returns (Y, ls).
+def _adj(m: np.ndarray) -> np.ndarray:
+    """Adjugates [[d, -b], [-c, a]] of a (2, 2, n) stack: inverses, as det M_i = 1."""
+    return np.stack([np.stack([m[1, 1], -m[0, 1]]), np.stack([-m[1, 0], m[0, 0]])])
+
+
+def _trajectory(steps: np.ndarray, y0, E: float):
+    """States after each of the n propagators of steps from y0, shape (2, n + 1),
+    as y_i = Y_i exp(ls_i); returns (Y, ls).  E only labels errors.
 
     P_i = M_i ... M_0 comes from a Hillis-Steele inclusive scan with doubling
     offsets, each level rescaled to unit 1-norm and its log-scale carried.
     O(n log n): it serves only callers that need every sample (eigenfunction,
     integrate_radial); phase counts use the O(n) reduction of _end_angle."""
-    prod, nrm = _unit(_propagators(table, E, n))
+    prod, nrm = _unit(steps)
     ls = np.log(nrm)
     d = 1
-    while d < n:
+    while d < ls.size:
         nxt, nrm = _unit(_mul(prod[..., d:], prod[..., :-d]))
         prod[..., d:] = nxt
         ls[d:] += ls[:-d] + np.log(nrm)
@@ -286,16 +291,16 @@ def _reduce(prod: np.ndarray, k: np.ndarray | None = None):
     return prod[..., 0], None if k is None else int(k[0])
 
 
-def _end_value(table, E: float, y0, n: int) -> np.ndarray:
-    """State after the first n intervals of table from y0, up to a positive scale."""
-    y = _reduce(_propagators(table, E, n))[0] @ y0 if n else np.asarray(y0, dtype=float)
+def _end_value(steps: np.ndarray, y0, E: float) -> np.ndarray:
+    """State after the propagators of steps from y0 (y0 if none), up to a positive scale."""
+    y = _reduce(steps)[0] @ y0 if steps.shape[-1] else np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ConvergenceError(f"sweep lost finiteness at E={E}")
     return y
 
 
-def _end_angle(table, E: float, y0, n: int) -> float:
-    """Unwound angle of the state after the first n >= 1 intervals of table from
+def _end_angle(steps: np.ndarray, y0, E: float) -> float:
+    """Unwound angle of the state after the n >= 1 propagators of steps from
     y0, continued from atan2(y0) through every step: O(n), one atan2.
 
     Assumes each step turns every direction by less than pi: det M = 1, and
@@ -307,8 +312,7 @@ def _end_angle(table, E: float, y0, n: int) -> float:
     its principal value, in [-pi, pi), and G after F turns e_0 by k_F + k_G
     half-turns or one more, whichever matches the half-plane of GF e_0 (the
     parity of k).  The seed joins last, as a rotation by atan2(y0)."""
-    prod = _propagators(table, E, n)
-    p, k_p = _reduce(prod, -_half(prod[:, 0]))
+    p, k_p = _reduce(steps, -_half(steps[:, 0]))
     y = p @ y0
     if not np.all(np.isfinite(y)):
         raise ConvergenceError(f"sweep lost finiteness at E={E}")
@@ -342,8 +346,8 @@ def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
 class _ShootingWorkspace:
     """Stage tables and sweep functionals for one (pot, ch, grid).
 
-    Each direction's tables are built on first use, so a one-directional
-    sweep pays only for its own."""
+    One stage table; one propagator pass per energy serves both sweeps, whose
+    inward steps are its adjugates (inverses, by the symmetric Gauss nodes)."""
 
     def __init__(self, pot, ch: Channel, grid: RadialGrid):
         self.pot = pot
@@ -351,19 +355,17 @@ class _ShootingWorkspace:
         self.grid = grid
         self.n_int = grid.count - 1
         self.v_inf = pot.value_at_infinity
-        self.v_grid = pot.evaluate(grid.points)
+        r = grid.points
+        self.v_grid = pot.evaluate(r)
+        self.table = _stage_tables(pot, ch.tau * ch.k, r[:-1], np.diff(r))
 
-    @cached_property
-    def fwd(self):
-        """Outward stage tables."""
-        r = self.grid.points
-        return _stage_tables(self.pot, self.ch.tau * self.ch.k, r[:-1], np.diff(r))
-
-    @cached_property
-    def bwd(self):
-        """Inward stage tables, stored in inward order."""
-        r = self.grid.points
-        return _stage_tables(self.pot, self.ch.tau * self.ch.k, r[:0:-1], -np.diff(r)[::-1])
+    def steps(self, E: float, i: int):
+        """Propagators at E of the outward sweep to grid index i and of the
+        inward sweep down to it, each in sweep order."""
+        if not 0 <= i <= self.n_int:
+            raise ValueError(f"match_index {i} outside the valid range [0, {self.n_int}]")
+        m = _propagators(self.table, E)
+        return m[..., :i], _adj(m[..., i:])[..., ::-1]
 
     def _seed_out(self, E):
         return origin_series_seed(self.pot, self.ch, E, self.grid.points[0])
@@ -374,7 +376,7 @@ class _ShootingWorkspace:
 
     def phase(self, E: float) -> float:
         """Unwound matching phase; strictly decreasing in E."""
-        theta = _end_angle(self.fwd, E, self._seed_out(E), self.n_int)
+        theta = _end_angle(_propagators(self.table, E), self._seed_out(E), E)
         return theta - decaying_tail_angle(E - self.v_inf)
 
     def count(self, E: float) -> int:
@@ -408,14 +410,16 @@ class _ShootingWorkspace:
 
     def wronskian(self, E: float, i_match: int) -> float:
         """Scaled Wronskian of outward and inward sweeps at the match point."""
-        o1, o2 = _end_value(self.fwd, E, self._seed_out(E), i_match)
-        i1, i2 = _end_value(self.bwd, E, self._seed_in(E), self.n_int - i_match)
+        m_out, m_in = self.steps(E, i_match)
+        o1, o2 = _end_value(m_out, self._seed_out(E), E)
+        i1, i2 = _end_value(m_in, self._seed_in(E), E)
         return _scaled_wronskian(o1, o2, i1, i2, E)
 
     def eigenfunction(self, E: float, i_match: int):
         """Components on the full grid from both sweeps, plus their Wronskian."""
-        Yo, ls_o = _trajectory(self.fwd, E, self._seed_out(E), i_match)
-        Yi, ls_i = _trajectory(self.bwd, E, self._seed_in(E), self.n_int - i_match)
+        m_out, m_in = self.steps(E, i_match)
+        Yo, ls_o = _trajectory(m_out, self._seed_out(E), E)
+        Yi, ls_i = _trajectory(m_in, self._seed_in(E), E)
         out = _samples(Yo, ls_o)
         inw = _samples(Yi, ls_i)[:, ::-1]
         # join on the component the inward sweep resolves best
@@ -440,32 +444,33 @@ def integrate_radial(
     decaying-tail seed at r_max and run down to match_index (default: 0).
     Samples outside the swept range are zero; inside it they are scaled so
     the largest log-amplitude is 0, with the far side of a growing sweep
-    underflowing to zero.
+    underflowing to zero.  A match_index outside [0, n_int] is a ValueError.
     """
     v_inf = pot.value_at_infinity
     if not v_inf - 1.0 < E < v_inf + 1.0:
         raise ValueError(f"trial energy {E} outside the bound-state window of {pot!r}")
+    if direction not in ("outward", "inward"):
+        raise ValueError(f"direction must be 'outward' or 'inward', got {direction!r}")
     ws = _ShootingWorkspace(pot, ch, grid)
+    outward = direction == "outward"
+    i_stop = (ws.n_int if outward else 0) if match_index is None else int(match_index)
+    m_out, m_in = ws.steps(E, i_stop)
     psi = np.zeros((2, ws.n_int + 1))
-    if direction == "outward":
-        i_stop = ws.n_int if match_index is None else int(match_index)
-        Y, ls = _trajectory(ws.fwd, E, ws._seed_out(E), i_stop)
+    if outward:
+        Y, ls = _trajectory(m_out, ws._seed_out(E), E)
         psi[:, : i_stop + 1] = _samples(Y, ls)
         first, last, theta = 0, i_stop, _winding(Y)
-    elif direction == "inward":
-        i_stop = 0 if match_index is None else int(match_index)
-        Y, ls = _trajectory(ws.bwd, E, ws._seed_in(E), ws.n_int - i_stop)
+    else:
+        Y, ls = _trajectory(m_in, ws._seed_in(E), E)
         psi[:, i_stop:] = _samples(Y, ls)[:, ::-1]
         first, last, theta = i_stop, ws.n_int, 0.0
-    else:
-        raise ValueError(f"direction must be 'outward' or 'inward', got {direction!r}")
     return SweepResult(direction, psi[0], psi[1], first, last, theta)
 
 
 def matching_mismatch(
     pot, ch: Channel, E: float, grid: RadialGrid, match_index: int | None = None
 ) -> float:
-    """Scaled Wronskian mismatch of the two sweeps; zero at eigenvalues."""
+    """Scaled Wronskian of the sweeps met at match_index in [0, n_int]; 0 at eigenvalues."""
     ws = _ShootingWorkspace(pot, ch, grid)
     i_match = ws.match_index(E) if match_index is None else int(match_index)
     return ws.wronskian(E, i_match)
@@ -483,16 +488,11 @@ def count_nodes(samples, floor_ratio: float = 1e-10) -> int:
 
 def normalize(sol: RadialSolution) -> RadialSolution:
     """Rescale so the Simpson quadrature of psi1^2 + psi2^2 equals one."""
-    r = sol.grid.points
-    nrm = float(simpson(sol.psi1**2 + sol.psi2**2, x=r))
+    nrm = float(simpson(sol.psi1**2 + sol.psi2**2, x=sol.grid.points))
     if not math.isfinite(nrm) or nrm <= 0.0:
         raise ValueError(f"cannot normalize solution with norm integral {nrm}")
     s = 1.0 / math.sqrt(nrm)
-    psi1 = s * sol.psi1
-    psi2 = s * sol.psi2
-    return replace(
-        sol, psi1=psi1, psi2=psi2, norm=float(simpson(psi1**2 + psi2**2, x=r))
-    )
+    return replace(sol, psi1=s * sol.psi1, psi2=s * sol.psi2)
 
 
 def solve_eigenvalue(
@@ -633,7 +633,6 @@ def solve_eigenvalue(
         psi2=psi2,
         nodes1=0,
         nodes2=0,
-        norm=0.0,
         potential=pot,
         V=ws.v_grid,
         match_radius=float(grid.points[i_match]),

@@ -338,7 +338,6 @@ def coulomb_half(ch_s):
 
 class TestSolutionStructure:
     def test_unit_norm(self, coulomb_half):
-        assert coulomb_half.norm == pytest.approx(1.0, abs=1e-8)
         r = coulomb_half.grid.points
         quad = simpson(coulomb_half.psi1**2 + coulomb_half.psi2**2, x=r)
         assert quad == pytest.approx(1.0, abs=1e-8)
@@ -464,6 +463,42 @@ class TestSweeps:
         assert abs(at_exact) < 1e-8
         assert abs(off) > 10.0 * abs(at_exact)
 
+    @pytest.mark.parametrize("beyond", [-5, -1, 1, 5])
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda pot, ch, grid, i: matching_mismatch(pot, ch, 0.9, grid, match_index=i),
+            lambda pot, ch, grid, i: integrate_radial(pot, ch, 0.9, grid, "outward", i),
+            lambda pot, ch, grid, i: integrate_radial(pot, ch, 0.9, grid, "inward", i),
+        ],
+        ids=["mismatch", "outward", "inward"],
+    )
+    def test_match_index_out_of_range_rejected(self, ch_s, sweep, beyond):
+        grid = build_grid(0.5)
+        n_int = grid.count - 1
+        i = beyond if beyond < 0 else n_int + beyond
+        with pytest.raises(ValueError, match=rf"match_index {i} outside .*\[0, {n_int}\]"):
+            sweep(PureCoulomb(0.5), ch_s, grid, i)
+
+    def test_empty_side_of_sweep_is_its_seed(self, ch_s):
+        # matched at an end of the grid, one sweep takes no step and its end
+        # value is its seed: the Wronskian pairs it with the other full sweep
+        pot, grid, E = PureCoulomb(0.5), build_grid(0.5), 0.9
+        n_int = grid.count - 1
+        ws = radial._ShootingWorkspace(pot, ch_s, grid)
+        full_out = integrate_radial(pot, ch_s, E, grid, "outward")
+        full_in = integrate_radial(pot, ch_s, E, grid, "inward")
+        ends = {
+            n_int: ((full_out.psi1[-1], full_out.psi2[-1]), ws._seed_in(E)),
+            0: (ws._seed_out(E), (full_in.psi1[0], full_in.psi2[0])),
+        }
+        for i, (o, inw) in ends.items():
+            expected = radial._scaled_wronskian(*o, *inw, E)
+            got = matching_mismatch(pot, ch_s, E, grid, match_index=i)
+            assert got == pytest.approx(expected, rel=1e-10)
+        short = integrate_radial(pot, ch_s, E, grid, "inward", n_int)
+        assert np.count_nonzero(short.psi1) == 1 and short.first_index == n_int
+
     def test_mismatch_changes_sign_across_eigenvalue(self, ch_s):
         pot = PureCoulomb(0.5)
         grid = build_grid(0.5)
@@ -506,13 +541,17 @@ def z80_workspace(ch_s):
 WINDOW_ENERGIES = [-0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.999]
 
 
+def _sweeps(ws, E):
+    """Full-grid outward and inward propagator stacks at E, each in sweep order."""
+    return ws.steps(E, ws.n_int)[0], ws.steps(E, 0)[1]
+
+
 class TestPropagatorKernel:
     @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
     def test_columns_match_expm_of_generator(self, z80_workspace, E):
         ws = z80_workspace
         r = ws.grid.points
-        for table, ends in ((ws.fwd, (r[:-1], r[1:])), (ws.bwd, (r[:0:-1], r[-2::-1]))):
-            m = radial._propagators(table, E, ws.n_int)
+        for m, ends in zip(_sweeps(ws, E), ((r[:-1], r[1:]), (r[:0:-1], r[-2::-1]))):
             for i in range(0, ws.n_int, 97):
                 exact = expm(_magnus_generator(ws.pot, ws.ch, ends[0][i], ends[1][i], E))
                 for j in range(2):
@@ -523,19 +562,60 @@ class TestPropagatorKernel:
     def test_unit_determinant(self, z80_workspace, E):
         # tr A = 0, so each exact propagator has det 1 (Liouville); so does
         # the exponential of each traceless Magnus generator, up to round-off
-        ws = z80_workspace
-        for table in (ws.fwd, ws.bwd):
-            m = radial._propagators(table, E, ws.n_int)
+        for m in _sweeps(z80_workspace, E):
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert np.max(np.abs(det - 1.0)) < 4e-15
+
+    @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
+    def test_inward_steps_are_adjugates_of_outward_ones(self, z80_workspace, E):
+        # the symmetric Gauss nodes make the generator of each step back
+        # exactly -Omega: compare with propagators built from the inward
+        # generator itself, on the reversed intervals
+        ws = z80_workspace
+        r = ws.grid.points
+        i = ws.match_index(E)
+        out, inw = ws.steps(E, i)
+        full = radial._propagators(ws.table, E)
+        np.testing.assert_array_equal(out, full[..., :i])
+        back = radial._stage_tables(ws.pot, ws.ch.tau * ws.ch.k, r[:0:-1], -np.diff(r)[::-1])
+        direct = radial._propagators(back, E)[..., : ws.n_int - i]
+        scale = np.maximum(1.0, np.abs(direct).max(axis=(0, 1)))
+        assert np.max(np.abs(inw - direct) / scale) < 1e-15
+        # M_in M_out = I for each interval, to round-off
+        prod = radial._mul(inw, full[..., i:][..., ::-1])
+        eye = np.eye(2)[..., None]
+        assert np.max(np.abs(prod - eye) / scale**2) < 4e-15
+
+    def test_one_propagator_pass_per_energy(self, monkeypatch):
+        # every count, Wronskian and eigenfunction builds the propagators
+        # once and takes the inward steps as their adjugates
+        calls = dict.fromkeys(["_propagators", "phase", "wronskian", "eigenfunction"], 0)
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        counted(radial, "_propagators")
+        for name in ("phase", "wronskian", "eigenfunction"):
+            counted(radial._ShootingWorkspace, name)
+        assert not compute_state_pair(40, "1s_1/2")[1].failed
+        assert calls["eigenfunction"] == 1
+        passes = calls["phase"] + calls["wronskian"] + calls["eigenfunction"]
+        assert calls["_propagators"] == passes <= 10
 
     @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
     def test_end_value_matches_scan(self, z80_workspace, E):
         ws = z80_workspace
         i_match = ws.match_index(E)
         seed = ws._seed_out(E)
-        Y, _ = radial._trajectory(ws.fwd, E, seed, i_match)
-        end = radial._end_value(ws.fwd, E, seed, i_match)
+        out = ws.steps(E, i_match)[0]
+        Y, _ = radial._trajectory(out, seed, E)
+        end = radial._end_value(out, seed, E)
         np.testing.assert_allclose(
             end / np.abs(end).sum(), Y[:, -1] / np.abs(Y[:, -1]).sum(), rtol=1e-12
         )
@@ -548,8 +628,8 @@ class TestPropagatorKernel:
         # in the log section's outer end and elliptic ones in the tail
         ws = radial._ShootingWorkspace(pot, ch_s, build_grid(1e-3, 0.5))
         for E in (-1.0 + 1e-9, -0.5, 0.5, 1.0 - 1e-9):
-            for table in (ws.fwd, ws.bwd):
-                m = radial._propagators(table, E, ws.n_int)[..., ::7]
+            for m in _sweeps(ws, E):
+                m = m[..., ::7]
                 det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
                 assert np.max(np.abs(det - 1.0) / np.abs(m).max(axis=(0, 1)) ** 2) < 4e-15
 
@@ -574,7 +654,7 @@ class TestPropagatorKernel:
 
 def _scan_phase(ws, E):
     """Matching phase from every sample of the outward sweep: seed angle plus winding."""
-    Y, _ = radial._trajectory(ws.fwd, E, ws._seed_out(E), ws.n_int)
+    Y, _ = radial._trajectory(ws.steps(E, ws.n_int)[0], ws._seed_out(E), E)
     return math.atan2(Y[1, 0], Y[0, 0]) + radial._winding(Y) - decaying_tail_angle(E - ws.v_inf)
 
 
@@ -634,9 +714,7 @@ class TestHalfTurnReduction:
             nxt = stack[..., i] @ y
             expected += math.atan2(y[0] * nxt[1] - y[1] * nxt[0], y @ nxt)
             y = nxt / np.abs(nxt).sum()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(radial, "_propagators", lambda table, E, n: stack)
-            got = radial._end_angle(None, 0.0, y0, len(steps))
+        got = radial._end_angle(stack, y0, 0.0)
         assert got == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -648,9 +726,7 @@ class TestHalfTurnReduction:
         # boundary between the two half-planes
         quarter = {"+": [[0.0, -1.0], [1.0, 0.0]], "-": [[0.0, 1.0], [-1.0, 0.0]]}
         stack = np.stack([np.array(quarter[t]) for t in turns], axis=-1)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(radial, "_propagators", lambda table, E, n: stack)
-            got = radial._end_angle(None, 0.0, (1.0, 0.0), len(turns))
+        got = radial._end_angle(stack, (1.0, 0.0), 0.0)
         assert got == pytest.approx(expected * math.pi, abs=1e-12)
 
     def test_counts_do_not_scan(self, monkeypatch):
@@ -681,7 +757,8 @@ class TestNormalize:
             coulomb_half, psi1=7.0 * coulomb_half.psi1, psi2=7.0 * coulomb_half.psi2
         )
         back = normalize(scaled)
-        assert back.norm == pytest.approx(1.0, abs=1e-12)
+        quad = simpson(back.psi1**2 + back.psi2**2, x=back.grid.points)
+        assert quad == pytest.approx(1.0, abs=1e-12)
         again = normalize(back)
         assert np.allclose(again.psi1, back.psi1, rtol=0.0, atol=1e-15)
 
