@@ -9,6 +9,7 @@ energies inside the library are in units of the particle rest energy
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -120,8 +121,8 @@ class PhysicalConstants:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.electron_rest_energy_kev <= 0.0:
-            raise ValueError("electron rest energy must be positive")
+        if not 0.0 < self.electron_rest_energy_kev < math.inf:
+            raise ValueError("electron rest energy must be positive and finite")
 
     def coupling(self, Z: int) -> float:
         """Coulomb coupling alpha*Z of a point charge Z."""

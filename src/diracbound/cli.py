@@ -13,8 +13,8 @@ Four subcommands:
   its tangent shifted-Coulomb potentials.
 
 Exit codes: 0 success, 1 numerical failure (a table cell FAILED, a solve did
-not converge, or an ordering verdict came back FAIL), 2 usage errors and
-hypothesis violations (e.g. requesting a bound for a tau=+1 channel).
+not converge, a FAIL verdict) or invalid parameter (e.g. --grid-scale inf),
+2 usage errors and hypothesis violations (e.g. a bound for a tau=+1 channel).
 
 Output formats: ``csv`` (one record per line, '.' decimal, 6 significant
 digits), ``json`` (full float precision), ``pretty`` (aligned text table).

@@ -22,6 +22,7 @@ shareable and carry no caches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,9 @@ class ShiftedCoulomb:
     """V(r) = shift - coupling/r, the one exactly solvable family.
 
     Pure Coulomb is shift = 0; every tangent of a screened potential is a
-    member, and then also records its contact radius and parent.  Only
-    coupling > 0 is checked here: whether the origin is subcritical
-    (coupling < k) depends on the channel and is checked by the solvers.
+    member, and then also records its contact radius and parent.  Here only
+    a finite shift and 0 < coupling < inf are checked: the solvers check that
+    the origin is subcritical (coupling < k), which depends on the channel.
     """
 
     shift: float
@@ -52,8 +53,10 @@ class ShiftedCoulomb:
     parent: ScreenedCoulomb | None = None
 
     def __post_init__(self) -> None:
-        if self.coupling <= 0.0:
-            raise ValueError(f"Coulomb coupling must be positive, got {self.coupling}")
+        if not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift}")
+        if not 0.0 < self.coupling < math.inf:
+            raise ValueError(f"Coulomb coupling must be positive and finite, got {self.coupling}")
 
     def evaluate(self, r):
         _check_radius(r)
@@ -101,8 +104,8 @@ class ScreenedCoulomb:
             raise ValueError(f"nuclear charge must be >= 1, got {self.Z}")
         if not 0.0 < self.coupling < 1.0:
             raise ValueError(f"coupling alpha*Z must lie in (0, 1), got {self.coupling}")
-        if self.screening <= 0.0:
-            raise ValueError(f"screening scale must be positive, got {self.screening}")
+        if not 0.0 < self.screening < math.inf:
+            raise ValueError(f"screening must be positive and finite, got {self.screening}")
 
     @classmethod
     def from_charge(cls, Z: int, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> "ScreenedCoulomb":
@@ -170,8 +173,8 @@ def tangent_at(pot: ScreenedCoulomb, t: float) -> ShiftedCoulomb:
     whose terms are all positive; the direct subtraction would lose ~1e-14
     absolute for near-origin tangents where both pieces are O(v/t).
     """
-    if t <= 0.0:
-        raise ValueError(f"contact radius must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"contact radius t must be positive and finite, got {t}")
     h = -1.0 / t
     slope = g_transform_derivative(pot, h)
     v, lam = pot.coupling, pot.screening

@@ -33,10 +33,10 @@ The solver combines three classical ingredients:
   found by a Brent root find on the normalized Wronskian of outward and
   inward sweeps evaluated at the outer classical turning point, where both
   sweeps are locally oscillatory and the mismatch is most sensitive.  The
-  Wronskian is the sine of the angle between the two sweeps, which passes a
-  multiple of pi only at eigenvalues, so an isolating bracket shows a sign
-  change unless round-off puts an end on the root; then the phase count is
-  bisected to tol_e instead.
+  Wronskian is the sine of the angle between the two sweeps.  As det M_i = 1
+  it vanishes exactly where the phase count drops, so an isolating bracket
+  shows one sign change unless round-off puts an end on the root; then that
+  end, the one with the smaller |W|, is taken.
 
 The eigenfunction is assembled from the two sweeps joined at the matching
 radius and normalized with Simpson quadrature on the grid.
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import logging
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,7 +112,6 @@ class SweepResult:
     psi2: np.ndarray
     first_index: int
     last_index: int
-    theta: float  # unwound phase accumulated along the sweep (outward only)
 
 
 def build_grid(kappa_ref: float, scale: float = 1.0) -> RadialGrid:
@@ -124,8 +122,8 @@ def build_grid(kappa_ref: float, scale: float = 1.0) -> RadialGrid:
     """
     if not 1e-3 <= kappa_ref <= 1.0:
         raise ValueError(f"kappa_ref must lie in [1e-3, 1], got {kappa_ref}")
-    if scale < 0.5:
-        raise ValueError(f"grid scale must be >= 0.5, got {scale}")
+    if not 0.5 <= scale < math.inf:
+        raise ValueError(f"grid scale must be finite and >= 0.5, got {scale}")
     r_min = 1e-6
     r_cross = 2.0 / kappa_ref
     r_max = 35.0 / kappa_ref
@@ -328,13 +326,6 @@ def _samples(Y: np.ndarray, ls: np.ndarray) -> np.ndarray:
     return Y * np.exp(ls - ls.max())
 
 
-def _winding(Y: np.ndarray) -> float:
-    """Unwound rotation angle of the path through the columns of Y."""
-    u = Y / np.abs(Y).sum(axis=0)
-    a, b = u[:, :-1], u[:, 1:]
-    return float(np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1]).sum())
-
-
 def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
     """Wronskian of outward (o1, o2) and inward (i1, i2) end values, amplitude-scaled."""
     den = (abs(o1) + abs(o2)) * (abs(i1) + abs(i2))
@@ -384,12 +375,12 @@ class _ShootingWorkspace:
         return math.floor(self.phase(E) / math.pi)
 
     def bisect_count(
-        self, level: int, lo: float, hi: float, c_lo: int, c_hi: int, width: float
+        self, level: int, lo: float, hi: float, c_lo: int, c_hi: int
     ) -> tuple[float, float]:
         """Bisect (lo, hi) with counts c_lo >= level > c_hi at its ends until it
-        holds the crossing at level alone (c_lo == level == c_hi + 1) and is at
-        most width wide, or cannot be split further."""
-        while c_lo > level or c_hi < level - 1 or hi - lo > width:
+        holds the crossing at level alone (c_lo == level == c_hi + 1), or
+        cannot be split further."""
+        while c_lo > level or c_hi < level - 1:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
@@ -429,6 +420,12 @@ class _ShootingWorkspace:
         return psi[0], psi[1], _scaled_wronskian(*Yo[:, -1], *Yi[:, -1], E)
 
 
+def _wronskian(E: float, ws: _ShootingWorkspace, i_match: int) -> float:
+    """ws.wronskian as brentq's callable, taking ws in args: scipy keeps its
+    callable in a reference cycle, so a closure over ws would outlive the solve."""
+    return ws.wronskian(E, i_match)
+
+
 def integrate_radial(
     pot,
     ch: Channel,
@@ -459,12 +456,12 @@ def integrate_radial(
     if outward:
         Y, ls = _trajectory(m_out, ws._seed_out(E), E)
         psi[:, : i_stop + 1] = _samples(Y, ls)
-        first, last, theta = 0, i_stop, _winding(Y)
+        first, last = 0, i_stop
     else:
         Y, ls = _trajectory(m_in, ws._seed_in(E), E)
         psi[:, i_stop:] = _samples(Y, ls)[:, ::-1]
-        first, last, theta = i_stop, ws.n_int, 0.0
-    return SweepResult(direction, psi[0], psi[1], first, last, theta)
+        first, last = i_stop, ws.n_int
+    return SweepResult(direction, psi[0], psi[1], first, last)
 
 
 def matching_mismatch(
@@ -479,6 +476,8 @@ def matching_mismatch(
 def count_nodes(samples, floor_ratio: float = 1e-10) -> int:
     """Strict interior sign changes, ignoring values below floor_ratio*max."""
     y = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("samples must be finite")
     peak = np.max(np.abs(y)) if y.size else 0.0
     if peak == 0.0:
         return 0
@@ -519,6 +518,8 @@ def solve_eigenvalue(
     or the caller's, decays slower than kappa = 1e-3 ("too weakly bound"), or
     the caller's grid is "too short".
     """
+    if not 0.0 < tol_e < math.inf:
+        raise ValueError(f"tol_e must be positive and finite, got {tol_e}")
     v_inf = pot.value_at_infinity
     win_lo = v_inf - 1.0 + WINDOW_EDGE
     win_hi = v_inf + 1.0 - WINDOW_EDGE
@@ -559,33 +560,27 @@ def solve_eigenvalue(
             new_ref, reason = kappa_ref / 6.0, f"grid holds {n_found} of {ch.n} states"
         else:
             level = c_bot - (ch.n - 1)
-            lo, hi = ws.bisect_count(level, lo, hi, c_lo, c_hi, math.inf)
+            lo, hi = ws.bisect_count(level, lo, hi, c_lo, c_hi)
             last_bracket = (lo, hi)
             i_match = ws.match_index(0.5 * (lo + hi))
-            # brentq wraps f in a closure that refers to itself, so f stays
-            # alive until a full gc pass; hold ws weakly so it dies with the solve
-            ws_ref = weakref.ref(ws)
             try:
                 # brentq evaluates both ends and returns one whose Wronskian is 0
                 energy = brentq(
-                    lambda e: ws_ref().wronskian(e, i_match),
+                    _wronskian,
                     lo,
                     hi,
+                    args=(ws, i_match),
                     xtol=max(0.01 * tol_e, 5e-16),
                     rtol=8.9e-16,
                 )
             except ValueError:
-                # the ends share a sign: the bracket isolates one state, so only
-                # round-off at an end lying on the root can hide the sign change;
-                # bisect the phase count instead
-                _log.debug(
-                    "Wronskian keeps one sign on (%r, %r); bisecting the phase count to %g",
-                    lo,
-                    hi,
-                    tol_e,
-                )
-                lo, hi = ws.bisect_count(level, lo, hi, level, level - 1, tol_e)
-                energy = 0.5 * (lo + hi)
+                # W vanishes only where the count drops, once in this bracket, so
+                # ends of one sign mean round-off has put one of them on the root
+                w_lo, w_hi = _wronskian(lo, ws, i_match), _wronskian(hi, ws, i_match)
+                if np.sign(w_lo) != np.sign(w_hi):
+                    raise
+                energy = lo if abs(w_lo) <= abs(w_hi) else hi
+                _log.debug("Wronskian keeps one sign on (%r, %r); taking %r", lo, hi, energy)
             kappa_e = _decay_rate(energy - v_inf)
             if kappa_e >= 1e-3 and grid.r_max * kappa_e >= 30.0:
                 break

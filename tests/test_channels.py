@@ -157,6 +157,19 @@ class TestPhysicalConstants:
         with pytest.raises(ValueError):
             PhysicalConstants(electron_rest_energy_kev=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"alpha": math.nan}, "alpha"),
+            ({"electron_rest_energy_kev": math.nan}, "electron rest energy"),
+            ({"electron_rest_energy_kev": math.inf}, "electron rest energy"),
+        ],
+        ids=["alpha-nan", "mc2-nan", "mc2-inf"],
+    )
+    def test_non_finite_constant_is_a_named_value_error(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            PhysicalConstants(**kwargs)
+
     def test_subcritical_coupling_guard(self):
         # alpha*Z reaches 1 near Z=137: the screened model must refuse there,
         # checked in the potentials tests; the constants helper stays total

@@ -172,6 +172,34 @@ class TestSolve:
         assert code == 1
         assert "invalid parameter" in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("solve", "--z", "20", "--grid-scale", "inf"), "grid scale"),
+            (("solve", "--z", "20", "--grid-scale", "nan"), "grid scale"),
+            (("solve", "--z", "20", "--tol-e", "nan"), "tol_e"),
+            (("solve", "--potential", "shifted", "--coupling", "0.5", "--shift", "inf"), "shift"),
+            (("solve", "--potential", "shifted", "--coupling", "nan"), "coupling"),
+            (("compare", "--z", "40", "--t", "nan"), "contact radius t"),
+            (("compare", "--z", "40", "--t", "0.5", "--grid-scale", "inf"), "grid scale"),
+        ],
+        ids=[
+            "grid-scale-inf",
+            "grid-scale-nan",
+            "tol-e-nan",
+            "shift-inf",
+            "coupling-nan",
+            "compare-t-nan",
+            "compare-grid-scale-inf",
+        ],
+    )
+    def test_non_finite_input_is_invalid_parameter(self, capsys, argv, name):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "invalid parameter" in err
+        assert name in err
+        assert "Traceback" not in err
+
     def test_too_weakly_bound_names_the_longest_grid(self, capsys):
         # closed form: E = 0.99999987499996, kappa = 5.0e-4 (below the 1e-3 floor)
         code, _, err = run_cli(
@@ -284,6 +312,15 @@ class TestTable1:
         assert rows and all(r["status"] == "FAILED" for r in rows)
         assert all(r["computed"] == "" for r in rows)
 
+    def test_non_finite_grid_scale_fails_numeric_cells(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table1", "--z", "20", "--grid-scale", "inf", "--format", "json"
+        )
+        assert code == 1
+        cells = json.loads(out)["cells"]
+        assert [c["status"] for c in cells] == ["ok", "FAILED"] * 2
+        assert all("grid scale" in c["error"] for c in cells if c["status"] == "FAILED")
+
     def test_pretty_output_shape(self, capsys):
         code, out, _ = run_cli(capsys, "table1", "--z", "999")
         assert code == 1
@@ -389,6 +426,14 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "bound", "--z", "20", "--alpha", "1.5")
         assert code == 2
         assert "usage error" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rest_energy_is_usage_error(self, capsys, value):
+        # a non-finite rest energy would turn every keV figure into nan or inf
+        code, out, err = run_cli(capsys, "bound", "--z", "20", "--mc2-kev", value)
+        assert code == 2
+        assert "electron rest energy" in err
+        assert out == ""
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

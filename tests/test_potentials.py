@@ -101,6 +101,35 @@ class TestModelValidation:
         sol = solve_eigenvalue(ShiftedCoulomb(shift=0.1, coupling=1.5), ch)
         assert abs(sol.E - (0.1 + coulomb_eigenvalue(1.5, ch))) < 1e-8
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: ShiftedCoulomb(shift=math.inf, coupling=0.5), "shift"),
+            (lambda: ShiftedCoulomb(shift=math.nan, coupling=0.5), "shift"),
+            (lambda: ShiftedCoulomb(shift=0.0, coupling=math.nan), "coupling"),
+            (lambda: ShiftedCoulomb(shift=0.0, coupling=math.inf), "coupling"),
+            (lambda: ScreenedCoulomb(Z=20, coupling=0.1, screening=math.nan), "screening"),
+            (lambda: ScreenedCoulomb(Z=20, coupling=0.1, screening=math.inf), "screening"),
+            (lambda: ScreenedCoulomb(Z=20, coupling=math.nan, screening=0.1), "coupling"),
+            (lambda: tangent_at(ScreenedCoulomb.from_charge(40), math.nan), "contact radius t"),
+            (lambda: tangent_at(ScreenedCoulomb.from_charge(40), math.inf), "contact radius t"),
+        ],
+        ids=[
+            "shift-inf",
+            "shift-nan",
+            "coupling-nan",
+            "coupling-inf",
+            "screening-nan",
+            "screening-inf",
+            "screened-coupling-nan",
+            "t-nan",
+            "t-inf",
+        ],
+    )
+    def test_non_finite_parameter_is_a_named_value_error(self, make, name):
+        with pytest.raises(ValueError, match=name):
+            make()
+
     def test_screened_coupling_subcritical(self):
         with pytest.raises(ValueError, match="coupling"):
             ScreenedCoulomb.from_charge(138)

@@ -251,7 +251,7 @@ class TestCoulombOracle:
 
 
 # --------------------------------------------------------------------------
-# search: phase-isolated bracket, Brent hand-off, fallback and its records
+# search: phase-isolated bracket, Brent hand-off, the end taken and the records
 
 
 @pytest.fixture
@@ -288,23 +288,58 @@ class TestSearch:
         assert abs(sol.E - coulomb_eigenvalue(0.4, ch_s)) < 1e-10
         assert len(sweep_calls["count"]) <= 8
 
-    @pytest.mark.parametrize("hinted", [False, True], ids=["unhinted", "hinted"])
-    def test_fallback_bisection_when_wronskian_keeps_sign(
-        self, ch_s, monkeypatch, caplog, hinted
-    ):
-        wronskian = radial._ShootingWorkspace.wronskian
-        monkeypatch.setattr(
-            radial._ShootingWorkspace,
-            "wronskian",
-            lambda self, E, i_match: abs(wronskian(self, E, i_match)) + 1e-300,
-        )
+    @pytest.mark.parametrize("end", [0, 1], ids=["lo", "hi"])
+    def test_end_on_the_root_is_taken(self, ch_s, monkeypatch, caplog, end):
+        # an isolating bracket has one sign change of W, so only round-off at an
+        # end lying on the root can give both ends one sign: W is altered there only
+        brackets = []
+        bisect_count = radial._ShootingWorkspace.bisect_count
+        wronskian = radial._wronskian
+
+        def recorded(self, *args):
+            brackets.append(bisect_count(self, *args))
+            return brackets[-1]
+
+        def on_the_root(E, ws, i_match):
+            if E == brackets[-1][end]:
+                return math.copysign(1e-17, wronskian(brackets[-1][1 - end], ws, i_match))
+            return wronskian(E, ws, i_match)
+
+        monkeypatch.setattr(radial._ShootingWorkspace, "bisect_count", recorded)
+        monkeypatch.setattr(radial, "_wronskian", on_the_root)
         exact = coulomb_eigenvalue(0.5, ch_s)
-        hint = (exact - 1e-4, exact + 3e-4) if hinted else None
-        tol_e = 1e-10
+        hint = (exact - 1e-4, exact + 3e-4)
         with caplog.at_level(logging.DEBUG, logger="diracbound"):
-            sol = solve_eigenvalue(PureCoulomb(0.5), ch_s, tol_e=tol_e, bracket_hint=hint)
-        assert abs(sol.E - exact) < tol_e
+            sol = solve_eigenvalue(PureCoulomb(0.5), ch_s, bracket_hint=hint)
+        assert sol.E == brackets[-1][end]
         assert any("keeps one sign" in r.getMessage() for r in caplog.records)
+
+    def test_brent_error_is_reraised_when_ends_differ_in_sign(self, ch_s, monkeypatch, caplog):
+        def failing(*args, **kwargs):
+            raise ValueError("brentq failed")
+
+        monkeypatch.setattr(radial, "brentq", failing)
+        with caplog.at_level(logging.DEBUG, logger="diracbound"):
+            with pytest.raises(ValueError, match="brentq failed"):
+                solve_eigenvalue(PureCoulomb(0.5), ch_s)
+        assert not any("keeps one sign" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        "pot",
+        [PureCoulomb(0.5), PureCoulomb(0.3), ScreenedCoulomb.from_charge(40)],
+        ids=["u=0.5", "u=0.3", "Z=40"],
+    )
+    def test_hint_end_near_the_root_keeps_the_root(self, ch_s, pot):
+        # hints with one end within 3 ulps of the root, on either side: the
+        # counts reject those that miss the state, and no end taken or kept
+        # moves the answer by more than round-off
+        root = solve_eigenvalue(pot, ch_s).E
+        ulp = math.ulp(root)
+        for k in range(-3, 4):
+            e = root + k * ulp
+            for hint in ((e, root + 1e-4), (root - 1e-4, e)):
+                E = solve_eigenvalue(pot, ch_s, bracket_hint=hint).E
+                assert abs(E - root) <= 4 * ulp, (hint, E - root)
 
     def test_wrong_hint_is_logged(self, ch_s, caplog):
         with caplog.at_level(logging.DEBUG, logger="diracbound"):
@@ -424,12 +459,9 @@ class TestSweeps:
         assert res.psi2[-1] / res.psi1[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_outward_phase_accumulates(self, ch_s):
-        pot = PureCoulomb(0.5)
-        grid = build_grid(0.5)
-        lo = integrate_radial(pot, ch_s, 0.2, grid).theta
-        hi = integrate_radial(pot, ch_s, 0.999, grid).theta
+        ws = radial._ShootingWorkspace(PureCoulomb(0.5), ch_s, build_grid(0.5))
         # the unwound phase decreases as E grows (one eigenvalue in between)
-        assert hi < lo
+        assert ws.phase(0.999) < ws.phase(0.2)
 
     @pytest.mark.parametrize("direction", ["outward", "inward"])
     def test_rescaled_samples_stay_continuous(self, ch_s, direction):
@@ -653,9 +685,13 @@ class TestPropagatorKernel:
 
 
 def _scan_phase(ws, E):
-    """Matching phase from every sample of the outward sweep: seed angle plus winding."""
+    """Matching phase from every sample of the outward sweep: seed angle plus
+    winding, the sum of the angles turned between neighbouring samples."""
     Y, _ = radial._trajectory(ws.steps(E, ws.n_int)[0], ws._seed_out(E), E)
-    return math.atan2(Y[1, 0], Y[0, 0]) + radial._winding(Y) - decaying_tail_angle(E - ws.v_inf)
+    u = Y / np.abs(Y).sum(axis=0)
+    a, b = u[:, :-1], u[:, 1:]
+    winding = np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1]).sum()
+    return math.atan2(Y[1, 0], Y[0, 0]) + winding - decaying_tail_angle(E - ws.v_inf)
 
 
 def _near_identity_step(phi, a, b, c, d):
@@ -819,6 +855,33 @@ class TestFailureModes:
         sol = solve_eigenvalue(PureCoulomb(0.1), ch3)
         assert abs(sol.E - coulomb_eigenvalue(0.1, ch3)) < 1e-10
         assert (sol.nodes1, sol.nodes2) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda ch: build_grid(0.5, math.inf), "grid scale"),
+            (lambda ch: build_grid(0.5, math.nan), "grid scale"),
+            (lambda ch: build_grid(math.nan), "kappa_ref"),
+            (lambda ch: solve_eigenvalue(PureCoulomb(0.5), ch, grid_scale=math.inf), "grid scale"),
+            (lambda ch: solve_eigenvalue(PureCoulomb(0.5), ch, tol_e=math.nan), "tol_e"),
+            (lambda ch: solve_eigenvalue(PureCoulomb(0.5), ch, tol_e=math.inf), "tol_e"),
+            (lambda ch: count_nodes([1.0, math.nan, -1.0]), "samples"),
+            (lambda ch: count_nodes([1.0, math.inf, -1.0]), "samples"),
+        ],
+        ids=[
+            "grid-scale-inf",
+            "grid-scale-nan",
+            "kappa-nan",
+            "solve-grid-scale-inf",
+            "tol-e-nan",
+            "tol-e-inf",
+            "samples-nan",
+            "samples-inf",
+        ],
+    )
+    def test_non_finite_input_is_a_named_value_error(self, ch_s, call, name):
+        with pytest.raises(ValueError, match=name):
+            call(ch_s)
 
     def test_hint_outside_window_rejected(self, ch_s):
         with pytest.raises(ValueError, match="collapses"):

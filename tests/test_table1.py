@@ -6,6 +6,8 @@ suite; here one charge is enough to exercise every moving part.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from diracbound.channels import PhysicalConstants
@@ -69,6 +71,22 @@ class TestComputeStatePair:
         assert (
             REFERENCE_BINDINGS_KEV[30][2] < cell.binding_kev < REFERENCE_BINDINGS_KEV[20][2]
         )
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"grid_scale": math.inf}, "grid scale"),
+            ({"grid_scale": math.nan}, "grid scale"),
+            ({"tol_e": math.nan}, "tol_e"),
+        ],
+        ids=["grid-scale-inf", "grid-scale-nan", "tol-e-nan"],
+    )
+    def test_non_finite_solver_parameter_fails_the_numeric_cell(self, kwargs, name):
+        upper, numeric = compute_state_pair(20, "1s_1/2", **kwargs)
+        assert not upper.failed
+        assert numeric.failed
+        assert name in numeric.error
+        assert numeric.energy is None
 
     def test_bad_parameters_fail_cells_not_run(self):
         # alpha*Z >= 1 invalidates the potential; both cells must record the
