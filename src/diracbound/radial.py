@@ -202,18 +202,24 @@ def _stage_tables(pot, tk: float, base: np.ndarray, step: np.ndarray):
 
 def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Commutators [x_i, y_i] of two (3, n) stacks of traceless matrices (a, b, c)."""
-    a, b, c = x[1] * y[2] - x[2] * y[1], x[0] * y[1] - x[1] * y[0], x[2] * y[0] - x[0] * y[2]
-    return np.stack([a, 2.0 * b, 2.0 * c])
+    out = np.empty_like(x)
+    np.subtract(x[1] * y[2], x[2] * y[1], out=out[0])
+    np.subtract(x[0] * y[1], x[1] * y[0], out=out[1])
+    np.subtract(x[2] * y[0], x[0] * y[2], out=out[2])
+    out[1:] *= 2.0
+    return out
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products a_i b_i of two (2, 2, n) stacks of 2x2 matrices."""
-    return np.stack([a[0, 0] * b[0] + a[0, 1] * b[1], a[1, 0] * b[0] + a[1, 1] * b[1]])
+    out = np.multiply(a[:, 0, None], b[0])
+    out += a[:, 1, None] * b[1]
+    return out
 
 
 def _unit(m: np.ndarray):
     """m_i scaled to unit 1-norm, and each scale."""
-    nrm = np.abs(m).sum(axis=(0, 1))
+    nrm = np.add.reduce(np.abs(m), axis=(0, 1))
     return m / nrm, nrm
 
 
@@ -239,15 +245,27 @@ def _propagators(table, E: float) -> np.ndarray:
     a, b, c = a1 + g3 / 12.0 + _comm(c1 - 20.0 * a1 - g3, g2 + c2) / 240.0
     s2 = a * a + b * c
     x = np.sqrt(np.abs(s2))
-    hyp = s2 > 0.0
-    ch = np.where(hyp, np.cosh(x), np.cos(x))
-    sh = np.divide(np.where(hyp, np.sinh(x), np.sin(x)), x, out=np.ones_like(x), where=x > 0.0)
-    return np.stack([np.stack([ch + sh * a, sh * b]), np.stack([sh * c, ch - sh * a])])
+    ch, sh = np.cosh(x), np.sinh(x)
+    ell = s2 <= 0.0  # elliptic steps are the few in classically allowed regions
+    np.cos(x, out=ch, where=ell)
+    np.sin(x, out=sh, where=ell)
+    sh = np.divide(sh, x, out=np.ones_like(x), where=x > 0.0)
+    m = np.empty((2, 2, x.size))
+    sha = sh * a
+    np.add(ch, sha, out=m[0, 0])
+    np.multiply(sh, b, out=m[0, 1])
+    np.multiply(sh, c, out=m[1, 0])
+    np.subtract(ch, sha, out=m[1, 1])
+    return m
 
 
 def _adj(m: np.ndarray) -> np.ndarray:
     """Adjugates [[d, -b], [-c, a]] of a (2, 2, n) stack: inverses, as det M_i = 1."""
-    return np.stack([np.stack([m[1, 1], -m[0, 1]]), np.stack([-m[1, 0], m[0, 0]])])
+    out = np.empty_like(m)
+    out[0, 0], out[1, 1] = m[1, 1], m[0, 0]
+    np.negative(m[0, 1], out=out[0, 1])
+    np.negative(m[1, 0], out=out[1, 0])
+    return out
 
 
 def _trajectory(steps: np.ndarray, y0, E: float):
@@ -284,8 +302,8 @@ def _reduce(prod: np.ndarray, k: np.ndarray | None = None):
         if k is not None:
             kp = k[0:m:2] + k[1:m:2]
             kp += (_half(pairs[:, 0]) - kp) % 2
-            k = np.concatenate([kp, k[m:]])
-        prod = np.concatenate([pairs, prod[..., m:]], axis=-1)
+            k = np.concatenate([kp, k[m:]]) if m < k.size else kp
+        prod = np.concatenate([pairs, prod[..., m:]], axis=-1) if m < prod.shape[-1] else pairs
     return prod[..., 0], None if k is None else int(k[0])
 
 

@@ -652,6 +652,35 @@ class TestPropagatorKernel:
             end / np.abs(end).sum(), Y[:, -1] / np.abs(Y[:, -1]).sum(), rtol=1e-12
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 1024, 1001, None], ids=lambda n: f"n={n}")
+    def test_kernel_leaves_its_inputs_unchanged(self, z80_workspace, n):
+        # the kernel may rescale only the products it makes: a stack scaled in
+        # place would corrupt every later sweep over the same steps.  Odd
+        # lengths leave an element over at some level; the inward steps are
+        # a reversed view
+        ws = z80_workspace
+        E = 0.5
+        table = [t.copy() for t in ws.table]
+        full = radial._propagators(ws.table, E)
+        for t, t0 in zip(ws.table, table):
+            np.testing.assert_array_equal(t, t0)
+        seed = np.array(ws._seed_out(E))
+        calls = [
+            lambda s, k: radial._reduce(s),
+            lambda s, k: radial._reduce(s, k),
+            lambda s, k: radial._end_value(s, seed, E),
+            lambda s, k: radial._end_angle(s, seed, E),
+            lambda s, k: radial._trajectory(s, seed, E),
+        ]
+        for steps in (full[..., :n], radial._adj(full)[..., ::-1][..., :n]):
+            k = -radial._half(steps[:, 0])
+            before, k_before = steps.copy(), k.copy()
+            for call in calls:
+                call(steps, k)
+                np.testing.assert_array_equal(steps, before)
+                np.testing.assert_array_equal(k, k_before)
+                np.testing.assert_array_equal(seed, ws._seed_out(E))
+
     @pytest.mark.parametrize(
         "pot", [ScreenedCoulomb.from_charge(136), PureCoulomb(0.3)], ids=["Z=136", "u=0.3"]
     )
