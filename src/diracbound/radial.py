@@ -184,9 +184,12 @@ def _decay_rate(w: float) -> float:
 
 def reference_rate(pot, bracket: tuple[float, float] | None) -> float:
     """kappa_ref of a grid for a state expected in bracket (E_lo, E_hi): the
-    slower decay rate at its ends, clamped to [1e-3, 1]; 0.25 without one."""
+    slower decay rate at its ends, clamped to [1e-3, 1].  0.05 without one:
+    its tail (r_max = 700) holds every state with kappa >= 0.043 on the first
+    grid, at 3510 points, as a step dr = 0.025/kappa_ref < 1 grows only the
+    log section as kappa_ref falls."""
     if bracket is None:
-        return 0.25
+        return 0.05
     v_inf = pot.value_at_infinity
     return min(max(min(_decay_rate(e - v_inf) for e in bracket), 1e-3), 1.0)
 

@@ -87,7 +87,7 @@ class TestBuildGrid:
 
     def test_reference_rate(self):
         pot = ShiftedCoulomb(shift=0.1, coupling=0.5)
-        assert reference_rate(pot, None) == 0.25
+        assert reference_rate(pot, None) == 0.05
         # the slower decay of the two ends: w = E - V(inf) = 0.6 gives 0.8
         assert reference_rate(pot, (0.0, 0.7)) == pytest.approx(0.8)
         # clamped into build_grid's range at the window edges
@@ -354,12 +354,26 @@ class TestSearch:
         assert (c_bot - c_lo, c_bot - c_hi) == (1, 2)
 
     def test_grid_rebuild_is_logged(self, ch_s, caplog):
+        # kappa = u = 0.01 decays too slowly for the tail of the first grid
         with caplog.at_level(logging.DEBUG, logger="diracbound"):
-            solve_eigenvalue(PureCoulomb(0.05), ch_s)
+            solve_eigenvalue(PureCoulomb(0.01), ch_s)
         rebuilds = [r for r in caplog.records if "rebuilding with kappa_ref" in r.getMessage()]
         assert rebuilds
         new_ref, old_ref = rebuilds[-1].args[-2:]
         assert new_ref < old_ref
+
+    @pytest.mark.parametrize(
+        "u, label", [(0.1, "2s_1/2"), (0.1, "1s_1/2"), (0.3, "3d_5/2")], ids=str
+    )
+    def test_unhinted_solve_builds_one_grid(self, caplog, u, label):
+        # decay rates 0.05, 0.1 and 0.1: the default grid's tail holds each
+        # state, so no search is repeated on a rebuilt grid
+        ch = parse_state_label(label)
+        with caplog.at_level(logging.DEBUG, logger="diracbound"):
+            sol = solve_eigenvalue(PureCoulomb(u), ch)
+        assert not [r for r in caplog.records if "rebuilding" in r.getMessage()]
+        assert sol.grid.kappa_ref == reference_rate(sol.potential, None)
+        assert abs(sol.E - coulomb_eigenvalue(u, ch)) < 1e-12
 
 
 # --------------------------------------------------------------------------
