@@ -264,10 +264,8 @@ def _propagators(table, E: float) -> np.ndarray:
 
 def _adj(m: np.ndarray) -> np.ndarray:
     """Adjugates [[d, -b], [-c, a]] of a (2, 2, n) stack: inverses, as det M_i = 1."""
-    out = np.empty_like(m)
+    out = np.negative(m)
     out[0, 0], out[1, 1] = m[1, 1], m[0, 0]
-    np.negative(m[0, 1], out=out[0, 1])
-    np.negative(m[1, 0], out=out[1, 0])
     return out
 
 
