@@ -56,7 +56,6 @@ from .radial import (
     count_nodes,
     integrate_radial,
     normalize,
-    ode_residual,
     solve_eigenvalue,
 )
 from .table1 import REFERENCE_BINDINGS_KEV, TableCell, TableResult, compute_table
@@ -87,7 +86,6 @@ __all__ = [
     "integrate_radial",
     "count_nodes",
     "normalize",
-    "ode_residual",
     "EnvelopeBound",
     "bound_at_t",
     "bound_objective",

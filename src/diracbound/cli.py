@@ -286,9 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json", "pretty"),
                         default="pretty", dest="fmt", help="output format")
     common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument("--tol-e", type=float, default=1e-10,
+    # flags of the shooting solver, for the subcommands that run it
+    solver = argparse.ArgumentParser(add_help=False, parents=[common])
+    solver.add_argument("--tol-e", type=float, default=1e-10,
                         help="eigenvalue tolerance (mc2 units)")
-    common.add_argument("--grid-scale", type=float, default=1.0,
+    solver.add_argument("--grid-scale", type=float, default=1.0,
                         help="grid density multiplier (>= 0.5; >1 refines)")
 
     parser = argparse.ArgumentParser(
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table1", parents=[common],
+    p = sub.add_parser("table1", parents=[solver],
                        help="reference binding-energy table with golden diff")
     p.set_defaults(run=cmd_table1, default_units="kev-binding")
     p.add_argument("--z", type=int, nargs="+", default=list(DEFAULT_Z_VALUES),
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", nargs="+", default=list(STATE_LABELS),
                    help="spectroscopic labels, e.g. 1s_1/2 2p_3/2")
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[solver],
                        help="shooting-solver eigenvalue for one potential")
     p.set_defaults(run=cmd_solve, default_units="mc2")
     p.add_argument("--potential", choices=("screened", "shifted"), default="screened")
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-wavefunction", default=None, metavar="PATH",
                    help="write r,psi1,psi2 CSV of the normalized solution")
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[solver],
                        help="ordering harness: screened potential vs. tangent")
     p.set_defaults(run=cmd_compare, default_units="mc2")
     p.add_argument("--z", type=int, nargs="+", required=True)

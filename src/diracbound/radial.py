@@ -59,8 +59,8 @@ _log = logging.getLogger(__name__)
 
 # window edge margin: kappa = sqrt(1 - (E - V_inf)^2) degenerates at |w| = 1
 WINDOW_EDGE = 1e-9
-# grid rebuilds a solve may make before it gives up
-MAX_GRID_REBUILDS = 5
+# samples below this fraction of the peak are round-off, not nodes
+NODE_FLOOR = 1e-10
 
 # Gauss-Legendre nodes of the sixth-order Magnus step, as fractions of a step
 _GAUSS_C = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
@@ -410,6 +410,48 @@ class _ShootingWorkspace:
                 hi, c_hi = mid, c
         return lo, hi
 
+    def find_level(self, n: int, window: tuple[float, float], hint, xtol: float):
+        """The n-th level of the grid inside window: (states counted, (E, isolating
+        bracket)), or (states counted, None) when the grid holds fewer than n.
+
+        A hint (E_lo, E_hi) inside window narrows the search if the phase counts,
+        anchored at the window bottom, place the n-th state in it and no state
+        below it; otherwise it is dropped with a DEBUG record."""
+        c_bot = self.count(window[0])
+        if hint is not None:
+            lo, hi = hint
+            c_lo, c_hi = self.count(lo), self.count(hi)
+            if not (c_bot - c_lo == n - 1 and c_bot - c_hi >= n):
+                _log.debug(
+                    "bracket hint %s rejected for %s: phase counts %d at the window "
+                    "bottom, %d and %d at the hint ends",
+                    hint,
+                    self.ch,
+                    c_bot,
+                    c_lo,
+                    c_hi,
+                )
+                hint = None
+        if hint is None:
+            (lo, hi), c_lo = window, c_bot
+            c_hi = self.count(hi)
+        if c_bot - c_hi < n:
+            return c_bot - c_hi, None
+        lo, hi = self.bisect_count(c_bot - (n - 1), lo, hi, c_lo, c_hi)
+        i_match = self.match_index(0.5 * (lo + hi))
+        try:
+            # brentq evaluates both ends and returns one whose Wronskian is 0
+            energy = brentq(_wronskian, lo, hi, args=(self, i_match), xtol=xtol, rtol=8.9e-16)
+        except ValueError:
+            # W vanishes only where the count drops, once in this bracket, so
+            # ends of one sign mean round-off has put one of them on the root
+            w_lo, w_hi = _wronskian(lo, self, i_match), _wronskian(hi, self, i_match)
+            if np.sign(w_lo) != np.sign(w_hi):
+                raise
+            energy = lo if abs(w_lo) <= abs(w_hi) else hi
+            _log.debug("Wronskian keeps one sign on (%r, %r); taking %r", lo, hi, energy)
+        return c_bot - c_hi, (energy, (lo, hi))
+
     def match_index(self, E: float) -> int:
         """Outermost classically allowed grid index (fallback: least forbidden)."""
         r = self.grid.points
@@ -492,15 +534,15 @@ def matching_mismatch(
     return ws.wronskian(E, i_match)
 
 
-def count_nodes(samples, floor_ratio: float = 1e-10) -> int:
-    """Strict interior sign changes, ignoring values below floor_ratio*max."""
+def count_nodes(samples) -> int:
+    """Strict interior sign changes, ignoring values below NODE_FLOOR*max."""
     y = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("samples must be finite")
     peak = np.max(np.abs(y)) if y.size else 0.0
     if peak == 0.0:
         return 0
-    y = y[np.abs(y) >= floor_ratio * peak]
+    y = y[np.abs(y) >= NODE_FLOOR * peak]
     return int(np.count_nonzero(np.sign(y[1:]) * np.sign(y[:-1]) < 0))
 
 
@@ -527,113 +569,71 @@ def solve_eigenvalue(
     A bracket_hint (E_lo, E_hi) expected to contain the target state speeds
     up the search; it is clipped to the window, verified against the anchored
     phase count and discarded, with a DEBUG record on the "diracbound" logger,
-    if it does not hold the requested state.  Unless the caller supplies a
-    grid (e.g. one shared by the two solves of a comparison pair), the grid is
-    rebuilt, with a DEBUG record, while it holds fewer than ch.n states or its
-    tail spans fewer than 30 decay lengths of the state found.  The grid family
-    reaches decay rates down to kappa = 1e-3, a binding of about 5e-7 mc^2.
+    if it does not hold the requested state.  A level is accepted once the
+    grid's tail spans 30 of its decay lengths, r_max * kappa >= 30.  Unless
+    the caller supplies a grid (e.g. one shared by the two solves of a
+    comparison pair), the grid is rebuilt, with a DEBUG record, while it holds
+    fewer than ch.n states or its tail is too short for the level found.  The
+    longest grid of the family (kappa_ref = 1e-3, r_max = 35000) holds decay
+    rates down to kappa = 30/35000 = 8.57e-4, a binding of about 3.7e-7 mc^2.
     NoBoundStateError: even the longest grid, or the caller's, holds fewer
-    than ch.n states.  ConvergenceError: the level found on the longest grid,
-    or the caller's, decays slower than kappa = 1e-3 ("too weakly bound"), or
-    the caller's grid is "too short".
+    than ch.n states.  ConvergenceError: the level found on the longest grid
+    does not fit its tail ("too weakly bound"), or the caller's grid is "too
+    short" for it.
     """
     if not 0.0 < tol_e < math.inf:
         raise ValueError(f"tol_e must be positive and finite, got {tol_e}")
     v_inf = pot.value_at_infinity
-    win_lo = v_inf - 1.0 + WINDOW_EDGE
-    win_hi = v_inf + 1.0 - WINDOW_EDGE
-
-    fixed_grid = grid
-    hint, kappa_ref = bracket_hint, None
-    last_bracket = None
-    for _ in range(MAX_GRID_REBUILDS):
-        if hint is not None:
-            hint = (max(hint[0], win_lo), min(hint[1], win_hi))
-            if not hint[0] < hint[1]:
-                raise ValueError(f"bracket hint {bracket_hint} collapses inside the window")
-        if kappa_ref is None:
-            kappa_ref = reference_rate(pot, hint)
-        grid = fixed_grid if fixed_grid is not None else build_grid(kappa_ref, grid_scale)
+    window = (v_inf - 1.0 + WINDOW_EDGE, v_inf + 1.0 - WINDOW_EDGE)
+    hint = bracket_hint
+    if hint is not None:
+        hint = (max(hint[0], window[0]), min(hint[1], window[1]))
+        if not hint[0] < hint[1]:
+            raise ValueError(f"bracket hint {bracket_hint} collapses inside the window")
+    kappa_ref = reference_rate(pot, hint)
+    supplied = grid is not None
+    # A built grid has r_max = 35/kappa_ref, so a tail too short for the level
+    # means kappa_e < (30/35) kappa_ref: each rebuild cuts kappa_ref below
+    # 0.815 of its value (or to 1/6 with no level), down to the 1e-3 clamp,
+    # where the loop ends with a level or a typed error.
+    while True:
+        if not supplied:
+            grid = build_grid(kappa_ref, grid_scale)
         ws = _ShootingWorkspace(pot, ch, grid)
-        c_bot = ws.count(win_lo)
-        if hint is not None:
-            lo, hi = hint
-            c_lo, c_hi = ws.count(lo), ws.count(hi)
-            if not (c_bot - c_lo == ch.n - 1 and c_bot - c_hi >= ch.n):
-                _log.debug(
-                    "bracket hint %s rejected for %s: phase counts %d at the window "
-                    "bottom, %d and %d at the hint ends",
-                    hint,
-                    ch,
-                    c_bot,
-                    c_lo,
-                    c_hi,
-                )
-                hint = None
-        if hint is None:
-            lo, hi, c_lo = win_lo, win_hi, c_bot
-            c_hi = ws.count(hi)
-        n_found = c_bot - c_hi
-        if n_found < ch.n:
-            # the tail may simply be too short for a weakly bound state
-            new_ref, reason = kappa_ref / 6.0, f"grid holds {n_found} of {ch.n} states"
-        else:
-            level = c_bot - (ch.n - 1)
-            lo, hi = ws.bisect_count(level, lo, hi, c_lo, c_hi)
-            last_bracket = (lo, hi)
-            i_match = ws.match_index(0.5 * (lo + hi))
-            try:
-                # brentq evaluates both ends and returns one whose Wronskian is 0
-                energy = brentq(
-                    _wronskian,
-                    lo,
-                    hi,
-                    args=(ws, i_match),
-                    xtol=max(0.01 * tol_e, 5e-16),
-                    rtol=8.9e-16,
-                )
-            except ValueError:
-                # W vanishes only where the count drops, once in this bracket, so
-                # ends of one sign mean round-off has put one of them on the root
-                w_lo, w_hi = _wronskian(lo, ws, i_match), _wronskian(hi, ws, i_match)
-                if np.sign(w_lo) != np.sign(w_hi):
-                    raise
-                energy = lo if abs(w_lo) <= abs(w_hi) else hi
-                _log.debug("Wronskian keeps one sign on (%r, %r); taking %r", lo, hi, energy)
+        n_found, level = ws.find_level(ch.n, window, hint, max(0.01 * tol_e, 5e-16))
+        if level is not None:
+            energy, (lo, hi) = level
             kappa_e = _decay_rate(energy - v_inf)
-            if kappa_e >= 1e-3 and grid.r_max * kappa_e >= 30.0:
+            if grid.r_max * kappa_e >= 30.0:
                 break
-            # tail too short for the state actually found: rebuild around it
-            new_ref, reason = 0.95 * kappa_e, f"grid tail too short for E={energy!r}"
-            # kept inside the isolating bracket: near threshold E +- 1e-5 spans several levels
-            hint = (max(lo, energy - 1e-5), min(hi, energy + 1e-5))
-        # kappa_e >= 1e-3 always fits the tail of a 1e-3 grid, so only a
-        # missing state or one below the floor can stop a solve there
-        if fixed_grid is not None or kappa_ref == 1e-3:
-            if n_found < ch.n:
+        if supplied or kappa_ref == 1e-3:
+            if level is None:
                 raise NoBoundStateError(
                     f"{pot!r} supports {n_found} bound state(s) in channel {ch}, "
                     f"target was n={ch.n}"
                 )
-            if kappa_e < 1e-3:
-                which = "supplied" if fixed_grid is not None else "longest"
+            if supplied:
                 raise ConvergenceError(
-                    f"{ch} state too weakly bound: the level found on the {which} grid "
-                    f"(r_max={grid.r_max:.3g}) lies at E={energy!r}, so the state decays "
-                    "slower than the grid family's kappa = 1e-3 floor"
+                    f"supplied grid (r_max={grid.r_max:.3g}) is too short for the "
+                    f"state found at E={energy} (decay rate {kappa_e:.3g})"
                 )
             raise ConvergenceError(
-                f"supplied grid (r_max={grid.r_max:.3g}) is too short for the "
-                f"state found at E={energy} (decay rate {kappa_e:.3g})"
+                f"{ch} state too weakly bound: the level found on the longest grid "
+                f"(r_max={grid.r_max:.3g}) lies at E={energy!r}, so its decay rate "
+                f"{kappa_e:.3g} is below the grid family's floor 30/r_max = "
+                f"{30.0 / grid.r_max:.3g}"
             )
+        if level is None:
+            # the tail may simply be too short for a weakly bound state
+            new_ref, reason = kappa_ref / 6.0, f"grid holds {n_found} of {ch.n} states"
+            hint = None
+        else:
+            new_ref, reason = 0.95 * kappa_e, f"grid tail too short for E={energy!r}"
+            # kept inside the isolating bracket: near threshold E +- 1e-5 spans several levels
+            hint = (max(lo, energy - 1e-5), min(hi, energy + 1e-5))
         new_ref = max(new_ref, 1e-3)
         _log.debug("%s: rebuilding with kappa_ref=%g (was %g)", reason, new_ref, kappa_ref)
         kappa_ref = new_ref
-    else:
-        raise ConvergenceError(
-            f"grid did not stabilize after {MAX_GRID_REBUILDS} rebuilds; "
-            f"last bracket {last_bracket}"
-        )
 
     # an isolating bracket can be wide, so its midpoint's turning point may miss
     # the state's; join the sweeps at the turning point of the energy found
@@ -645,15 +645,14 @@ def solve_eigenvalue(
         grid=grid,
         psi1=psi1,
         psi2=psi2,
-        nodes1=0,
-        nodes2=0,
+        nodes1=count_nodes(psi1),  # scale-free: counted before normalizing
+        nodes2=count_nodes(psi2),
         potential=pot,
         V=ws.v_grid,
         match_radius=float(grid.points[i_match]),
         mismatch=mismatch,
     )
-    sol = normalize(sol)
-    return replace(sol, nodes1=count_nodes(sol.psi1), nodes2=count_nodes(sol.psi2))
+    return normalize(sol)
 
 
 def _uniform_derivative(y: np.ndarray, h: float) -> np.ndarray:
@@ -673,23 +672,3 @@ def grid_derivative(y: np.ndarray, grid: RadialGrid) -> np.ndarray:
     d[: s + 1] = _uniform_derivative(y[: s + 1], x[1] - x[0]) / r[: s + 1]
     d[s:] = _uniform_derivative(y[s:], r[s + 1] - r[s])
     return d
-
-
-def ode_residual(sol: RadialSolution) -> float:
-    """Max pointwise residual of the radial system, scaled by local amplitude.
-
-    Derivatives are fourth-order finite differences, whose own truncation
-    error dominates the result: on PureCoulomb(0.5) 1s_1/2 it is 4.9e-7 at
-    grid scale 1 and 3.4e-8 at scale 2, with the eigenvalue at round-off in
-    both.
-    """
-    r, V = sol.grid.points, sol.V
-    tk = sol.ch.tau * sol.ch.k
-    d1 = grid_derivative(sol.psi1, sol.grid)
-    d2 = grid_derivative(sol.psi2, sol.grid)
-    r1 = d1 + (tk / r) * sol.psi1 - (1.0 + sol.E - V) * sol.psi2
-    r2 = d2 - (tk / r) * sol.psi2 - (1.0 + V - sol.E) * sol.psi1
-    amp = np.abs(sol.psi1) + np.abs(sol.psi2)
-    denom = np.maximum(amp, 1e-3 * np.max(amp))
-    scaled = np.maximum(np.abs(r1), np.abs(r2)) / denom
-    return float(np.nanmax(scaled))

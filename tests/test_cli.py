@@ -201,7 +201,8 @@ class TestSolve:
         assert "Traceback" not in err
 
     def test_too_weakly_bound_names_the_longest_grid(self, capsys):
-        # closed form: E = 0.99999987499996, kappa = 5.0e-4 (below the 1e-3 floor)
+        # closed form: E = 0.99999987499996, kappa = 5.0e-4: 17.5 decay lengths
+        # on the longest grid's tail, short of 30
         code, _, err = run_cli(
             capsys, "solve", "--potential", "shifted", "--coupling", "0.001",
             "--state", "2s_1/2",
@@ -210,7 +211,7 @@ class TestSolve:
         assert "solver failure" in err
         assert "too weakly bound" in err
         assert "longest grid (r_max=3.5e+04)" in err
-        assert "kappa = 1e-3 floor" in err
+        assert "below the grid family's floor 30/r_max = 0.000857" in err
         # the level quoted is that of the 1e-3 grid, close to the closed form
         energy = float(err.split("lies at E=")[1].split(",")[0])
         assert abs(energy - 0.99999987499996) < 1e-12
@@ -265,6 +266,13 @@ class TestBound:
         code, _, err = run_cli(capsys, "bound", "--z", "20", "--state", "wat")
         assert code == 2
         assert "usage error" in err
+
+    def test_solver_flags_are_usage_errors(self, capsys):
+        # bound runs no solve, so it refuses the solver flags rather than ignore them
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--z", "20", "--grid-scale", "inf", "--tol-e", "nan"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ REMOVED = (
     "PotentialModel",
     "CoulombSpectrumPoint",
     "coulomb_spectrum_point",
+    "ode_residual",
 )
 
 
