@@ -122,8 +122,8 @@ def identity_residual(sol_a: RadialSolution, sol_b: RadialSolution) -> IdentityC
 def derivative_identity_check(sol_a: RadialSolution, sol_b: RadialSolution) -> float:
     """Max pointwise residual of the derivative identity, amplitude-scaled.
 
-    Requires both solutions on one shared grid (the graded sections are
-    uniform there, so fourth-order difference stencils apply cleanly)."""
+    Requires both solutions on one shared grid (uniform in the grid
+    coordinate, so one fourth-order difference stencil applies throughout)."""
     _, a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
     lhs = grid_derivative(b1 * a2 - a1 * b2, sol_a.grid)
     bracket = sol_a.V - sol_b.V - (sol_a.E - sol_b.E)

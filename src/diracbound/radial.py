@@ -11,7 +11,7 @@ discrete spectrum lives in the window |E - V(inf)| < 1.
 
 The solver combines three classical ingredients:
 
-* sixth-order Magnus steps over a graded radial grid (log-spaced near the
+* sixth-order Magnus steps over a mapped radial grid (log-spaced near the
   origin, linear in the tail).  The system is linear, so each step is a 2x2
   propagator M_i(E), the exact exponential of a traceless generator built
   from A at three Gauss nodes (det M_i = 1); one vectorized pass builds them
@@ -62,22 +62,22 @@ WINDOW_EDGE = 1e-9
 # samples below this fraction of the peak are round-off, not nodes
 NODE_FLOOR = 1e-10
 
+# weight a of ln r in the grid coordinate xi = a ln r + r/rho (see build_grid)
+GRID_LOG_WEIGHT = 0.5
 # Gauss-Legendre nodes of the sixth-order Magnus step, as fractions of a step
 _GAUSS_C = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Graded radial mesh: log-spaced inner section, linear outer section.
-
-    The inner radius is held at 1e-6 (<= 1e-6/kappa for every bound state,
-    since kappa <= 1), while the tail extends to 35/kappa_ref.
-    """
+    """Radial mesh uniform in xi = a ln r + r/rho (see build_grid), log-spaced
+    near the origin and linear in the tail.  The inner radius is held at 1e-6
+    (<= 1e-6/kappa for every bound state, as kappa <= 1), the outer one at
+    35/kappa_ref."""
 
     r_min: float
     r_max: float
     points: np.ndarray
-    split_index: int  # last index of the log-spaced section
     kappa_ref: float
     scale: float
 
@@ -114,35 +114,36 @@ class SweepResult:
     last_index: int
 
 
-def build_grid(kappa_ref: float, scale: float = 1.0) -> RadialGrid:
-    """Mesh sized for states decaying like exp(-kappa_ref * r).
+def _grid_map(kappa_ref: float, scale: float) -> tuple[float, float]:
+    """The xi step h and length rho of the grid coordinate xi = a ln r + r/rho."""
+    h = 0.008 / scale
+    return h, (0.025 / (kappa_ref * scale)) / h
 
-    scale multiplies the point density in both sections; scale >= 0.5
-    keeps the grid above the 1000-point floor needed for the quadratures.
-    """
+
+def build_grid(kappa_ref: float, scale: float = 1.0) -> RadialGrid:
+    """Mesh for states decaying like exp(-kappa_ref r), uniform in xi = a ln r +
+    r/rho (a = GRID_LOG_WEIGHT), step h = 0.008/scale, rho = 3.125/kappa_ref:
+    dr/r -> h/a near the origin, dr -> h rho = 0.025/(kappa_ref scale) in the
+    tail.  About 2490 (kappa_ref = 1) to 2920 (1e-3) points times scale, so
+    scale >= 0.5 keeps the 1000 points the quadratures need (1244 at 1)."""
     if not 1e-3 <= kappa_ref <= 1.0:
         raise ValueError(f"kappa_ref must lie in [1e-3, 1], got {kappa_ref}")
     if not 0.5 <= scale < math.inf:
         raise ValueError(f"grid scale must be finite and >= 0.5, got {scale}")
-    r_min = 1e-6
-    r_cross = 2.0 / kappa_ref
-    r_max = 35.0 / kappa_ref
-    h_log = 0.008 / scale
-    n_log = int(math.ceil(math.log(r_cross / r_min) / h_log))
-    inner = np.geomspace(r_min, r_cross, n_log + 1)
-    # cap the linear step so one step can never rotate the phase by ~pi
-    dr = min(0.025 / (kappa_ref * scale), 1.0)
-    n_lin = int(math.ceil((r_max - r_cross) / dr))
-    outer = np.linspace(r_cross, r_max, n_lin + 1)
-    points = np.concatenate([inner, outer[1:]])
-    return RadialGrid(
-        r_min=r_min,
-        r_max=r_max,
-        points=points,
-        split_index=n_log,
-        kappa_ref=kappa_ref,
-        scale=scale,
-    )
+    a, r_min, r_max = GRID_LOG_WEIGHT, 1e-6, 35.0 / kappa_ref
+    h, rho = _grid_map(kappa_ref, scale)
+    xi_min, xi_max = (a * math.log(r) + r / rho for r in (r_min, r_max))
+    xi = np.linspace(xi_min, xi_max, math.ceil((xi_max - xi_min) / h) + 1)
+    # convex Newton in t = ln r, from above: a t < xi and e^t/rho <= xi - a ln r_min
+    t = np.minimum(xi / a, np.log(rho * (xi - a * math.log(r_min))))
+    dt = math.inf
+    while np.max(np.abs(dt)) >= 1e-10:  # the error left is O(dt^2)
+        e = np.exp(t) / rho
+        dt = (a * t + e - xi) / (a + e)
+        t -= dt
+    points = np.exp(t)
+    points[0], points[-1] = r_min, r_max
+    return RadialGrid(r_min=r_min, r_max=r_max, points=points, kappa_ref=kappa_ref, scale=scale)
 
 
 def origin_series_seed(pot, ch: Channel, E: float, r: float) -> tuple[float, float]:
@@ -186,8 +187,8 @@ def reference_rate(pot, bracket: tuple[float, float] | None) -> float:
     """kappa_ref of a grid for a state expected in bracket (E_lo, E_hi): the
     slower decay rate at its ends, clamped to [1e-3, 1].  0.05 without one:
     its tail (r_max = 700) holds every state with kappa >= 0.043 on the first
-    grid, at 3510 points, as a step dr = 0.025/kappa_ref < 1 grows only the
-    log section as kappa_ref falls."""
+    grid, at 2674 points; as the tail step grows with r_max, each halving of
+    kappa_ref adds only a ln 2/h = 43 points (see build_grid)."""
     if bracket is None:
         return 0.05
     v_inf = pot.value_at_infinity
@@ -320,11 +321,14 @@ def _end_angle(steps: np.ndarray, y0, E: float) -> float:
     """Unwound angle of the state after the n >= 1 propagators of steps from
     y0, continued from atan2(y0) through every step: O(n), one atan2.
 
-    Assumes each step turns every direction by less than pi: det M = 1, and
-    elliptic steps rotate by at most 0.144 rad on the coarsest grids (Z = 136,
-    kappa_ref = 1e-3, scale 0.5, E -> 1).  As det M > 0, a product P turns
-    directions monotonically and P(-y) = -P y, so its lifted angle of e_0 pins
-    the lift of every direction to within one half-turn.
+    Assumes each step turns every direction by less than pi: as det M = 1, a
+    hyperbolic step (s^2 > 0, see _propagators) keeps directions between its
+    eigenlines, and an elliptic one is conjugate to a rotation by x =
+    sqrt(-s^2) < pi.  x peaks near threshold at about sqrt(u h Delta/(2a)) for
+    a -u/r tail (h the xi step, Delta = h rho the tail step; see build_grid):
+    0.89 rad for u = 0.99 on the coarsest grid (kappa_ref = 1e-3, scale 0.5).
+    As det M > 0, a product P turns directions monotonically and P(-y) = -P y:
+    its lifted angle of e_0 pins every direction's lift to within a half-turn.
     The reduction carries k = floor(that angle / pi) exactly: a leaf's angle is
     its principal value, in [-pi, pi), and G after F turns e_0 by k_F + k_G
     half-turns or one more, whichever matches the half-plane of GF e_0 (the
@@ -655,20 +659,14 @@ def solve_eigenvalue(
     return normalize(sol)
 
 
-def _uniform_derivative(y: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order central differences on a uniformly spaced section."""
+def grid_derivative(y: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """d/dr on the grid: fourth-order central differences in xi (see
+    build_grid), with the grid's actual xi step, times dxi/dr = a/r + 1/rho;
+    NaN at the two points next to each end."""
+    a = GRID_LOG_WEIGHT
+    _, rho = _grid_map(grid.kappa_ref, grid.scale)
+    xi_span = a * math.log(grid.r_max / grid.r_min) + (grid.r_max - grid.r_min) / rho
+    h = xi_span / (grid.count - 1)
     d = np.full_like(y, np.nan)
     d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
-    return d
-
-
-def grid_derivative(y: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """d/dr on the graded grid, section by section (NaN near section edges)."""
-    s = grid.split_index
-    r = grid.points
-    d = np.full_like(y, np.nan)
-    # inner section is uniform in x = log r: dy/dr = (dy/dx)/r
-    x = np.log(r[: s + 1])
-    d[: s + 1] = _uniform_derivative(y[: s + 1], x[1] - x[0]) / r[: s + 1]
-    d[s:] = _uniform_derivative(y[s:], r[s + 1] - r[s])
-    return d
+    return d * (a / grid.points + 1.0 / rho)

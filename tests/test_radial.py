@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
@@ -66,9 +66,23 @@ class TestBuildGrid:
         assert grid.r_max >= 30.0 / kappa
         assert grid.count >= 1000
         assert np.all(np.diff(pts) > 0.0)
-        assert 0 < grid.split_index < grid.count - 1
-        # the two sections meet near the 2/kappa crossover radius
-        assert pts[grid.split_index] == pytest.approx(2.0 / kappa, rel=1e-9)
+        # both ends exact, and one section: uniform in xi = a ln r + r/rho,
+        # rho = 3.125/kappa (tail step 0.025/(kappa scale) over xi step 0.008/scale)
+        assert pts[0] == 1e-6 and pts[-1] == 35.0 / kappa
+        xi = radial.GRID_LOG_WEIGHT * np.log(pts) + pts * kappa / 3.125
+        dxi = np.diff(xi)
+        assert np.max(np.abs(dxi - dxi.mean())) < 1e-12 * np.max(np.abs(xi))
+
+    @given(st.floats(min_value=1e-3, max_value=1.0))
+    @example(1e-3)
+    @example(1.0)
+    @settings(max_examples=30)
+    def test_point_count_range(self, kappa):
+        # the count falls as kappa_ref grows: the 1e-3 grid is the longest,
+        # and kappa_ref = 1 at the scale floor the sparsest (1244 points),
+        # still above the 1000 points the quadratures need
+        assert build_grid(kappa, 1.0).count <= 4000
+        assert build_grid(kappa, 0.5).count >= 1000
 
     def test_density_scales_with_scale(self):
         coarse = build_grid(0.25, 1.0)
@@ -563,13 +577,15 @@ class TestSweeps:
 # propagator kernel
 
 def _magnus_generator(pot, ch, r0, r1, E):
-    """Sixth-order Magnus generator of the step r0 -> r1, from A(r) itself."""
-    h, tk = r1 - r0, ch.tau * ch.k
-    rs = r0 + (0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0) * h
+    """Sixth-order Magnus generator of the step r0 -> r1, from A(r) itself;
+    for arrays r0, r1 of steps, a (n, 2, 2) stack of them."""
+    h, tk = np.subtract(r1, r0), ch.tau * ch.k
+    rs = r0 + np.multiply.outer(0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0, h)
     A1, A2, A3 = (
-        np.array([[-tk / r, 1.0 + E - v], [1.0 - E + v, tk / r]])
+        np.moveaxis(np.array([[-tk / r, 1.0 + E - v], [1.0 - E + v, tk / r]]), (0, 1), (-2, -1))
         for r, v in zip(rs, pot.evaluate(rs))
     )
+    h = h[..., None, None]
     a1 = h * A2
     a2 = math.sqrt(15.0) * h / 3.0 * (A3 - A1)
     a3 = 10.0 * h / 3.0 * (A3 - 2.0 * A2 + A1)
@@ -813,6 +829,27 @@ class TestHalfTurnReduction:
         got = radial._end_angle(stack, (1.0, 0.0), 0.0)
         assert got == pytest.approx(expected * math.pi, abs=1e-12)
 
+    @pytest.mark.parametrize("kappa", [1e-3, 0.05, 1.0])
+    def test_elliptic_steps_turn_less_than_a_quarter(self, kappa):
+        # _end_angle needs every step to turn each direction by less than pi.
+        # An elliptic step is conjugate to a rotation by sqrt(-s^2); near
+        # threshold this peaks at about sqrt(u h Delta/(2a)) for a -u/r tail
+        grid = build_grid(kappa, 0.5)
+        r = grid.points
+        h = 0.008 / grid.scale
+        tail_step = 0.025 / (kappa * grid.scale)
+        bound = math.sqrt(0.99 * h * tail_step / (2.0 * radial.GRID_LOG_WEIGHT))
+        edge = 1.0 - radial.WINDOW_EDGE
+        pots = [ScreenedCoulomb.from_charge(136), ScreenedCoulomb.from_charge(1), PureCoulomb(0.99)]
+        worst = 0.0
+        for pot in pots:
+            for ch in map(parse_state_label, ("1s_1/2", "2p_1/2", "6h_11/2")):
+                for E in (-edge, *WINDOW_ENERGIES, edge):
+                    om = _magnus_generator(pot, ch, r[:-1], r[1:], E)
+                    s2 = -np.linalg.det(om)  # Omega = [[a, b], [c, -a]], s^2 = a^2 + bc
+                    worst = max(worst, np.sqrt(-s2[s2 < 0.0]).max(initial=0.0))
+        assert worst < min(math.pi / 2.0, 1.001 * bound)
+
     def test_counts_do_not_scan(self, monkeypatch):
         # a hinted solve scans only for the eigenfunction's two sweeps; its
         # three phase counts are reductions
@@ -869,9 +906,22 @@ class TestGridDerivative:
         y = np.exp(-0.3 * r) * r
         d = grid_derivative(y, grid)
         exact = np.exp(-0.3 * r) * (1.0 - 0.3 * r)
-        ok = np.isfinite(d)
-        assert ok.sum() > grid.count - 20
-        assert np.max(np.abs(d[ok] - exact[ok])) < 1e-7
+        # one stencil, no seam: finite everywhere but two points at each end
+        n = grid.count
+        assert np.flatnonzero(~np.isfinite(d)).tolist() == [0, 1, n - 2, n - 1]
+        assert np.max(np.abs(d[2:-2] - exact[2:-2])) < 1e-7
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.5])
+    def test_power_law_at_the_origin(self, kappa):
+        # r^gamma e^(-kappa r), the shape of a bound state, from the coarse
+        # log steps near the origin out to the end of the tail
+        grid = build_grid(kappa)
+        r = grid.points
+        gamma = math.sqrt(1.0 - 0.9**2)
+        y = r**gamma * np.exp(-kappa * r)
+        d = grid_derivative(y, grid)
+        rel = np.abs(d - (gamma / r - kappa) * y) / ((gamma / r + kappa) * y)
+        assert np.max(rel[2:-2]) < 1e-7
 
 
 # --------------------------------------------------------------------------
