@@ -140,9 +140,7 @@ def _pot_label(pot) -> str:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    result = compute_table(
-        args.z, args.constants, grid_scale=args.grid_scale, tol_e=args.tol_e
-    )
+    result = compute_table(args.z, args.constants, grid_scale=args.grid_scale)
     rows = []
     for c in result.cells:
         rows.append({
@@ -207,9 +205,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     rows, reports = [], []
     for pot, state in tasks:
-        sol = solve_eigenvalue(
-            pot, parse_state_label(state), grid_scale=args.grid_scale, tol_e=args.tol_e
-        )
+        sol = solve_eigenvalue(pot, parse_state_label(state), grid_scale=args.grid_scale)
         rows.append({
             "potential": _pot_label(pot),
             "state": state,
@@ -246,10 +242,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             t = args.contact_radius
             if t is None:
                 t = minimize_bound(pot, ch).t_star
-            report = assert_ordering(
-                pot, tangent_at(pot, t), ch,
-                grid_scale=args.grid_scale, tol_e=args.tol_e,
-            )
+            report = assert_ordering(pot, tangent_at(pot, t), ch, grid_scale=args.grid_scale)
             rows.append({
                 "z": z,
                 "state": state,
@@ -288,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to this path")
     # flags of the shooting solver, for the subcommands that run it
     solver = argparse.ArgumentParser(add_help=False, parents=[common])
-    solver.add_argument("--tol-e", type=float, default=1e-10,
-                        help="eigenvalue tolerance (mc2 units)")
     solver.add_argument("--grid-scale", type=float, default=1.0,
                         help="grid density multiplier (>= 0.5; >1 refines)")
 

@@ -174,7 +174,6 @@ def assert_ordering(
     ch: Channel,
     *,
     grid_scale: float = 1.0,
-    tol_e: float = 1e-10,
 ) -> ComparisonReport:
     """Solve an ordered pair on one shared grid and report the evidence.
 
@@ -192,8 +191,8 @@ def assert_ordering(
     # one grid for both states, sized by the slower decay
     kappa = min(reference_rate(pot_a, hint_a), reference_rate(pot_b, hint_b))
     grid = build_grid(kappa, grid_scale)
-    sol_a = solve_eigenvalue(pot_a, ch, grid=grid, tol_e=tol_e, bracket_hint=hint_a)
-    sol_b = solve_eigenvalue(pot_b, ch, grid=grid, tol_e=tol_e, bracket_hint=hint_b)
+    sol_a = solve_eigenvalue(pot_a, ch, grid=grid, bracket_hint=hint_a)
+    sol_b = solve_eigenvalue(pot_b, ch, grid=grid, bracket_hint=hint_b)
     identity = identity_residual(sol_a, sol_b)
     deriv = derivative_identity_check(sol_a, sol_b)
     nodes_a = (sol_a.nodes1, sol_a.nodes2)

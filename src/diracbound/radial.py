@@ -9,7 +9,7 @@ the bound-state problem in rest-energy units (hbar = c = m = 1) reads
 with psi1(0) = psi2(0) = 0 and unit L2 norm of the component pair.  The
 discrete spectrum lives in the window |E - V(inf)| < 1.
 
-The solver combines three classical ingredients:
+The solver combines four classical ingredients:
 
 * sixth-order Magnus steps over a mapped radial grid (log-spaced near the
   origin, linear in the tail).  The system is linear, so each step is a 2x2
@@ -29,17 +29,23 @@ The solver combines three classical ingredients:
   bisection bracket can neither miss a state nor confuse neighbours.  The
   bisection stops as soon as the bracket holds the target state alone (a
   verified hint usually does from the start: 3 phase sweeps in all);
-* Wronskian matching: inside the phase-isolated bracket the eigenvalue is
-  found by a Brent root find on the normalized Wronskian of outward and
-  inward sweeps evaluated at the outer classical turning point, where both
-  sweeps are locally oscillatory and the mismatch is most sensitive.  The
-  Wronskian is the sine of the angle between the two sweeps.  As det M_i = 1
-  it vanishes exactly where the phase count drops, so an isolating bracket
-  shows one sign change unless round-off puts an end on the root; then that
-  end, the one with the smaller |W|, is taken.
+* Wronskian matching: inside the phase-isolated bracket a Brent root find
+  (xtol BRENT_XTOL) on the normalized Wronskian of outward and inward sweeps
+  evaluated at the outer classical turning point, where both sweeps are
+  locally oscillatory and the mismatch is most sensitive.  The Wronskian is
+  the sine of the angle between the two sweeps.  As det M_i = 1 it vanishes
+  exactly where the phase count drops, so an isolating bracket shows one
+  sign change unless round-off puts an end on the root; then that end, the
+  one with the smaller |W|, is taken;
+* one shooting correction (W. R. Johnson, Atomic Structure Theory, 2007,
+  ch. 2): for solutions y at E and z at E', W(y, z)' = (E - E')(y1 z1 + y2 z2),
+  the identity behind the ordering theorem, so the level lies at
+  E - w/int(psi1^2 + psi2^2) dr, w the Wronskian of the joined sweeps at the
+  matching radius; clamped to the bracket, it leaves the grid's error alone.
 
 The eigenfunction is assembled from the two sweeps joined at the matching
-radius and normalized with Simpson quadrature on the grid.
+radius and normalized with Simpson quadrature on the grid, whose integral
+the correction reuses.
 """
 
 from __future__ import annotations
@@ -61,6 +67,8 @@ _log = logging.getLogger(__name__)
 WINDOW_EDGE = 1e-9
 # samples below this fraction of the peak are round-off, not nodes
 NODE_FLOOR = 1e-10
+# Brent's absolute tolerance on E; the shooting correction does the rest
+BRENT_XTOL = 1e-12
 
 # weight a of ln r in the grid coordinate xi = a ln r + r/rho (see build_grid)
 GRID_LOG_WEIGHT = 0.5
@@ -91,16 +99,16 @@ class RadialSolution:
     """A converged, normalized bound state."""
 
     ch: Channel
-    E: float
+    E: float  # Brent's root (or the end taken) plus the shooting correction
     grid: RadialGrid
-    psi1: np.ndarray
+    psi1: np.ndarray  # psi1, psi2 and mismatch: at E before the correction
     psi2: np.ndarray
     nodes1: int
     nodes2: int
     potential: object
     V: np.ndarray  # the potential on grid.points
     match_radius: float
-    mismatch: float  # Wronskian residual of the two sweeps at the eigenvalue
+    mismatch: float  # Wronskian residual of the two sweeps at that E
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,7 +422,7 @@ class _ShootingWorkspace:
                 hi, c_hi = mid, c
         return lo, hi
 
-    def find_level(self, n: int, window: tuple[float, float], hint, xtol: float):
+    def find_level(self, n: int, window: tuple[float, float], hint):
         """The n-th level of the grid inside window: (states counted, (E, isolating
         bracket)), or (states counted, None) when the grid holds fewer than n.
 
@@ -445,7 +453,9 @@ class _ShootingWorkspace:
         i_match = self.match_index(0.5 * (lo + hi))
         try:
             # brentq evaluates both ends and returns one whose Wronskian is 0
-            energy = brentq(_wronskian, lo, hi, args=(self, i_match), xtol=xtol, rtol=8.9e-16)
+            energy = brentq(
+                _wronskian, lo, hi, args=(self, i_match), xtol=BRENT_XTOL, rtol=8.9e-16
+            )
         except ValueError:
             # W vanishes only where the count drops, once in this bracket, so
             # ends of one sign mean round-off has put one of them on the root
@@ -472,7 +482,8 @@ class _ShootingWorkspace:
         return _scaled_wronskian(o1, o2, i1, i2, E)
 
     def eigenfunction(self, E: float, i_match: int):
-        """Components on the full grid from both sweeps, plus their Wronskian."""
+        """Components on the full grid from both sweeps, their scaled Wronskian,
+        and their Wronskian at the join in psi's scale over |psi(r_m)|^2."""
         m_out, m_in = self.steps(E, i_match)
         Yo, ls_o = _trajectory(m_out, self._seed_out(E), E)
         Yi, ls_i = _trajectory(m_in, self._seed_in(E), E)
@@ -482,7 +493,8 @@ class _ShootingWorkspace:
         (o1, o2), (i1, i2) = out[:, -1], inw[:, 0]
         scale = o1 / i1 if abs(i1) >= abs(i2) else o2 / i2
         psi = np.concatenate([out, scale * inw[:, 1:]], axis=1)
-        return psi[0], psi[1], _scaled_wronskian(*Yo[:, -1], *Yi[:, -1], E)
+        join = float((o1 * scale * i2 - o2 * scale * i1) / (o1 * o1 + o2 * o2))
+        return psi[0], psi[1], _scaled_wronskian(*Yo[:, -1], *Yi[:, -1], E), join
 
 
 def _wronskian(E: float, ws: _ShootingWorkspace, i_match: int) -> float:
@@ -564,7 +576,6 @@ def solve_eigenvalue(
     ch: Channel,
     *,
     grid_scale: float = 1.0,
-    tol_e: float = 1e-10,
     bracket_hint: tuple[float, float] | None = None,
     grid: RadialGrid | None = None,
 ) -> RadialSolution:
@@ -585,8 +596,6 @@ def solve_eigenvalue(
     does not fit its tail ("too weakly bound"), or the caller's grid is "too
     short" for it.
     """
-    if not 0.0 < tol_e < math.inf:
-        raise ValueError(f"tol_e must be positive and finite, got {tol_e}")
     v_inf = pot.value_at_infinity
     window = (v_inf - 1.0 + WINDOW_EDGE, v_inf + 1.0 - WINDOW_EDGE)
     hint = bracket_hint
@@ -604,7 +613,7 @@ def solve_eigenvalue(
         if not supplied:
             grid = build_grid(kappa_ref, grid_scale)
         ws = _ShootingWorkspace(pot, ch, grid)
-        n_found, level = ws.find_level(ch.n, window, hint, max(0.01 * tol_e, 5e-16))
+        n_found, level = ws.find_level(ch.n, window, hint)
         if level is not None:
             energy, (lo, hi) = level
             kappa_e = _decay_rate(energy - v_inf)
@@ -642,8 +651,8 @@ def solve_eigenvalue(
     # an isolating bracket can be wide, so its midpoint's turning point may miss
     # the state's; join the sweeps at the turning point of the energy found
     i_match = ws.match_index(energy)
-    psi1, psi2, mismatch = ws.eigenfunction(energy, i_match)
-    sol = RadialSolution(
+    psi1, psi2, mismatch, join = ws.eigenfunction(energy, i_match)
+    sol = normalize(RadialSolution(
         ch=ch,
         E=energy,
         grid=grid,
@@ -655,18 +664,25 @@ def solve_eigenvalue(
         V=ws.v_grid,
         match_radius=float(grid.points[i_match]),
         mismatch=mismatch,
-    )
-    return normalize(sol)
+    ))
+    # the shooting correction w/N (module docstring) is join |psi(r_m)|^2 once
+    # psi is normalized; the isolating bracket holds the level
+    shift = join * (sol.psi1[i_match] ** 2 + sol.psi2[i_match] ** 2)
+    return replace(sol, E=float(min(max(energy - shift, lo), hi)))
 
 
 def grid_derivative(y: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """d/dr on the grid: fourth-order central differences in xi (see
     build_grid), with the grid's actual xi step, times dxi/dr = a/r + 1/rho;
-    NaN at the two points next to each end."""
+    NaN at the two points next to each end.  A ValueError if the points are
+    not uniform in the xi of the grid's kappa_ref and scale."""
     a = GRID_LOG_WEIGHT
     _, rho = _grid_map(grid.kappa_ref, grid.scale)
     xi_span = a * math.log(grid.r_max / grid.r_min) + (grid.r_max - grid.r_min) / rho
     h = xi_span / (grid.count - 1)
+    xi = a * np.log(grid.points) + grid.points / rho
+    if not np.max(np.abs(np.diff(xi) - h)) <= 1e-6 * h:  # built grids: within 2e-11 h
+        raise ValueError("grid points are not uniform in xi; build the grid with build_grid")
     d = np.full_like(y, np.nan)
     d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
     return d * (a / grid.points + 1.0 / rho)

@@ -112,7 +112,6 @@ def compute_state_pair(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     *,
     grid_scale: float = 1.0,
-    tol_e: float = 1e-10,
     upper_only: bool = False,
 ) -> tuple[TableCell, ...]:
     """Envelope-bound and solver cells for one (Z, state) pair.
@@ -143,9 +142,7 @@ def compute_state_pair(
         return (upper,)
 
     try:
-        sol = solve_eigenvalue(
-            pot, ch, grid_scale=grid_scale, tol_e=tol_e, bracket_hint=hint
-        )
+        sol = solve_eigenvalue(pot, ch, grid_scale=grid_scale, bracket_hint=hint)
     except (SolverError, ValueError) as exc:
         numeric = _cell(z, state, "numeric", None, constants, error=str(exc))
     else:
@@ -158,7 +155,6 @@ def compute_table(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     *,
     grid_scale: float = 1.0,
-    tol_e: float = 1e-10,
     upper_only: bool = False,
 ) -> TableResult:
     """Full table over ``z_values``: four cells per Z (two per channel)."""
@@ -167,12 +163,7 @@ def compute_table(
         for state in STATE_LABELS:
             cells.extend(
                 compute_state_pair(
-                    z,
-                    state,
-                    constants,
-                    grid_scale=grid_scale,
-                    tol_e=tol_e,
-                    upper_only=upper_only,
+                    z, state, constants, grid_scale=grid_scale, upper_only=upper_only
                 )
             )
     deviations = [abs(c.deviation_kev) for c in cells if c.deviation_kev is not None]

@@ -177,7 +177,6 @@ class TestSolve:
         [
             (("solve", "--z", "20", "--grid-scale", "inf"), "grid scale"),
             (("solve", "--z", "20", "--grid-scale", "nan"), "grid scale"),
-            (("solve", "--z", "20", "--tol-e", "nan"), "tol_e"),
             (("solve", "--potential", "shifted", "--coupling", "0.5", "--shift", "inf"), "shift"),
             (("solve", "--potential", "shifted", "--coupling", "nan"), "coupling"),
             (("compare", "--z", "40", "--t", "nan"), "contact radius t"),
@@ -186,7 +185,6 @@ class TestSolve:
         ids=[
             "grid-scale-inf",
             "grid-scale-nan",
-            "tol-e-nan",
             "shift-inf",
             "coupling-nan",
             "compare-t-nan",
@@ -268,11 +266,19 @@ class TestBound:
         assert "usage error" in err
 
     def test_solver_flags_are_usage_errors(self, capsys):
-        # bound runs no solve, so it refuses the solver flags rather than ignore them
-        with pytest.raises(SystemExit) as exc:
-            main(["bound", "--z", "20", "--grid-scale", "inf", "--tol-e", "nan"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        # bound runs no solve, so it refuses the solver flags rather than ignore
+        # them; no subcommand has an eigenvalue tolerance to set
+        for argv in (
+            ["bound", "--z", "20", "--grid-scale", "inf", "--tol-e", "nan"],
+            ["table1", "--z", "20", "--tol-e", "1e-10"],
+            ["solve", "--z", "20", "--tol-e", "1e-10"],
+            ["compare", "--z", "40", "--tol-e", "1e-10"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments" in err and "--tol-e" in err
 
 
 # --------------------------------------------------------------------------

@@ -236,7 +236,7 @@ class TestCoulombOracle:
     @pytest.mark.parametrize("label", ["2s_1/2", "2p_1/2", "3s_1/2", "3p_3/2", "3d_3/2"])
     def test_states_with_nodes_at_round_off(self, label, u):
         ch = parse_state_label(label)
-        sol = solve_eigenvalue(PureCoulomb(u), ch, tol_e=1e-14)
+        sol = solve_eigenvalue(PureCoulomb(u), ch)
         assert abs(sol.E - coulomb_eigenvalue(u, ch)) < 2e-15
 
     def test_shift_covariance(self, ch_s):
@@ -325,8 +325,11 @@ class TestSearch:
         hint = (exact - 1e-4, exact + 3e-4)
         with caplog.at_level(logging.DEBUG, logger="diracbound"):
             sol = solve_eigenvalue(PureCoulomb(0.5), ch_s, bracket_hint=hint)
-        assert sol.E == brackets[-1][end]
         assert any("keeps one sign" in r.getMessage() for r in caplog.records)
+        # the end taken gets the same shooting correction, kept in the bracket
+        lo, hi = brackets[-1]
+        assert lo <= sol.E <= hi
+        assert abs(sol.E - exact) < abs(brackets[-1][end] - exact)
 
     def test_brent_error_is_reraised_when_ends_differ_in_sign(self, ch_s, monkeypatch, caplog):
         def failing(*args, **kwargs):
@@ -923,6 +926,14 @@ class TestGridDerivative:
         rel = np.abs(d - (gamma / r - kappa) * y) / ((gamma / r + kappa) * y)
         assert np.max(rel[2:-2]) < 1e-7
 
+    def test_hand_built_grid_is_refused(self):
+        # log-spaced points are not uniform in xi: the stencil would give d/dr r
+        # between 0.48 and 11 instead of 1
+        r = np.geomspace(1e-6, 700.0, 3000)
+        grid = RadialGrid(1e-6, 700.0, r, 0.05, 1.0)
+        with pytest.raises(ValueError, match="not uniform"):
+            grid_derivative(r, grid)
+
 
 # --------------------------------------------------------------------------
 # failure modes
@@ -961,8 +972,6 @@ class TestFailureModes:
             (lambda ch: build_grid(0.5, math.nan), "grid scale"),
             (lambda ch: build_grid(math.nan), "kappa_ref"),
             (lambda ch: solve_eigenvalue(PureCoulomb(0.5), ch, grid_scale=math.inf), "grid scale"),
-            (lambda ch: solve_eigenvalue(PureCoulomb(0.5), ch, tol_e=math.nan), "tol_e"),
-            (lambda ch: solve_eigenvalue(PureCoulomb(0.5), ch, tol_e=math.inf), "tol_e"),
             (lambda ch: count_nodes([1.0, math.nan, -1.0]), "samples"),
             (lambda ch: count_nodes([1.0, math.inf, -1.0]), "samples"),
         ],
@@ -971,8 +980,6 @@ class TestFailureModes:
             "grid-scale-nan",
             "kappa-nan",
             "solve-grid-scale-inf",
-            "tol-e-nan",
-            "tol-e-inf",
             "samples-nan",
             "samples-inf",
         ],

@@ -77,9 +77,8 @@ class TestComputeStatePair:
         [
             ({"grid_scale": math.inf}, "grid scale"),
             ({"grid_scale": math.nan}, "grid scale"),
-            ({"tol_e": math.nan}, "tol_e"),
         ],
-        ids=["grid-scale-inf", "grid-scale-nan", "tol-e-nan"],
+        ids=["grid-scale-inf", "grid-scale-nan"],
     )
     def test_non_finite_solver_parameter_fails_the_numeric_cell(self, kwargs, name):
         upper, numeric = compute_state_pair(20, "1s_1/2", **kwargs)
