@@ -587,14 +587,14 @@ def solve_eigenvalue(
     if it does not hold the requested state.  A level is accepted once the
     grid's tail spans 30 of its decay lengths, r_max * kappa >= 30.  Unless
     the caller supplies a grid (e.g. one shared by the two solves of a
-    comparison pair), the grid is rebuilt, with a DEBUG record, while it holds
-    fewer than ch.n states or its tail is too short for the level found.  The
-    longest grid of the family (kappa_ref = 1e-3, r_max = 35000) holds decay
-    rates down to kappa = 30/35000 = 8.57e-4, a binding of about 3.7e-7 mc^2.
-    NoBoundStateError: even the longest grid, or the caller's, holds fewer
-    than ch.n states.  ConvergenceError: the level found on the longest grid
-    does not fit its tail ("too weakly bound"), or the caller's grid is "too
-    short" for it.
+    comparison pair), a grid that holds fewer than ch.n states or whose tail
+    is too short for the level found is rebuilt once, with a DEBUG record, as
+    the longest grid of the family (kappa_ref = 1e-3, r_max = 35000).  That
+    grid holds decay rates down to kappa = 30/35000 = 8.57e-4, a binding of
+    about 3.7e-7 mc^2.  NoBoundStateError: the longest grid, or the caller's,
+    holds fewer than ch.n states.  ConvergenceError: the level found on the
+    longest grid does not fit its tail ("too weakly bound"), or the caller's
+    grid is "too short" for it.
     """
     v_inf = pot.value_at_infinity
     window = (v_inf - 1.0 + WINDOW_EDGE, v_inf + 1.0 - WINDOW_EDGE)
@@ -605,10 +605,6 @@ def solve_eigenvalue(
             raise ValueError(f"bracket hint {bracket_hint} collapses inside the window")
     kappa_ref = reference_rate(pot, hint)
     supplied = grid is not None
-    # A built grid has r_max = 35/kappa_ref, so a tail too short for the level
-    # means kappa_e < (30/35) kappa_ref: each rebuild cuts kappa_ref below
-    # 0.815 of its value (or to 1/6 with no level), down to the 1e-3 clamp,
-    # where the loop ends with a level or a typed error.
     while True:
         if not supplied:
             grid = build_grid(kappa_ref, grid_scale)
@@ -638,15 +634,14 @@ def solve_eigenvalue(
             )
         if level is None:
             # the tail may simply be too short for a weakly bound state
-            new_ref, reason = kappa_ref / 6.0, f"grid holds {n_found} of {ch.n} states"
+            reason = f"grid holds {n_found} of {ch.n} states"
             hint = None
         else:
-            new_ref, reason = 0.95 * kappa_e, f"grid tail too short for E={energy!r}"
+            reason = f"grid tail too short for E={energy!r}"
             # kept inside the isolating bracket: near threshold E +- 1e-5 spans several levels
             hint = (max(lo, energy - 1e-5), min(hi, energy + 1e-5))
-        new_ref = max(new_ref, 1e-3)
-        _log.debug("%s: rebuilding with kappa_ref=%g (was %g)", reason, new_ref, kappa_ref)
-        kappa_ref = new_ref
+        _log.debug("%s: rebuilding with kappa_ref=%g (was %g)", reason, 1e-3, kappa_ref)
+        kappa_ref = 1e-3  # the longest grid: if it fails too, the check above raises
 
     # an isolating bracket can be wide, so its midpoint's turning point may miss
     # the state's; join the sweeps at the turning point of the energy found

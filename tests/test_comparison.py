@@ -218,7 +218,7 @@ class TestHypothesisGuards:
             assert_ordering(tangent, screened, ch_s)
 
     def test_crossing_pair_rejected(self, ch_s):
-        # 0.001 - 0.5/r and -0.49/r cross at r = 100
+        # 0.001 - 0.5/r and -0.49/r cross at r = 10, where 0.01/r = 0.001
         with pytest.raises(HypothesisViolationError, match="cross"):
             assert_ordering(
                 ShiftedCoulomb(shift=1e-3, coupling=0.5),

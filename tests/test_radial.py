@@ -371,14 +371,15 @@ class TestSearch:
         assert (c_bot - c_lo, c_bot - c_hi) == (1, 2)
 
     def test_rejected_hint_is_logged_once_across_rebuilds(self, caplog):
-        # the hint misses the 3s_1/2 level (about 0.999994); the first grids
-        # hold fewer than three states, and the rebuilds search the whole window
+        # the hint misses the 3s_1/2 level (about 0.999994); the first grid
+        # holds fewer than three states, and the one rebuild searches the whole
+        # window
         ch = parse_state_label("3s_1/2")
         with caplog.at_level(logging.DEBUG, logger="diracbound"):
             sol = solve_eigenvalue(PureCoulomb(0.01), ch, bracket_hint=(0.5, 0.6))
         messages = [r.getMessage() for r in caplog.records]
         assert sum("rejected" in m for m in messages) == 1
-        assert sum("rebuilding with kappa_ref" in m for m in messages) >= 2
+        assert sum("rebuilding with kappa_ref" in m for m in messages) == 1
         assert abs(sol.E - coulomb_eigenvalue(0.01, ch)) < 1e-10
 
     def test_grid_rebuild_is_logged(self, ch_s, caplog):
@@ -993,17 +994,18 @@ class TestFailureModes:
             solve_eigenvalue(PureCoulomb(0.5), ch_s, bracket_hint=(2.0, 3.0))
 
     def test_weakly_bound_state_found_automatically(self, ch_s):
-        # same u=0.05 state as above, but with the rebuild loop enabled the
-        # solver stretches the tail on its own
+        # same u=0.05 state as above, but without a pinned grid the solver
+        # rebuilds a grid whose tail is too short
         exact = coulomb_eigenvalue(0.05, ch_s)
         sol = solve_eigenvalue(PureCoulomb(0.05), ch_s)
         assert abs(sol.E - exact) < 1e-8
 
 
 # --------------------------------------------------------------------------
-# weakly bound edge inputs: the grid is rebuilt until it holds the state and
-# reaches 30 of its decay lengths; the longest grid (r_max = 35000) holds
-# decay rates down to kappa = 30/35000 = 8.57e-4
+# weakly bound edge inputs: a grid that does not hold the state, or whose tail
+# spans fewer than 30 of its decay lengths, is rebuilt once as the longest
+# grid (r_max = 35000), which holds decay rates down to kappa = 30/35000 =
+# 8.57e-4
 
 
 class TestWeaklyBoundEdges:
@@ -1040,20 +1042,44 @@ class TestWeaklyBoundEdges:
         sol = solve_eigenvalue(PureCoulomb(2e-3), ch)
         assert abs(sol.E - coulomb_eigenvalue(2e-3, ch)) < 1e-12
 
+    @pytest.mark.parametrize("u", [0.03, 0.02])
+    def test_rebuild_hint_stays_in_isolating_bracket(self, caplog, ch_s, u):
+        # decay rates 0.03 and 0.02 span 21 and 14 decay lengths of the first
+        # grid's tail (r_max = 700); the level found there, widened by 1e-5 and
+        # clipped to the bracket that isolated it, holds the state alone on
+        # the longest grid
+        with caplog.at_level(logging.DEBUG, logger="diracbound.radial"):
+            sol = solve_eigenvalue(PureCoulomb(u), ch_s)
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum("grid tail too short" in m for m in messages) == 1
+        assert not any("rejected" in m for m in messages)
+        assert abs(sol.E - coulomb_eigenvalue(u, ch_s)) < 1e-12
+
     @pytest.mark.parametrize(
         "pot, label",
-        [(ShiftedCoulomb(shift=0.0, coupling=1e-3), "2s_1/2"), (PureCoulomb(1e-3), "3s_1/2")],
-        ids=["shifted-2s_1/2", "pure-3s_1/2"],
+        [
+            (PureCoulomb(0.01), "3s_1/2"),
+            (PureCoulomb(0.01), "4f_5/2"),
+            (ScreenedCoulomb.from_charge(5), "6h_11/2"),
+            (PureCoulomb(0.002), "2s_1/2"),
+        ],
+        ids=["0.01-3s_1/2", "0.01-4f_5/2", "Z5-6h_11/2", "0.002-2s_1/2"],
     )
-    def test_rebuild_hint_stays_in_isolating_bracket(self, caplog, pot, label):
-        # near threshold E +- 1e-5 spans several levels; clipped to the bracket
-        # that isolated the state, the hint holds it alone on the rebuilt grid
+    def test_one_rebuild_per_solve(self, caplog, pot, label):
+        # the first grid holds too few states (u = 0.01 and 0.002) or too short
+        # a tail (Z = 5); the one rebuild is the longest grid, which fits each
+        with caplog.at_level(logging.DEBUG, logger="diracbound.radial"):
+            sol = solve_eigenvalue(pot, parse_state_label(label))
+        assert sum("rebuilding" in r.getMessage() for r in caplog.records) == 1
+        assert sol.grid.kappa_ref == 1e-3
+
+    def test_one_rebuild_before_too_weakly_bound(self, caplog):
+        # the longest grid holds the u = 0.002 4s_1/2 level but only 17.5 of
+        # its decay lengths; the solve raises after one rebuild
         with caplog.at_level(logging.DEBUG, logger="diracbound.radial"):
             with pytest.raises(ConvergenceError, match="too weakly bound"):
-                solve_eigenvalue(pot, parse_state_label(label))
-        messages = [r.getMessage() for r in caplog.records]
-        assert any("grid tail too short" in m for m in messages)
-        assert not any("rejected" in m for m in messages)
+                solve_eigenvalue(PureCoulomb(0.002), parse_state_label("4s_1/2"))
+        assert sum("rebuilding" in r.getMessage() for r in caplog.records) == 1
 
     @pytest.mark.parametrize("u, label", [(8e-4, "1s_1/2"), (1e-3, "3s_1/2")])
     def test_below_grid_floor_is_typed(self, u, label):
