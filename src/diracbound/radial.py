@@ -14,8 +14,8 @@ The solver combines four classical ingredients:
 * sixth-order Magnus steps over a mapped radial grid (log-spaced near the
   origin, linear in the tail).  The system is linear, so each step is a 2x2
   propagator M_i(E), the exact exponential of a traceless generator built
-  from A at three Gauss nodes (det M_i = 1); one vectorized pass builds them
-  all from E-independent stage tables: one propagator pass per energy; the
+  from A at three Gauss nodes (det M_i = 1), a cubic in E whose coefficients
+  are built once per grid: one Horner pass and one exponential per energy; the
   inward steps are its adjugates, as the nodes are symmetric.  A normalized
   prefix scan composes them where every sample is needed (the
   eigenfunction), a pairwise reduction where only the end value is (the
@@ -204,12 +204,28 @@ def reference_rate(pot, bracket: tuple[float, float] | None) -> float:
 
 
 def _stage_tables(pot, tk: float, base: np.ndarray, step: np.ndarray):
-    """E-free parts of each interval's Magnus generator (see _propagators): h and
-    h A_2 less its E term, alpha_2, alpha_3 as (3, n) stacks (a, b, c) of the
-    traceless [[a, b], [c, -a]]; E cancels in the differences alpha_2, alpha_3."""
+    """Each interval's Magnus generator as a cubic in E, Omega_i(E) = P0 + E P1 +
+    E^2 P2 + E^3 P3: four (3, n) stacks (a, b, c) of traceless [[a, b], [c, -a]]
+    (Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151).  From A_s = A(r +
+    c_s h) at the three Gauss nodes, alpha_1 = h A_2 = g1 + E e, e = h (0, 1, -1),
+    alpha_2 = (sqrt(15) h/3)(A_3 - A_1), alpha_3 = (10 h/3)(A_3 - 2 A_2 + A_1), C_1
+    = [alpha_1, alpha_2] and C_2 = -[alpha_1, 2 alpha_3 + C_1]/60, Omega = alpha_1
+    + alpha_3/12 + [C_1 - 20 alpha_1 - alpha_3, alpha_2 + C_2]/240 is expanded by
+    powers of E: alpha_2 and alpha_3 are E-free, C_1 is linear, C_2 quadratic."""
     rs = base + _GAUSS_C[:, None] * step
-    a1, a2, a3 = (step * np.stack([-tk / r, 1 - v, 1 + v]) for r, v in zip(rs, pot.evaluate(rs)))
-    return step, a2, (math.sqrt(15.0) / 3.0) * (a3 - a1), (10.0 / 3.0) * (a3 - 2.0 * a2 + a1)
+    v = pot.evaluate(rs)
+    q = np.stack([-tk / rs, -v, v])  # A at each node less its off-diagonal 1 + E, 1 - E
+    g1, e = step * (q[:, 1] + [[0.0], [1.0], [1.0]]), np.multiply.outer([0.0, 1.0, -1.0], step)
+    g2 = (math.sqrt(15.0) / 3.0) * step * (q[:, 2] - q[:, 0])  # differences of q: A's would
+    g3 = (10.0 / 3.0) * step * (q[:, 2] - 2.0 * q[:, 1] + q[:, 0])  # lose V's digits to the 1 +- E
+    def comm_e(y):  # [e, y], written out
+        return step * np.stack([y[1] + y[2], -2.0 * y[0], -2.0 * y[0]])
+    c1, d1 = _comm(g1, g2), comm_e(g2)  # C_1 = c1 + E d1
+    x0, x1 = c1 - 20.0 * g1 - g3, d1 - 20.0 * e  # C_1 - 20 alpha_1 - alpha_3
+    d0 = 2.0 * g3 + c1  # 2 alpha_3 + C_1 = d0 + E d1, so alpha_2 + C_2 = y0 + E y1 + E^2 y2
+    y0, y1, y2 = g2 - _comm(g1, d0) / 60.0, (_comm(g1, d1) + comm_e(d0)) / -60.0, comm_e(d1) / -60.0
+    return (g1 + g3 / 12.0 + _comm(x0, y0) / 240.0, e + (_comm(x0, y1) + _comm(x1, y0)) / 240.0,
+            (_comm(x0, y2) + _comm(x1, y1)) / 240.0, _comm(x1, y2) / 240.0)
 
 
 def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -242,19 +258,18 @@ def _half(v: np.ndarray):
 
 def _propagators(table, E: float) -> np.ndarray:
     """Sixth-order Magnus propagators M_i(E) = exp(Omega_i) of the table's
-    intervals, a (2, 2, n) stack (Blanes, Casas, Oteo and Ros, Phys. Rep. 470
-    (2009) 151): from A_s = A(r + c_s h) at the three Gauss nodes, alpha_1 =
-    h A_2, alpha_2 = (sqrt(15) h/3)(A_3 - A_1), alpha_3 = (10 h/3)(A_3 - 2 A_2 + A_1),
-    C_1 = [alpha_1, alpha_2], C_2 = -[alpha_1, 2 alpha_3 + C_1]/60 and
-    Omega = alpha_1 + alpha_3/12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2]/240.
-    Omega = [[a, b], [c, -a]] squares to s^2 I, s^2 = a^2 + bc, so exp(Omega)
-    = cosh(s) I + (sinh(s)/s) Omega, or cos/sin of sqrt(-s^2): det M_i = 1.
-    The nodes are symmetric, so the step back over interval i is exp(-Omega_i) = adj(M_i)."""
-    h, g1, g2, g3 = table
-    a1 = g1 + np.multiply.outer([0.0, E, -E], h)  # A = [[., 1 + E - V], [1 - E + V, .]]
-    c1 = _comm(a1, g2)
-    c2 = _comm(a1, 2.0 * g3 + c1) / -60.0
-    a, b, c = a1 + g3 / 12.0 + _comm(c1 - 20.0 * a1 - g3, g2 + c2) / 240.0
+    intervals, a (2, 2, n) stack, Omega_i(E) by one Horner pass over the
+    table's cubic (see _stage_tables).  Omega = [[a, b], [c, -a]] squares to
+    s^2 I, s^2 = a^2 + bc, so exp(Omega) = cosh(s) I + (sinh(s)/s) Omega, or
+    cos/sin of sqrt(-s^2): det M_i = 1.  The nodes are symmetric, so the step
+    back over interval i is exp(-Omega_i) = adj(M_i)."""
+    p0, p1, p2, p3 = table
+    omega = p3 * E  # a new stack: the table serves every energy
+    for p in (p2, p1):
+        omega += p
+        omega *= E
+    omega += p0
+    a, b, c = omega
     s2 = a * a + b * c
     x = np.sqrt(np.abs(s2))
     ch, sh = np.cosh(x), np.sinh(x)

@@ -47,7 +47,7 @@ class TableCell:
     quantity: str  # "upper" (envelope bound) or "numeric" (solver eigenvalue)
     energy: float | None  # raw eigenvalue in mc^2 units; None when FAILED
     binding_kev: float | None
-    reference_kev: float | None  # None when Z is outside the fixture
+    reference_kev: float | None  # None when (Z, state) is outside the fixture
     deviation_kev: float | None
     error: str | None
 
@@ -86,7 +86,7 @@ class TableResult:
 
 def _reference(z: int, state: str, quantity: str) -> float | None:
     row = REFERENCE_BINDINGS_KEV.get(z)
-    if row is None:
+    if row is None or state not in STATE_LABELS:
         return None
     offset = 2 * STATE_LABELS.index(state)
     return row[offset] if quantity == "upper" else row[offset + 1]

@@ -581,18 +581,20 @@ class TestSweeps:
 # propagator kernel
 
 def _magnus_generator(pot, ch, r0, r1, E):
-    """Sixth-order Magnus generator of the step r0 -> r1, from A(r) itself;
-    for arrays r0, r1 of steps, a (n, 2, 2) stack of them."""
+    """Sixth-order Magnus generator of the step r0 -> r1, from A(r) itself, by
+    2x2 matrix products; for arrays r0, r1 of steps, a (n, 2, 2) stack of them.
+    A = B(r) + [[0, 1 + E], [1 - E, 0]]: the differences of A at the nodes are
+    those of B, taken before 1 +- E is added and rounds away digits of V."""
     h, tk = np.subtract(r1, r0), ch.tau * ch.k
     rs = r0 + np.multiply.outer(0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0, h)
-    A1, A2, A3 = (
-        np.moveaxis(np.array([[-tk / r, 1.0 + E - v], [1.0 - E + v, tk / r]]), (0, 1), (-2, -1))
+    B1, B2, B3 = (
+        np.moveaxis(np.array([[-tk / r, -v], [v, tk / r]]), (0, 1), (-2, -1))
         for r, v in zip(rs, pot.evaluate(rs))
     )
     h = h[..., None, None]
-    a1 = h * A2
-    a2 = math.sqrt(15.0) * h / 3.0 * (A3 - A1)
-    a3 = 10.0 * h / 3.0 * (A3 - 2.0 * A2 + A1)
+    a1 = h * (B2 + np.array([[0.0, 1.0 + E], [1.0 - E, 0.0]]))
+    a2 = math.sqrt(15.0) * h / 3.0 * (B3 - B1)
+    a3 = 10.0 * h / 3.0 * (B3 - 2.0 * B2 + B1)
 
     def comm(x, y):
         return x @ y - y @ x
@@ -618,7 +620,8 @@ def _sweeps(ws, E):
 
 
 class TestPropagatorKernel:
-    @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
+    # the E^3 term of the generator weighs most at the window edges
+    @pytest.mark.parametrize("E", [-1.0 + 1e-9, -0.5, 0.5, 0.9, 1.0 - 1e-9])
     def test_columns_match_expm_of_generator(self, z80_workspace, E):
         ws = z80_workspace
         r = ws.grid.points
@@ -656,6 +659,59 @@ class TestPropagatorKernel:
         prod = radial._mul(inw, full[..., i:][..., ::-1])
         eye = np.eye(2)[..., None]
         assert np.max(np.abs(prod - eye) / scale**2) < 4e-15
+
+    @pytest.mark.parametrize("label", ["1s_1/2", "6h_11/2"])
+    @pytest.mark.parametrize(
+        "pot",
+        [
+            ScreenedCoulomb.from_charge(136),
+            PureCoulomb(0.99),
+            ShiftedCoulomb(shift=-0.5, coupling=0.99),
+            ShiftedCoulomb(shift=0.5, coupling=0.99),
+        ],
+        ids=["Z=136", "u=0.99", "A=-0.5", "A=+0.5"],
+    )
+    def test_table_is_the_generator_as_a_cubic_in_E(self, pot, label):
+        # Omega_i(E) = P0 + E P1 + E^2 P2 + E^3 P3 on the coarsest grid, whose
+        # steps are the largest, from E = -1.5 to 1.5 across the shifts and at
+        # the window edges, to a few ulps of |Omega_i|
+        ch = parse_state_label(label)
+        r = build_grid(1e-3, 0.5).points
+        p0, p1, p2, p3 = radial._stage_tables(pot, ch.tau * ch.k, r[:-1], np.diff(r))
+        for w in (-1.0 + 1e-9, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0 - 1e-9):
+            E = pot.value_at_infinity + w
+            a, b, c = ((p3 * E + p2) * E + p1) * E + p0
+            exact = _magnus_generator(pot, ch, r[:-1], r[1:], E)
+            ulp = np.finfo(float).eps * np.abs(exact).max(axis=(1, 2))
+            for got, want in ((a, exact[:, 0, 0]), (b, exact[:, 0, 1]), (c, exact[:, 1, 0])):
+                assert np.max(np.abs(got - want) / ulp) < 8.0
+
+    def test_no_commutator_per_energy(self, ch_s, monkeypatch):
+        # the generator's cubic is built once per workspace, so a hinted solve
+        # (about 10 propagator passes) and an unhinted one (about 17) evaluate
+        # the same commutators per workspace
+        calls = dict.fromkeys(["_comm", "_propagators", "__init__"], 0)
+        for owner, name in (
+            (radial, "_comm"), (radial, "_propagators"), (radial._ShootingWorkspace, "__init__")
+        ):
+            inner = getattr(owner, name)
+
+            def wrapped(*args, _inner=inner, _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        def per_workspace(solve):
+            calls.update(dict.fromkeys(calls, 0))
+            solve()
+            return calls["_comm"] / calls["__init__"], calls["_propagators"]
+
+        comm_hinted, passes_hinted = per_workspace(lambda: compute_state_pair(40, "1s_1/2"))
+        pot = ScreenedCoulomb.from_charge(40)
+        comm_unhinted, passes_unhinted = per_workspace(lambda: solve_eigenvalue(pot, ch_s))
+        assert passes_hinted <= 12 and passes_unhinted >= 15
+        assert comm_hinted == comm_unhinted > 0
 
     def test_one_propagator_pass_per_energy(self, monkeypatch):
         # every count, Wronskian and eigenfunction builds the propagators

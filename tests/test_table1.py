@@ -72,6 +72,18 @@ class TestComputeStatePair:
             REFERENCE_BINDINGS_KEV[30][2] < cell.binding_kev < REFERENCE_BINDINGS_KEV[20][2]
         )
 
+    @pytest.mark.parametrize("z", [40, 90], ids=["Z in fixture", "Z outside fixture"])
+    def test_state_outside_fixture_has_no_reference(self, z):
+        # the fixture holds 1s_1/2 and 2p_3/2 only; another state is computed
+        # as usual and carries no reference, whether or not its Z has a row
+        cells = compute_state_pair(z, "3d_5/2")
+        assert [c.quantity for c in cells] == ["upper", "numeric"]
+        for cell in cells:
+            assert not cell.failed
+            assert cell.reference_kev is None and cell.deviation_kev is None
+            assert cell.binding_kev < 0.0
+        assert cells[0].energy > cells[1].energy  # the envelope bound lies above
+
     @pytest.mark.parametrize(
         "kwargs, name",
         [
