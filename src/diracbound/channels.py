@@ -32,6 +32,8 @@ class Channel:
     n: int = 1
 
     def __post_init__(self) -> None:
+        if bad := [f for f in ("tau", "two_j", "n") if not hasattr(getattr(self, f), "__index__")]:
+            raise ValueError(f"{bad[0]} must be an integer, got {getattr(self, bad[0])!r}")
         if self.tau not in (-1, 1):
             raise ValueError(f"tau must be -1 or +1, got {self.tau}")
         if self.two_j < 1 or self.two_j % 2 == 0:

@@ -13,7 +13,7 @@ Four subcommands:
   its tangent shifted-Coulomb potentials.
 
 Exit codes: 0 success, 1 numerical failure (a table cell FAILED, a solve did
-not converge, a FAIL verdict) or invalid parameter (e.g. --grid-scale inf),
+not converge, a FAIL verdict), invalid parameter or unwritable output path,
 2 usage errors and hypothesis violations (e.g. a bound for a tau=+1 channel).
 
 Output formats: ``csv`` (one record per line, '.' decimal, 6 significant
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"diracbound: solver failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"diracbound: invalid parameter: {exc}", file=sys.stderr)
         return 1
 

@@ -31,12 +31,12 @@ The solver combines four classical ingredients:
   verified hint usually does from the start: 3 phase sweeps in all);
 * Wronskian matching: inside the phase-isolated bracket a Brent root find
   (xtol BRENT_XTOL) on the normalized Wronskian of outward and inward sweeps
-  evaluated at the outer classical turning point, where both sweeps are
-  locally oscillatory and the mismatch is most sensitive.  The Wronskian is
-  the sine of the angle between the two sweeps.  As det M_i = 1 it vanishes
-  exactly where the phase count drops, so an isolating bracket shows one
-  sign change unless round-off puts an end on the root; then that end, the
-  one with the smaller |W|, is taken;
+  met at the outermost point where Q = (E - V)^2 - 1 - (k/r)^2 >= 0, else
+  where Q peaks (every nodeless state: for a Coulomb ground state, at the
+  degenerate turning point r = E/u).  The Wronskian is the sine of the angle
+  between the sweeps.  As det M_i = 1 it vanishes exactly where the phase
+  count drops, so an isolating bracket shows one sign change unless round-off
+  puts an end on the root; then the end with the smaller |W| is taken;
 * one shooting correction (W. R. Johnson, Atomic Structure Theory, 2007,
   ch. 2): for solutions y at E and z at E', W(y, z)' = (E - E')(y1 z1 + y2 z2),
   the identity behind the ordering theorem, so the level lies at
@@ -65,8 +65,6 @@ _log = logging.getLogger(__name__)
 
 # window edge margin: kappa = sqrt(1 - (E - V_inf)^2) degenerates at |w| = 1
 WINDOW_EDGE = 1e-9
-# samples below this fraction of the peak are round-off, not nodes
-NODE_FLOOR = 1e-10
 # Brent's absolute tolerance on E; the shooting correction does the rest
 BRENT_XTOL = 1e-12
 
@@ -566,15 +564,13 @@ def matching_mismatch(
 
 
 def count_nodes(samples) -> int:
-    """Strict interior sign changes, ignoring values below NODE_FLOOR*max."""
+    """Sign changes between the nonzero samples of a finite 1-D sequence: exact on
+    an eigenfunction, as each step turns it monotonically by less than pi (_end_angle)."""
     y = np.asarray(samples, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("samples must be finite")
-    peak = np.max(np.abs(y)) if y.size else 0.0
-    if peak == 0.0:
-        return 0
-    y = y[np.abs(y) >= NODE_FLOOR * peak]
-    return int(np.count_nonzero(np.sign(y[1:]) * np.sign(y[:-1]) < 0))
+    if y.ndim != 1 or not np.all(np.isfinite(y)):
+        raise ValueError("samples must be a finite 1-D sequence")
+    s = np.sign(y[y != 0.0])
+    return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
 def normalize(sol: RadialSolution) -> RadialSolution:
@@ -668,7 +664,7 @@ def solve_eigenvalue(
         grid=grid,
         psi1=psi1,
         psi2=psi2,
-        nodes1=count_nodes(psi1),  # scale-free: counted before normalizing
+        nodes1=count_nodes(psi1),  # exact (see count_nodes) and scale-free
         nodes2=count_nodes(psi2),
         potential=pot,
         V=ws.v_grid,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from diracbound.channels import (
@@ -21,6 +22,8 @@ class TestChannelValidation:
         assert ch.j == 1.5
         assert ch.k == 2
         assert ch.n == 2
+        # numpy integers are integers
+        assert Channel(tau=np.int64(-1), two_j=np.int64(3), n=np.int64(2)) == ch
 
     @pytest.mark.parametrize("bad", [0, 2, -2, 5])
     def test_tau_must_be_sign(self, bad):
@@ -35,6 +38,20 @@ class TestChannelValidation:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             Channel(tau=-1, two_j=1, n=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"tau": -1.0, "two_j": 1}, "tau"),
+            ({"tau": -1, "two_j": 3.0}, "two_j"),
+            ({"tau": -1, "two_j": 1, "n": 1.5}, "n"),
+        ],
+        ids=["tau", "two_j", "n"],
+    )
+    def test_quantum_numbers_must_be_integers(self, kwargs, field):
+        # a float n used to solve as another state and print as "1.5s_1/2"
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            Channel(**kwargs)
 
     def test_frozen(self):
         ch = Channel(tau=-1, two_j=1)

@@ -403,6 +403,22 @@ class TestPlumbing:
         assert code2 == 0
         assert target.read_text(encoding="utf-8") == stdout_text
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--z", "40", "--out"),
+            ("solve", "--z", "40", "--dump-wavefunction"),
+        ],
+        ids=["bound-out", "solve-dump-wavefunction"],
+    )
+    def test_unwritable_path_is_invalid_parameter(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(capsys, *argv, str(target))
+        assert code == 1
+        assert err.startswith("diracbound: invalid parameter:")
+        assert str(target) in err
+        assert err.count("\n") == 1
+
     def test_runs_are_deterministic(self, capsys):
         argv = ("bound", "--z", "30", "--format", "csv")
         _, first, _ = run_cli(capsys, *argv)

@@ -193,15 +193,16 @@ class TestCountNodes:
         # grazing zero without sign change
         assert count_nodes([1.0, 0.0, 1.0]) == 0
 
-    def test_floor_suppresses_roundoff_wiggles(self):
-        # a 1e-12 blip against an O(1) peak is quadrature noise, not a node
-        assert count_nodes([1.0, -1e-12, 1.0]) == 0
-        # a blip above the 1e-10 floor is a genuine pair of sign changes
+    def test_sign_changes_count_at_any_amplitude(self):
+        # no amplitude floor: a sign change far below the peak is still one
+        assert count_nodes([1.0, -1e-12, 1.0]) == 2
         assert count_nodes([1.0, -1e-9, 1.0]) == 2
 
     def test_small_samples_dropped_before_pairing(self):
-        # the sub-floor sample between two genuine signs must not mask the flip
+        # a small sample between two signs takes one side; an exact zero
+        # (an underflowed sample) is dropped, so neither masks the flip
         assert count_nodes([1.0, 1e-12, -1.0]) == 1
+        assert count_nodes([1.0, 0.0, -1.0]) == 1
 
     @given(st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=60))
     def test_matches_sign_flip_count(self, signs):
@@ -414,6 +415,13 @@ def coulomb_half(ch_s):
     return solve_eigenvalue(PureCoulomb(0.5), ch_s)
 
 
+# 13 channels, nodeless and noded, up to l = 5
+NODE_LABELS = (
+    "1s_1/2", "2s_1/2", "3s_1/2", "4s_1/2", "2p_1/2", "3p_1/2", "2p_3/2",
+    "3p_3/2", "3d_3/2", "3d_5/2", "4f_7/2", "5g_9/2", "6h_11/2",
+)
+
+
 class TestSolutionStructure:
     def test_unit_norm(self, coulomb_half):
         r = coulomb_half.grid.points
@@ -454,6 +462,29 @@ class TestSolutionStructure:
         # second s_1/2 state: one interior node in each component
         sol = solve_eigenvalue(PureCoulomb(0.5), Channel(tau=-1, two_j=1, n=2))
         assert (sol.nodes1, sol.nodes2) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "pot",
+        [
+            ScreenedCoulomb.from_charge(1),
+            ScreenedCoulomb.from_charge(136),
+            PureCoulomb(0.05),
+            PureCoulomb(0.95),
+        ],
+        ids=["Z1", "Z136", "u0.05", "u0.95"],
+    )
+    def test_node_counts_match_the_unwrapped_angle(self, pot):
+        # an independent reference for count_nodes: psi1 vanishes where theta =
+        # atan2(psi2, psi1) passes pi/2 mod pi, psi2 where it passes 0 mod pi.
+        # A component underflowed to 0 in the tail puts theta on such a line
+        # with no sign change, so those samples are skipped
+        for label in NODE_LABELS:
+            sol = solve_eigenvalue(pot, parse_state_label(label))
+            keep = (sol.psi1 != 0.0) & (sol.psi2 != 0.0)
+            theta = np.unwrap(np.arctan2(sol.psi2[keep], sol.psi1[keep]))
+            # index of the psi1 and the psi2 zero line last passed, per sample
+            lines = np.floor((theta - [[0.5 * math.pi], [0.0]]) / math.pi)
+            assert (sol.nodes1, sol.nodes2) == tuple(np.abs(np.diff(lines)).sum(axis=1)), label
 
     def test_match_radius_inside_grid(self, coulomb_half):
         g = coulomb_half.grid
@@ -1031,6 +1062,7 @@ class TestFailureModes:
             (lambda ch: solve_eigenvalue(PureCoulomb(0.5), ch, grid_scale=math.inf), "grid scale"),
             (lambda ch: count_nodes([1.0, math.nan, -1.0]), "samples"),
             (lambda ch: count_nodes([1.0, math.inf, -1.0]), "samples"),
+            (lambda ch: count_nodes([[1.0, -1.0], [1.0, -1.0]]), "samples"),
         ],
         ids=[
             "grid-scale-inf",
@@ -1039,6 +1071,7 @@ class TestFailureModes:
             "solve-grid-scale-inf",
             "samples-nan",
             "samples-inf",
+            "samples-2d",
         ],
     )
     def test_non_finite_input_is_a_named_value_error(self, ch_s, call, name):
