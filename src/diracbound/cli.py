@@ -45,7 +45,7 @@ from .comparison import assert_ordering
 from .envelope import minimize_bound
 from .errors import HypothesisViolationError, SolverError
 from .potentials import ScreenedCoulomb, ShiftedCoulomb, tangent_at
-from .radial import solve_eigenvalue
+from .radial import DEFAULT_GRID_SCALE, solve_eigenvalue
 from .table1 import DEFAULT_Z_VALUES, STATE_LABELS, compute_table
 
 SIG_DIGITS = 6
@@ -281,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to this path")
     # flags of the shooting solver, for the subcommands that run it
     solver = argparse.ArgumentParser(add_help=False, parents=[common])
-    solver.add_argument("--grid-scale", type=float, default=1.0,
-                        help="grid density multiplier (>= 0.5; >1 refines)")
+    solver.add_argument("--grid-scale", type=float, default=DEFAULT_GRID_SCALE,
+                        help="grid density multiplier (>= 0.5; default %(default)g, > 1 refines)")
 
     parser = argparse.ArgumentParser(
         prog="diracbound",

@@ -34,10 +34,7 @@ from .envelope import minimize_bound
 from .errors import HypothesisViolationError
 from .potentials import ScreenedCoulomb, ShiftedCoulomb, tangent_at
 from .radial import (
-    RadialSolution,
-    build_grid,
-    grid_derivative,
-    reference_rate,
+    DEFAULT_GRID_SCALE, RadialSolution, build_grid, grid_derivative, reference_rate,
     solve_eigenvalue,
 )
 
@@ -173,7 +170,7 @@ def assert_ordering(
     pot_b,
     ch: Channel,
     *,
-    grid_scale: float = 1.0,
+    grid_scale: float = DEFAULT_GRID_SCALE,
 ) -> ComparisonReport:
     """Solve an ordered pair on one shared grid and report the evidence.
 

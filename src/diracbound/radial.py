@@ -6,46 +6,33 @@ the bound-state problem in rest-energy units (hbar = c = m = 1) reads
     psi1' = -(tau*k/r) psi1 + (1 + E - V) psi2,
     psi2' = +(tau*k/r) psi2 + (1 + V - E) psi1,
 
-with psi1(0) = psi2(0) = 0 and unit L2 norm of the component pair.  The
-discrete spectrum lives in the window |E - V(inf)| < 1.
-
-The solver combines four classical ingredients:
+with psi1(0) = psi2(0) = 0, unit L2 norm and the discrete spectrum in the
+window |E - V(inf)| < 1.  The solver combines:
 
 * sixth-order Magnus steps over a mapped radial grid (log-spaced near the
-  origin, linear in the tail).  The system is linear, so each step is a 2x2
-  propagator M_i(E), the exact exponential of a traceless generator built
-  from A at three Gauss nodes (det M_i = 1), a cubic in E whose coefficients
-  are built once per grid: one Horner pass and one exponential per energy; the
-  inward steps are its adjugates, as the nodes are symmetric.  A normalized
-  prefix scan composes them where every sample is needed (the
-  eigenfunction), a pairwise reduction where only the end value is (the
-  Wronskian) or the end angle (the phase count, which carries each
-  product's whole half-turns as an integer);
-* Pruefer phase counting: the continuously unwound rotation angle of
-  (psi1, psi2) at r_max, minus the angle of the decaying tail solution, is
-  strictly decreasing in E and drops through a multiple of pi at every
-  eigenvalue of the truncated problem.  Counting those crossings from the
-  bottom of the spectral window locates the n-th eigenvalue by index, so a
-  bisection bracket can neither miss a state nor confuse neighbours.  The
-  bisection stops as soon as the bracket holds the target state alone (a
-  verified hint usually does from the start: 3 phase sweeps in all);
-* Wronskian matching: inside the phase-isolated bracket a Brent root find
-  (xtol BRENT_XTOL) on the normalized Wronskian of outward and inward sweeps
-  met at the outermost point where Q = (E - V)^2 - 1 - (k/r)^2 >= 0, else
-  where Q peaks (every nodeless state: for a Coulomb ground state, at the
-  degenerate turning point r = E/u).  The Wronskian is the sine of the angle
-  between the sweeps.  As det M_i = 1 it vanishes exactly where the phase
-  count drops, so an isolating bracket shows one sign change unless round-off
-  puts an end on the root; then the end with the smaller |W| is taken;
+  origin, linear in the tail): each step is the exact exponential M_i(E) of a
+  traceless generator (det M_i = 1), a cubic in E built once per grid, and
+  the inward steps are adjugates.  The outward steps to the match point and
+  the inward ones down to it form one stack, reduced by one pairwise tree
+  that never pairs across the match point: its roots give both end states,
+  and its down-sweep every state (the eigenfunction);
+* Pruefer phase counting: the unwound angle of (psi1, psi2) at r_max less
+  that of the decaying tail, equally the outward angle less the inward one at
+  any match point, drops through a multiple of pi at every eigenvalue of the
+  truncated problem.  Counted from the window bottom (the tree carries whole
+  half-turns as integers), it locates the n-th level by index; bisection
+  stops once the bracket holds that state alone (3 sweeps for a verified
+  hint, leaving Brent the Wronskians at the bracket ends);
+* Wronskian matching: Brent (xtol BRENT_XTOL) on the sine of the angle
+  between the sweeps met at the outermost point where Q = (E - V)^2 - 1 -
+  (k/r)^2 >= 0, else where Q peaks (every nodeless state).  It vanishes
+  exactly where the count drops: an isolating bracket shows one sign change
+  unless round-off puts an end on the root, and then the end with the
+  smaller |W| is taken;
 * one shooting correction (W. R. Johnson, Atomic Structure Theory, 2007,
-  ch. 2): for solutions y at E and z at E', W(y, z)' = (E - E')(y1 z1 + y2 z2),
-  the identity behind the ordering theorem, so the level lies at
-  E - w/int(psi1^2 + psi2^2) dr, w the Wronskian of the joined sweeps at the
-  matching radius; clamped to the bracket, it leaves the grid's error alone.
-
-The eigenfunction is assembled from the two sweeps joined at the matching
-radius and normalized with Simpson quadrature on the grid, whose integral
-the correction reuses.
+  ch. 2): W(y, z)' = (E - E')(y1 z1 + y2 z2) for solutions at E and E', so
+  the level is E - w/N, w the Wronskian of the sweeps joined at the matching
+  radius, N the Simpson norm that normalizes psi; clamped to the bracket.
 """
 
 from __future__ import annotations
@@ -70,8 +57,11 @@ BRENT_XTOL = 1e-12
 
 # weight a of ln r in the grid coordinate xi = a ln r + r/rho (see build_grid)
 GRID_LOG_WEIGHT = 0.5
+# grid density multiplier of every solve that takes no other
+DEFAULT_GRID_SCALE = 1.0
 # Gauss-Legendre nodes of the sixth-order Magnus step, as fractions of a step
 _GAUSS_C = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+_EYE = np.eye(2)[..., None]  # a (2, 2, 1) stack: the identity step
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +116,7 @@ def _grid_map(kappa_ref: float, scale: float) -> tuple[float, float]:
     return h, (0.025 / (kappa_ref * scale)) / h
 
 
-def build_grid(kappa_ref: float, scale: float = 1.0) -> RadialGrid:
+def build_grid(kappa_ref: float, scale: float = DEFAULT_GRID_SCALE) -> RadialGrid:
     """Mesh for states decaying like exp(-kappa_ref r), uniform in xi = a ln r +
     r/rho (a = GRID_LOG_WEIGHT), step h = 0.008/scale, rho = 3.125/kappa_ref:
     dr/r -> h/a near the origin, dr -> h rho = 0.025/(kappa_ref scale) in the
@@ -244,14 +234,18 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _unit(m: np.ndarray):
-    """m_i scaled to unit 1-norm, and each scale."""
+    """m_i scaled in place to unit 1-norm, and each scale."""
     nrm = np.add.reduce(np.abs(m), axis=(0, 1))
-    return m / nrm, nrm
+    m /= nrm
+    return m, nrm
 
 
 def _half(v: np.ndarray):
-    """1 where the vector v (each column, for a (2, n) stack) points into [pi, 2 pi), else 0."""
-    return ((v[1] < 0.0) | ((v[1] == 0.0) & (v[0] < 0.0))).astype(np.int64)
+    """True where the vector v (each column of a (2, n) stack) points into [pi, 2 pi)."""
+    h = v[1] < 0.0
+    if np.count_nonzero(v[1]) < v.shape[-1]:  # on the x axis, only -x lies in [pi, 2 pi)
+        h |= (v[1] == 0.0) & (v[0] < 0.0)
+    return h
 
 
 def _propagators(table, E: float) -> np.ndarray:
@@ -291,78 +285,92 @@ def _adj(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trajectory(steps: np.ndarray, y0, E: float):
-    """States after each of the n propagators of steps from y0, shape (2, n + 1),
-    as y_i = Y_i exp(ls_i); returns (Y, ls).  E only labels errors.
-
-    P_i = M_i ... M_0 comes from a Hillis-Steele inclusive scan with doubling
-    offsets, each level rescaled to unit 1-norm and its log-scale carried.
-    O(n log n): it serves only callers that need every sample (eigenfunction,
-    integrate_radial); phase counts use the O(n) reduction of _end_angle."""
-    prod, nrm = _unit(steps)
-    ls = np.log(nrm)
-    d = 1
-    while d < ls.size:
-        nxt, nrm = _unit(_mul(prod[..., d:], prod[..., :-d]))
-        prod[..., d:] = nxt
-        ls[d:] += ls[:-d] + np.log(nrm)
-        d *= 2
-    y0 = np.asarray(y0, dtype=float)
-    Y = np.concatenate([y0[:, None], prod[:, 0] * y0[0] + prod[:, 1] * y0[1]], axis=1)
-    ls = np.concatenate([[0.0], ls])
-    if not (np.all(np.isfinite(Y[:, -1])) and math.isfinite(ls[-1])):
-        raise ConvergenceError(f"sweep lost finiteness at E={E}")
-    return Y, ls
+def _padded(x: np.ndarray, la: int, pa: int, pb: int, fill: np.ndarray) -> np.ndarray:
+    """x with pa fill columns inserted after its first la and pb appended."""
+    return np.concatenate([x[..., :la], fill[..., :pa], x[..., la:], fill[..., :pb]], axis=-1)
 
 
-def _reduce(prod: np.ndarray, k: np.ndarray | None = None):
-    """Product M_{n-1} ... M_0 of a nonempty (2, 2, n) stack, up to a positive
-    scale, by pairwise tree reduction; with the half-turn counts k of the M_i
-    (see _end_angle), also that of the product, else None."""
-    while prod.shape[-1] > 1:
-        m = prod.shape[-1] // 2 * 2
-        pairs, _ = _unit(_mul(prod[..., 1:m:2], prod[..., 0:m:2]))
+def _tree(steps: np.ndarray, i: int, k: np.ndarray | None = None, levels: list | None = None):
+    """Products, up to positive scales, of the outward steps steps[..., :i] and
+    the inward ones steps[..., i:] of a (2, 2, n) stack, each in sweep order,
+    by one pairwise tree that never pairs across i: a product per level, odd
+    segments padded with an identity, products rescaled to unit 1-norm.  The
+    roots (I for an empty segment), with half-turn counts if k holds the
+    steps' (see _end_state); levels, a list, gets each level for _states."""
+    la, lb, prod = i, steps.shape[-1] - i, steps
+    lam = None if levels is None else np.zeros(prod.shape[-1])
+    while la > 1 or lb > 1:
+        pa, pb = la % 2, lb % 2
+        if pa or pb:  # k and lam pad with 0, the half-turns and log-scale of I
+            prod, k, lam = (None if x is None else _padded(x, la, pa, pb, f) for x, f in
+                            ((prod, _EYE), (k, np.zeros(1, np.int64)), (lam, np.zeros(1))))
+        if levels is not None:
+            levels.append((prod, lam, la, pa, lb))
+        pairs, nrm = _unit(_mul(prod[..., 1::2], prod[..., 0::2]))
         if k is not None:
-            kp = k[0:m:2] + k[1:m:2]
-            kp += (_half(pairs[:, 0]) - kp) % 2
-            k = np.concatenate([kp, k[m:]]) if m < k.size else kp
-        prod = np.concatenate([pairs, prod[..., m:]], axis=-1) if m < prod.shape[-1] else pairs
-    return prod[..., 0], None if k is None else int(k[0])
+            kp = k[0::2] + k[1::2]
+            kp += (kp ^ _half(pairs[:, 0])) & 1  # the parity of the pair's half-plane
+            k = kp
+        if lam is not None:
+            lam = lam[0::2] + lam[1::2] + np.log(nrm)
+        prod, la, lb = pairs, (la + pa) // 2, (lb + pb) // 2
+    return tuple((prod[..., j], None if k is None else int(k[j])) if n else (_EYE[..., 0], 0)
+                 for j, n in ((0, la), (la, lb)))
 
 
-def _end_value(steps: np.ndarray, y0, E: float) -> np.ndarray:
-    """State after the propagators of steps from y0 (y0 if none), up to a positive scale."""
-    y = _reduce(steps)[0] @ y0 if steps.shape[-1] else np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ConvergenceError(f"sweep lost finiteness at E={E}")
-    return y
-
-
-def _end_angle(steps: np.ndarray, y0, E: float) -> float:
-    """Unwound angle of the state after the n >= 1 propagators of steps from
-    y0, continued from atan2(y0) through every step: O(n), one atan2.
+def _end_state(p: np.ndarray, k_p: int, y0, E: float):
+    """State y = p y0 after a product p with half-turn count k_p, and the index k
+    of the half-turn [k pi, (k + 1) pi) holding its angle unwound from
+    atan2(y0) through every step; (-1)^k y points into [0, pi).
 
     Assumes each step turns every direction by less than pi: as det M = 1, a
     hyperbolic step (s^2 > 0, see _propagators) keeps directions between its
-    eigenlines, and an elliptic one is conjugate to a rotation by x =
-    sqrt(-s^2) < pi.  x peaks near threshold at about sqrt(u h Delta/(2a)) for
-    a -u/r tail (h the xi step, Delta = h rho the tail step; see build_grid):
-    0.89 rad for u = 0.99 on the coarsest grid (kappa_ref = 1e-3, scale 0.5).
-    As det M > 0, a product P turns directions monotonically and P(-y) = -P y:
-    its lifted angle of e_0 pins every direction's lift to within a half-turn.
-    The reduction carries k = floor(that angle / pi) exactly: a leaf's angle is
-    its principal value, in [-pi, pi), and G after F turns e_0 by k_F + k_G
-    half-turns or one more, whichever matches the half-plane of GF e_0 (the
-    parity of k).  The seed joins last, as a rotation by atan2(y0)."""
-    p, k_p = _reduce(steps, -_half(steps[:, 0]))
-    y = p @ y0
-    if not np.all(np.isfinite(y)):
+    eigenlines, and an elliptic one is a rotation by x = sqrt(-s^2) < pi up to
+    conjugation; x peaks near threshold at about sqrt(u h Delta/(2a)) for a
+    -u/r tail (xi step h, tail step Delta): 0.89 rad for u = 0.99 on the
+    coarsest grid.  A det > 0 product P turns directions monotonically and
+    P(-y) = -P y, so its lifted angle of e_0 pins every direction's to within
+    a half-turn; _tree carries k_P = floor(that angle / pi) exactly: a leaf
+    takes its principal value, in [-pi, pi), and G after F turns e_0 by k_F +
+    k_G half-turns or one more, as the half-plane of GF e_0 says."""
+    def lower(v):  # _half of a pair of floats
+        return int(v[1] < 0.0 or (v[1] == 0.0 and v[0] < 0.0))
+    (a, b), (c, d) = p.tolist()
+    y = (a * y0[0] + b * y0[1], c * y0[0] + d * y0[1])
+    if not (math.isfinite(y[0]) and math.isfinite(y[1])):
         raise ConvergenceError(f"sweep lost finiteness at E={E}")
-    k_s = -int(_half(np.asarray(y0, dtype=float)))
-    h = int(_half(y))
-    k = k_p + k_s + (h - k_p - k_s) % 2
-    u = -y if h else y  # turned into [0, pi): the angle within its half-turn
-    return k * math.pi + math.atan2(u[1], u[0])
+    k_s = -lower(y0)  # the seed joins last, as a rotation
+    return y, k_p + k_s + (lower(y) - k_p - k_s) % 2
+
+
+def _states(steps: np.ndarray, i: int, y_out, y_in, E: float):
+    """Every state y = Y exp(ls) of both sweeps of _tree, outward from y_out and
+    inward from y_in, as unit vectors Y and log-scales ls: ((Y, ls) of the i +
+    1 outward states in grid order, (Y, ls) of the n - i + 1 inward ones in
+    sweep order).  O(n), by a Blelloch down-sweep (CMU-CS-90-190, 1990) of the
+    levels of _tree, each segment closed by an identity step whose entering
+    state is its end state: a node passes its entering state to its left child
+    and, through the left child's product, to its right one."""
+    ext = np.concatenate([steps[..., :i], _EYE, steps[..., i:], _EYE], axis=-1)
+    levels = []
+    _tree(ext, i + 1, levels=levels)
+    seeds = np.array([y_out, y_in], dtype=float).T
+    nrm = np.abs(seeds).sum(axis=0)
+    Y, ls = seeds / nrm, np.log(nrm)
+    for prod, lam, la, pa, lb in reversed(levels):
+        left = prod[..., 0::2]
+        right = left[:, 0] * Y[0] + left[:, 1] * Y[1]
+        nrm = np.abs(right).sum(axis=0)
+        Y2, ls2 = np.empty((2, 2 * ls.size)), np.empty(2 * ls.size)
+        Y2[:, 0::2], Y2[:, 1::2] = Y, right / nrm
+        ls2[0::2], ls2[1::2] = ls, ls + lam[0::2] + np.log(nrm)
+        Y, ls = Y2, ls2
+        if pa or lb % 2:
+            Y = np.concatenate([Y[:, :la], Y[:, la + pa : la + pa + lb]], axis=1)
+            ls = np.concatenate([ls[:la], ls[la + pa : la + pa + lb]])
+    if not np.isfinite(ls[[i, -1]]).all():  # a step lost anywhere reaches the end scales
+        raise ConvergenceError(f"sweep lost finiteness at E={E}")
+    return (Y[:, : i + 1], ls[: i + 1]), (Y[:, i + 1 :], ls[i + 1 :])
 
 
 def _samples(Y: np.ndarray, ls: np.ndarray) -> np.ndarray:
@@ -379,10 +387,9 @@ def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
 
 
 class _ShootingWorkspace:
-    """Stage tables and sweep functionals for one (pot, ch, grid).
-
-    One stage table; one propagator pass per energy serves both sweeps, whose
-    inward steps are its adjugates (inverses, by the symmetric Gauss nodes)."""
+    """Stage tables and sweep functionals for one (pot, ch, grid): per energy, one
+    propagator pass serves both sweeps, reduced by one split tree (_tree).  A
+    count at (E, i) keeps the Wronskian at (E, i) in probes for Brent."""
 
     def __init__(self, pot, ch: Channel, grid: RadialGrid):
         self.pot = pot
@@ -393,14 +400,16 @@ class _ShootingWorkspace:
         r = grid.points
         self.v_grid = pot.evaluate(r)
         self.table = _stage_tables(pot, ch.tau * ch.k, r[:-1], np.diff(r))
+        self.probes: dict[tuple[float, int], float] = {}
 
-    def steps(self, E: float, i: int):
-        """Propagators at E of the outward sweep to grid index i and of the
-        inward sweep down to it, each in sweep order."""
+    def steps(self, E: float, i: int) -> np.ndarray:
+        """Propagators at E of the outward sweep to grid index i, then of the
+        inward sweep down to it, each in sweep order: one (2, 2, n_int) stack."""
         if not 0 <= i <= self.n_int:
             raise ValueError(f"match_index {i} outside the valid range [0, {self.n_int}]")
         m = _propagators(self.table, E)
-        return m[..., :i], _adj(m[..., i:])[..., ::-1]
+        m[..., i:] = _adj(m[..., i:])[..., ::-1]
+        return m
 
     def _seed_out(self, E):
         return origin_series_seed(self.pot, self.ch, E, self.grid.points[0])
@@ -409,26 +418,36 @@ class _ShootingWorkspace:
         w = E - self.v_inf
         return 1.0, -math.sqrt((1.0 - w) / (1.0 + w))
 
-    def phase(self, E: float) -> float:
-        """Unwound matching phase; strictly decreasing in E."""
-        theta = _end_angle(_propagators(self.table, E), self._seed_out(E), E)
-        return theta - decaying_tail_angle(E - self.v_inf)
+    def _sweep(self, E: float, i: int, halves: bool):
+        """Scaled Wronskian of the sweeps met at grid index i, kept in probes, and
+        the half-turn indices of their end states (0 unless halves)."""
+        steps = self.steps(E, i)
+        roots = _tree(steps, i, -_half(steps[:, 0]).astype(np.int64) if halves else None)
+        seeds = self._seed_out(E), self._seed_in(E)
+        (y_o, k_o), (y_i, k_i) = (_end_state(p, k or 0, y0, E) for (p, k), y0 in zip(roots, seeds))
+        w = self.probes[(E, i)] = _scaled_wronskian(*y_o, *y_i, E)
+        return w, k_o, k_i
 
-    def count(self, E: float) -> int:
-        """floor(phase/pi); drops by one at each eigenvalue as E grows."""
-        return math.floor(self.phase(E) / math.pi)
+    def count(self, E: float, i: int) -> int:
+        """floor((theta_out - theta_in)/pi) of the sweeps' unwound angles met at
+        grid index i: the phase count at any i, as the outward steps past i map
+        the inward angle to the tail's and keep differences in their half-turn
+        band.  Within it, theta_out is the smaller if the turned ends' cross
+        product (the Wronskian's sign) is positive."""
+        w, k_o, k_i = self._sweep(E, i, True)
+        return k_o - k_i - int((-1) ** (k_o + k_i) * w > 0.0)
 
     def bisect_count(
-        self, level: int, lo: float, hi: float, c_lo: int, c_hi: int
+        self, level: int, lo: float, hi: float, c_lo: int, c_hi: int, i: int
     ) -> tuple[float, float]:
         """Bisect (lo, hi) with counts c_lo >= level > c_hi at its ends until it
         holds the crossing at level alone (c_lo == level == c_hi + 1), or
-        cannot be split further."""
+        cannot be split further; every count joins the sweeps at i."""
         while c_lo > level or c_hi < level - 1:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            c = self.count(mid)
+            c = self.count(mid, i)
             if c >= level:
                 lo, c_lo = mid, c
             else:
@@ -441,38 +460,33 @@ class _ShootingWorkspace:
 
         A hint (E_lo, E_hi) inside window narrows the search if the phase counts,
         anchored at the window bottom, place the n-th state in it and no state
-        below it; otherwise it is dropped with a DEBUG record."""
-        c_bot = self.count(window[0])
+        below it; otherwise it is dropped with a DEBUG record.  A hinted search
+        joins every sweep at the match index of the hint's midpoint, so Brent
+        finds the Wronskians at the bracket ends in probes."""
+        i = self.n_int if hint is None else self.match_index(0.5 * (hint[0] + hint[1]))
+        c_bot = self.count(window[0], i)
         if hint is not None:
             lo, hi = hint
-            c_lo, c_hi = self.count(lo), self.count(hi)
+            c_lo, c_hi = self.count(lo, i), self.count(hi, i)
             if not (c_bot - c_lo == n - 1 and c_bot - c_hi >= n):
-                _log.debug(
-                    "bracket hint %s rejected for %s: phase counts %d at the window "
-                    "bottom, %d and %d at the hint ends",
-                    hint,
-                    self.ch,
-                    c_bot,
-                    c_lo,
-                    c_hi,
-                )
+                _log.debug("bracket hint %s rejected for %s: phase counts %d at the window "
+                           "bottom, %d and %d at the hint ends", hint, self.ch, c_bot, c_lo, c_hi)
                 hint = None
         if hint is None:
             (lo, hi), c_lo = window, c_bot
-            c_hi = self.count(hi)
+            c_hi = self.count(hi, i)
         if c_bot - c_hi < n:
             return c_bot - c_hi, None
-        lo, hi = self.bisect_count(c_bot - (n - 1), lo, hi, c_lo, c_hi)
-        i_match = self.match_index(0.5 * (lo + hi))
+        lo, hi = self.bisect_count(c_bot - (n - 1), lo, hi, c_lo, c_hi, i)
+        if hint is None:
+            i = self.match_index(0.5 * (lo + hi))
         try:
             # brentq evaluates both ends and returns one whose Wronskian is 0
-            energy = brentq(
-                _wronskian, lo, hi, args=(self, i_match), xtol=BRENT_XTOL, rtol=8.9e-16
-            )
+            energy = brentq(_wronskian, lo, hi, args=(self, i), xtol=BRENT_XTOL, rtol=8.9e-16)
         except ValueError:
             # W vanishes only where the count drops, once in this bracket, so
             # ends of one sign mean round-off has put one of them on the root
-            w_lo, w_hi = _wronskian(lo, self, i_match), _wronskian(hi, self, i_match)
+            w_lo, w_hi = _wronskian(lo, self, i), _wronskian(hi, self, i)
             if np.sign(w_lo) != np.sign(w_hi):
                 raise
             energy = lo if abs(w_lo) <= abs(w_hi) else hi
@@ -489,17 +503,14 @@ class _ShootingWorkspace:
 
     def wronskian(self, E: float, i_match: int) -> float:
         """Scaled Wronskian of outward and inward sweeps at the match point."""
-        m_out, m_in = self.steps(E, i_match)
-        o1, o2 = _end_value(m_out, self._seed_out(E), E)
-        i1, i2 = _end_value(m_in, self._seed_in(E), E)
-        return _scaled_wronskian(o1, o2, i1, i2, E)
+        w = self.probes.get((E, i_match))
+        return self._sweep(E, i_match, False)[0] if w is None else w
 
     def eigenfunction(self, E: float, i_match: int):
         """Components on the full grid from both sweeps, their scaled Wronskian,
         and their Wronskian at the join in psi's scale over |psi(r_m)|^2."""
-        m_out, m_in = self.steps(E, i_match)
-        Yo, ls_o = _trajectory(m_out, self._seed_out(E), E)
-        Yi, ls_i = _trajectory(m_in, self._seed_in(E), E)
+        seeds = self._seed_out(E), self._seed_in(E)
+        (Yo, ls_o), (Yi, ls_i) = _states(self.steps(E, i_match), i_match, *seeds, E)
         out = _samples(Yo, ls_o)
         inw = _samples(Yi, ls_i)[:, ::-1]
         # join on the component the inward sweep resolves best
@@ -541,15 +552,14 @@ def integrate_radial(
     ws = _ShootingWorkspace(pot, ch, grid)
     outward = direction == "outward"
     i_stop = (ws.n_int if outward else 0) if match_index is None else int(match_index)
-    m_out, m_in = ws.steps(E, i_stop)
+    seeds = ws._seed_out(E), ws._seed_in(E)
+    (Yo, ls_o), (Yi, ls_i) = _states(ws.steps(E, i_stop), i_stop, *seeds, E)
     psi = np.zeros((2, ws.n_int + 1))
     if outward:
-        Y, ls = _trajectory(m_out, ws._seed_out(E), E)
-        psi[:, : i_stop + 1] = _samples(Y, ls)
+        psi[:, : i_stop + 1] = _samples(Yo, ls_o)
         first, last = 0, i_stop
     else:
-        Y, ls = _trajectory(m_in, ws._seed_in(E), E)
-        psi[:, i_stop:] = _samples(Y, ls)[:, ::-1]
+        psi[:, i_stop:] = _samples(Yi, ls_i)[:, ::-1]
         first, last = i_stop, ws.n_int
     return SweepResult(direction, psi[0], psi[1], first, last)
 
@@ -565,7 +575,7 @@ def matching_mismatch(
 
 def count_nodes(samples) -> int:
     """Sign changes between the nonzero samples of a finite 1-D sequence: exact on
-    an eigenfunction, as each step turns it monotonically by less than pi (_end_angle)."""
+    an eigenfunction, as each step turns it monotonically by less than pi (_end_state)."""
     y = np.asarray(samples, dtype=float)
     if y.ndim != 1 or not np.all(np.isfinite(y)):
         raise ValueError("samples must be a finite 1-D sequence")
@@ -586,7 +596,7 @@ def solve_eigenvalue(
     pot,
     ch: Channel,
     *,
-    grid_scale: float = 1.0,
+    grid_scale: float = DEFAULT_GRID_SCALE,
     bracket_hint: tuple[float, float] | None = None,
     grid: RadialGrid | None = None,
 ) -> RadialSolution:
@@ -597,16 +607,13 @@ def solve_eigenvalue(
     phase count and discarded, with a DEBUG record on the "diracbound" logger,
     if it does not hold the requested state.  A level is accepted once the
     grid's tail spans 30 of its decay lengths, r_max * kappa >= 30.  Unless
-    the caller supplies a grid (e.g. one shared by the two solves of a
-    comparison pair), a grid that holds fewer than ch.n states or whose tail
-    is too short for the level found is rebuilt once, with a DEBUG record, as
-    the longest grid of the family (kappa_ref = 1e-3, r_max = 35000).  That
-    grid holds decay rates down to kappa = 30/35000 = 8.57e-4, a binding of
-    about 3.7e-7 mc^2.  NoBoundStateError: the longest grid, or the caller's,
-    holds fewer than ch.n states.  ConvergenceError: the level found on the
-    longest grid does not fit its tail ("too weakly bound"), or the caller's
-    grid is "too short" for it.
-    """
+    the caller supplies a grid (e.g. one shared by a comparison pair), a grid
+    that holds fewer than ch.n states or too short a tail for the level found
+    is rebuilt once, with a DEBUG record, as the longest grid of the family
+    (kappa_ref = 1e-3, r_max = 35000; kappa >= 8.57e-4, a binding of about
+    3.7e-7 mc^2).  NoBoundStateError: the longest grid, or the caller's, holds
+    fewer than ch.n states.  ConvergenceError: the level found does not fit the
+    longest grid's tail ("too weakly bound") or the caller's ("too short")."""
     v_inf = pot.value_at_infinity
     window = (v_inf - 1.0 + WINDOW_EDGE, v_inf + 1.0 - WINDOW_EDGE)
     hint = bracket_hint
@@ -658,18 +665,11 @@ def solve_eigenvalue(
     # the state's; join the sweeps at the turning point of the energy found
     i_match = ws.match_index(energy)
     psi1, psi2, mismatch, join = ws.eigenfunction(energy, i_match)
+    # node counts are exact (see count_nodes) and scale-free
     sol = normalize(RadialSolution(
-        ch=ch,
-        E=energy,
-        grid=grid,
-        psi1=psi1,
-        psi2=psi2,
-        nodes1=count_nodes(psi1),  # exact (see count_nodes) and scale-free
-        nodes2=count_nodes(psi2),
-        potential=pot,
-        V=ws.v_grid,
-        match_radius=float(grid.points[i_match]),
-        mismatch=mismatch,
+        ch=ch, E=energy, grid=grid, psi1=psi1, psi2=psi2, nodes1=count_nodes(psi1),
+        nodes2=count_nodes(psi2), potential=pot, V=ws.v_grid,
+        match_radius=float(grid.points[i_match]), mismatch=mismatch,
     ))
     # the shooting correction w/N (module docstring) is join |psi(r_m)|^2 once
     # psi is normalized; the isolating bracket holds the level

@@ -19,7 +19,7 @@ from .channels import DEFAULT_CONSTANTS, Channel, PhysicalConstants, parse_state
 from .envelope import minimize_bound
 from .errors import SolverError
 from .potentials import ScreenedCoulomb
-from .radial import solve_eigenvalue
+from .radial import DEFAULT_GRID_SCALE, solve_eigenvalue
 
 STATE_LABELS = ("1s_1/2", "2p_3/2")
 DEFAULT_Z_VALUES = (20, 30, 40, 50, 60, 70, 80)
@@ -111,7 +111,7 @@ def compute_state_pair(
     state: str,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     *,
-    grid_scale: float = 1.0,
+    grid_scale: float = DEFAULT_GRID_SCALE,
     upper_only: bool = False,
 ) -> tuple[TableCell, ...]:
     """Envelope-bound and solver cells for one (Z, state) pair.
@@ -154,7 +154,7 @@ def compute_table(
     z_values: tuple[int, ...] = DEFAULT_Z_VALUES,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     *,
-    grid_scale: float = 1.0,
+    grid_scale: float = DEFAULT_GRID_SCALE,
     upper_only: bool = False,
 ) -> TableResult:
     """Full table over ``z_values``: four cells per Z (two per channel)."""

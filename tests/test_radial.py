@@ -286,16 +286,25 @@ def sweep_calls(monkeypatch):
 
 
 class TestSearch:
-    def test_hinted_table_solve_sweep_budget(self, sweep_calls):
+    def test_hinted_table_solve_sweep_budget(self, sweep_calls, monkeypatch):
         # the envelope hint already holds exactly the target state: three
-        # verifying counts, then Brent on the Wronskian, which evaluates the
-        # bracket ends itself
+        # verifying counts, whose sweeps also give Brent its bracket-end
+        # Wronskians, then Brent and the eigenfunction; no count or Wronskian
+        # sweeps an (E, i) twice
+        passes = []
+        steps = radial._ShootingWorkspace.steps
+
+        def recorded(self, E, i):
+            passes.append((E, i))
+            return steps(self, E, i)
+
+        monkeypatch.setattr(radial._ShootingWorkspace, "steps", recorded)
         numeric = compute_state_pair(40, "1s_1/2")[1]
         assert not numeric.failed
         assert len(sweep_calls["count"]) <= 3
-        energies = sweep_calls["wronskian"]
-        assert len(energies) <= 6
-        assert len(set(energies)) == len(energies)
+        assert len(passes) <= 8
+        search = passes[:-1]  # the last pass takes every state, for the eigenfunction
+        assert len(set(search)) == len(search)
 
     def test_unhinted_sweep_budget(self, ch_s, sweep_calls):
         # bisection stops once the bracket isolates the state, not at a fixed width
@@ -528,8 +537,9 @@ class TestSweeps:
 
     def test_outward_phase_accumulates(self, ch_s):
         ws = radial._ShootingWorkspace(PureCoulomb(0.5), ch_s, build_grid(0.5))
-        # the unwound phase decreases as E grows (one eigenvalue in between)
-        assert ws.phase(0.999) < ws.phase(0.2)
+        # the phase count drops as E grows (levels in between)
+        for i in (0, ws.n_int // 2, ws.n_int):
+            assert ws.count(0.999, i) < ws.count(0.2, i)
 
     @pytest.mark.parametrize("direction", ["outward", "inward"])
     def test_rescaled_samples_stay_continuous(self, ch_s, direction):
@@ -647,7 +657,7 @@ WINDOW_ENERGIES = [-0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.999]
 
 def _sweeps(ws, E):
     """Full-grid outward and inward propagator stacks at E, each in sweep order."""
-    return ws.steps(E, ws.n_int)[0], ws.steps(E, 0)[1]
+    return ws.steps(E, ws.n_int), ws.steps(E, 0)
 
 
 class TestPropagatorKernel:
@@ -679,7 +689,8 @@ class TestPropagatorKernel:
         ws = z80_workspace
         r = ws.grid.points
         i = ws.match_index(E)
-        out, inw = ws.steps(E, i)
+        steps = ws.steps(E, i)
+        out, inw = steps[..., :i], steps[..., i:]
         full = radial._propagators(ws.table, E)
         np.testing.assert_array_equal(out, full[..., :i])
         back = radial._stage_tables(ws.pot, ws.ch.tau * ws.ch.k, r[:0:-1], -np.diff(r)[::-1])
@@ -745,38 +756,41 @@ class TestPropagatorKernel:
         assert comm_hinted == comm_unhinted > 0
 
     def test_one_propagator_pass_per_energy(self, monkeypatch):
-        # every count, Wronskian and eigenfunction builds the propagators
-        # once and takes the inward steps as their adjugates
-        calls = dict.fromkeys(["_propagators", "phase", "wronskian", "eigenfunction"], 0)
+        # every count, Wronskian not found in probes and eigenfunction builds
+        # the propagators once, takes the inward steps as their adjugates and
+        # reduces both sweeps in one tree
+        calls = dict.fromkeys(["_propagators", "_tree", "count", "eigenfunction"], 0)
 
         def counted(owner, name):
             inner = getattr(owner, name)
 
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 calls[name] += 1
-                return inner(*args)
+                return inner(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapped)
 
-        counted(radial, "_propagators")
-        for name in ("phase", "wronskian", "eigenfunction"):
+        for name in ("_propagators", "_tree"):
+            counted(radial, name)
+        for name in ("count", "eigenfunction"):
             counted(radial._ShootingWorkspace, name)
         assert not compute_state_pair(40, "1s_1/2")[1].failed
-        assert calls["eigenfunction"] == 1
-        passes = calls["phase"] + calls["wronskian"] + calls["eigenfunction"]
-        assert calls["_propagators"] == passes <= 10
+        assert calls["eigenfunction"] == 1 and calls["count"] == 3
+        assert calls["_propagators"] == calls["_tree"] <= 8
 
     @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
     def test_end_value_matches_scan(self, z80_workspace, E):
+        # the roots of the split tree, as the Wronskian uses them, against the
+        # end states of its down-sweep, as the eigenfunction does
         ws = z80_workspace
         i_match = ws.match_index(E)
-        seed = ws._seed_out(E)
-        out = ws.steps(E, i_match)[0]
-        Y, _ = radial._trajectory(out, seed, E)
-        end = radial._end_value(out, seed, E)
-        np.testing.assert_allclose(
-            end / np.abs(end).sum(), Y[:, -1] / np.abs(Y[:, -1]).sum(), rtol=1e-12
-        )
+        seeds = ws._seed_out(E), ws._seed_in(E)
+        steps = ws.steps(E, i_match)
+        roots = radial._tree(steps, i_match)
+        sweeps = radial._states(steps, i_match, *seeds, E)
+        for (p, _), seed, (Y, _) in zip(roots, seeds, sweeps):
+            end = p @ seed
+            np.testing.assert_allclose(end / np.abs(end).sum(), Y[:, -1], rtol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 1024, 1001, None], ids=lambda n: f"n={n}")
     def test_kernel_leaves_its_inputs_unchanged(self, z80_workspace, n):
@@ -792,20 +806,20 @@ class TestPropagatorKernel:
             np.testing.assert_array_equal(t, t0)
         seed = np.array(ws._seed_out(E))
         calls = [
-            lambda s, k: radial._reduce(s),
-            lambda s, k: radial._reduce(s, k),
-            lambda s, k: radial._end_value(s, seed, E),
-            lambda s, k: radial._end_angle(s, seed, E),
-            lambda s, k: radial._trajectory(s, seed, E),
+            lambda s, i, k: radial._tree(s, i),
+            lambda s, i, k: radial._tree(s, i, k),
+            lambda s, i, k: radial._states(s, i, seed, seed, E),
         ]
         for steps in (full[..., :n], radial._adj(full)[..., ::-1][..., :n]):
-            k = -radial._half(steps[:, 0])
+            k = -radial._half(steps[:, 0]).astype(np.int64)
             before, k_before = steps.copy(), k.copy()
-            for call in calls:
-                call(steps, k)
-                np.testing.assert_array_equal(steps, before)
-                np.testing.assert_array_equal(k, k_before)
-                np.testing.assert_array_equal(seed, ws._seed_out(E))
+            m = steps.shape[-1]
+            for i in sorted({0, 1, m // 3, m - 1, m} & set(range(m + 1))):
+                for call in calls:
+                    call(steps, i, k)
+                    np.testing.assert_array_equal(steps, before)
+                    np.testing.assert_array_equal(k, k_before)
+                    np.testing.assert_array_equal(seed, ws._seed_out(E))
 
     @pytest.mark.parametrize(
         "pot", [ScreenedCoulomb.from_charge(136), PureCoulomb(0.3)], ids=["Z=136", "u=0.3"]
@@ -842,11 +856,33 @@ class TestPropagatorKernel:
 def _scan_phase(ws, E):
     """Matching phase from every sample of the outward sweep: seed angle plus
     winding, the sum of the angles turned between neighbouring samples."""
-    Y, _ = radial._trajectory(ws.steps(E, ws.n_int)[0], ws._seed_out(E), E)
-    u = Y / np.abs(Y).sum(axis=0)
+    (Y, _), _ = radial._states(ws.steps(E, ws.n_int), ws.n_int, ws._seed_out(E), ws._seed_in(E), E)
+    u = Y
     a, b = u[:, :-1], u[:, 1:]
     winding = np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1]).sum()
     return math.atan2(Y[1, 0], Y[0, 0]) + winding - decaying_tail_angle(E - ws.v_inf)
+
+
+def _angle(y, k):
+    """Unwound angle of an end state y with half-turn index k (see _end_state)."""
+    u = (-1) ** k * np.asarray(y)
+    return k * math.pi + math.atan2(u[1], u[0])
+
+
+def _lifted_angle(stack, y0, i=None):
+    """Unwound angle of the state after the steps of stack[..., :i] from y0, by
+    the split tree with half-turns."""
+    i = stack.shape[-1] if i is None else i
+    (p, k_p), _ = radial._tree(stack, i, -radial._half(stack[:, 0]).astype(np.int64))
+    return _angle(*radial._end_state(p, k_p, y0, 0.0))
+
+
+def _tree_phase(ws, E):
+    """Matching phase of the split tree at i = n_int: the outward sweep's
+    unwound angle at r_max less the tail angle."""
+    return _lifted_angle(ws.steps(E, ws.n_int), ws._seed_out(E)) - decaying_tail_angle(
+        E - ws.v_inf
+    )
 
 
 def _near_identity_step(phi, a, b, c, d):
@@ -875,7 +911,7 @@ class TestHalfTurnReduction:
     @pytest.mark.parametrize("E", WINDOW_ENERGIES)
     def test_phase_matches_scan_z80(self, z80_workspace, E):
         ws = z80_workspace
-        assert abs(ws.phase(E) - _scan_phase(ws, E)) < 1e-10
+        assert abs(_tree_phase(ws, E) - _scan_phase(ws, E)) < 1e-10
 
     @pytest.mark.parametrize("kappa", [1e-3, 0.25, 1.0])
     @pytest.mark.parametrize(
@@ -887,9 +923,24 @@ class TestHalfTurnReduction:
         pot = ScreenedCoulomb.from_charge(80)
         ws = radial._ShootingWorkspace(pot, ch, build_grid(kappa, 0.5))
         for E in WINDOW_ENERGIES:
-            new, old = ws.phase(E), _scan_phase(ws, E)
+            new, old = _tree_phase(ws, E), _scan_phase(ws, E)
             assert abs(new - old) < 1e-10
-            assert math.floor(new / math.pi) == math.floor(old / math.pi)
+            assert ws.count(E, ws.n_int) == math.floor(new / math.pi) == math.floor(old / math.pi)
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.05, 1.0])
+    def test_count_is_the_same_at_every_split(self, kappa):
+        # the outward steps past i map the inward angle at i to the tail's and
+        # keep angle differences in their half-turn band, so the count at any
+        # split equals the count at r_max, on a mesh of energies that crosses
+        # every level of three channels
+        pot = ScreenedCoulomb.from_charge(80)
+        energies = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 41)
+        for ch in (Channel(tau=-1, two_j=1), Channel(tau=1, two_j=1), parse_state_label("4f_7/2")):
+            ws = radial._ShootingWorkspace(pot, ch, build_grid(kappa, 0.5))
+            splits = (0, 1, 8, ws.n_int // 3, ws.n_int // 2 + 1, ws.n_int - 8, ws.n_int - 1)
+            for E in energies:
+                at_r_max = ws.count(E, ws.n_int)
+                assert [ws.count(E, i) for i in splits] == [at_r_max] * len(splits)
 
     @given(
         st.lists(_step, min_size=1, max_size=65),
@@ -905,8 +956,10 @@ class TestHalfTurnReduction:
             nxt = stack[..., i] @ y
             expected += math.atan2(y[0] * nxt[1] - y[1] * nxt[0], y @ nxt)
             y = nxt / np.abs(nxt).sum()
-        got = radial._end_angle(stack, y0, 0.0)
-        assert got == pytest.approx(expected, abs=1e-9)
+        assert _lifted_angle(stack, y0) == pytest.approx(expected, abs=1e-9)
+        # the outward part of a split tree does not see the steps past the split
+        i = stack.shape[-1] // 2
+        assert _lifted_angle(stack, y0, i) == pytest.approx(_lifted_angle(stack[..., :i], y0))
 
     @pytest.mark.parametrize(
         "turns, expected",
@@ -917,12 +970,12 @@ class TestHalfTurnReduction:
         # boundary between the two half-planes
         quarter = {"+": [[0.0, -1.0], [1.0, 0.0]], "-": [[0.0, 1.0], [-1.0, 0.0]]}
         stack = np.stack([np.array(quarter[t]) for t in turns], axis=-1)
-        got = radial._end_angle(stack, (1.0, 0.0), 0.0)
+        got = _lifted_angle(stack, (1.0, 0.0))
         assert got == pytest.approx(expected * math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("kappa", [1e-3, 0.05, 1.0])
     def test_elliptic_steps_turn_less_than_a_quarter(self, kappa):
-        # _end_angle needs every step to turn each direction by less than pi.
+        # _end_state needs every step to turn each direction by less than pi.
         # An elliptic step is conjugate to a rotation by sqrt(-s^2); near
         # threshold this peaks at about sqrt(u h Delta/(2a)) for a -u/r tail
         grid = build_grid(kappa, 0.5)
@@ -942,19 +995,23 @@ class TestHalfTurnReduction:
         assert worst < min(math.pi / 2.0, 1.001 * bound)
 
     def test_counts_do_not_scan(self, monkeypatch):
-        # a hinted solve scans only for the eigenfunction's two sweeps; its
-        # three phase counts are reductions
-        calls = {"_trajectory": 0, "_end_angle": 0}
-        for name in calls:
-            inner = getattr(radial, name)
+        # a hinted solve takes every state of its sweeps only for the
+        # eigenfunction; its three phase counts are trees with half-turns
+        calls = {"_states": 0, "halves": 0}
+        states, tree = radial._states, radial._tree
 
-            def wrapped(*args, _inner=inner, _name=name):
-                calls[_name] += 1
-                return _inner(*args)
+        def counted_states(*args):
+            calls["_states"] += 1
+            return states(*args)
 
-            monkeypatch.setattr(radial, name, wrapped)
+        def counted_tree(steps, i, k=None, levels=None):
+            calls["halves"] += k is not None
+            return tree(steps, i, k, levels)
+
+        monkeypatch.setattr(radial, "_states", counted_states)
+        monkeypatch.setattr(radial, "_tree", counted_tree)
         assert not compute_state_pair(40, "1s_1/2")[1].failed
-        assert calls == {"_trajectory": 2, "_end_angle": 3}
+        assert calls == {"_states": 1, "halves": 3}
 
 
 # --------------------------------------------------------------------------
@@ -1175,3 +1232,18 @@ class TestWeaklyBoundEdges:
         # 28 and 11.7 decay lengths on the longest grid's tail, short of 30
         with pytest.raises(ConvergenceError, match="too weakly bound"):
             solve_eigenvalue(PureCoulomb(u), parse_state_label(label))
+
+
+class TestStrongCouplingEdge:
+    def test_z137_ground_state_in_sandwich(self, ch_s):
+        # Z = 137 (alpha Z = 0.99974) is the largest charge from_charge accepts:
+        # its hinted 1s_1/2 solve lies between the level of -v/r, which lies
+        # below V, and the envelope bound of the optimal tangent, which lies above
+        pot = ScreenedCoulomb.from_charge(137)
+        upper, numeric = compute_state_pair(137, "1s_1/2")
+        assert not (upper.failed or numeric.failed)
+        floor = coulomb_eigenvalue(pot.coupling, ch_s)
+        assert floor <= numeric.energy <= upper.energy
+        assert (floor, numeric.energy, upper.energy) == pytest.approx(
+            (0.022920, 0.058827, 0.059477), abs=1e-6
+        )

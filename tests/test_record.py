@@ -69,7 +69,9 @@ def test_ordering_pairs(record):
         ("E_a", "E_b"),
     )
     for g, w in zip(got, record["ordering"]):
-        assert g["identity_relative"] == pytest.approx(w["identity_relative"], rel=0, abs=IDENTITY_TOL)
+        assert g["identity_relative"] == pytest.approx(
+            w["identity_relative"], rel=0, abs=IDENTITY_TOL
+        )
         assert g["derivative_residual"] == pytest.approx(
             w["derivative_residual"], rel=0, abs=DERIVATIVE_TOL
         )
