@@ -11,18 +11,19 @@ window |E - V(inf)| < 1.  The solver combines:
 
 * sixth-order Magnus steps over a mapped radial grid (log-spaced near the
   origin, linear in the tail): each step is the exact exponential M_i(E) of a
-  traceless generator (det M_i = 1), a cubic in E built once per grid, and
-  the inward steps are adjugates.  The outward steps to the match point and
-  the inward ones down to it form one stack, reduced by one pairwise tree
-  that never pairs across the match point: its roots give both end states,
-  and its down-sweep every state (the eigenfunction);
+  traceless generator (det M_i = 1), a cubic in E built once per grid,
+  scaled by e^-x where it grows like e^x, and the inward steps are
+  adjugates.  The outward sweep to the match point and the inward one down
+  to it are one unit lower-triangular banded system, solved by one BLAS
+  dtbsv forward substitution: every state of both sweeps, for the
+  Wronskian, the phase count and the eigenfunction alike;
 * Pruefer phase counting: the unwound angle of (psi1, psi2) at r_max less
   that of the decaying tail, equally the outward angle less the inward one at
   any match point, drops through a multiple of pi at every eigenvalue of the
-  truncated problem.  Counted from the window bottom (the tree carries whole
-  half-turns as integers), it locates the n-th level by index; bisection
-  stops once the bracket holds that state alone (3 sweeps for a verified
-  hint, leaving Brent the Wronskians at the bracket ends);
+  truncated problem.  Counted from the window bottom (whole half-turns are
+  the states' half-plane changes, as integers), it locates the n-th level by
+  index; bisection stops once the bracket holds that state alone (3 sweeps
+  for a verified hint, leaving Brent the Wronskians at the bracket ends);
 * Wronskian matching: Brent (xtol BRENT_XTOL) on the sine of the angle
   between the sweeps met at the outermost point where Q = (E - V)^2 - 1 -
   (k/r)^2 >= 0, else where Q peaks (every nodeless state).  It vanishes
@@ -43,6 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.linalg.blas import dtbsv
 from scipy.optimize import brentq
 
 from .channels import Channel
@@ -61,7 +63,6 @@ GRID_LOG_WEIGHT = 0.5
 DEFAULT_GRID_SCALE = 1.0
 # Gauss-Legendre nodes of the sixth-order Magnus step, as fractions of a step
 _GAUSS_C = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
-_EYE = np.eye(2)[..., None]  # a (2, 2, 1) stack: the identity step
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,20 +227,6 @@ def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a_i b_i of two (2, 2, n) stacks of 2x2 matrices."""
-    out = np.multiply(a[:, 0, None], b[0])
-    out += a[:, 1, None] * b[1]
-    return out
-
-
-def _unit(m: np.ndarray):
-    """m_i scaled in place to unit 1-norm, and each scale."""
-    nrm = np.add.reduce(np.abs(m), axis=(0, 1))
-    m /= nrm
-    return m, nrm
-
-
 def _half(v: np.ndarray):
     """True where the vector v (each column of a (2, n) stack) points into [pi, 2 pi)."""
     h = v[1] < 0.0
@@ -248,13 +235,17 @@ def _half(v: np.ndarray):
     return h
 
 
-def _propagators(table, E: float) -> np.ndarray:
+def _propagators(table, E: float) -> tuple[np.ndarray, np.ndarray]:
     """Sixth-order Magnus propagators M_i(E) = exp(Omega_i) of the table's
-    intervals, a (2, 2, n) stack, Omega_i(E) by one Horner pass over the
-    table's cubic (see _stage_tables).  Omega = [[a, b], [c, -a]] squares to
-    s^2 I, s^2 = a^2 + bc, so exp(Omega) = cosh(s) I + (sinh(s)/s) Omega, or
-    cos/sin of sqrt(-s^2): det M_i = 1.  The nodes are symmetric, so the step
-    back over interval i is exp(-Omega_i) = adj(M_i)."""
+    intervals, Omega_i(E) by one Horner pass over the table's cubic (see
+    _stage_tables): a (2, 2, n) stack of e^(-x_i) M_i and the log-scales x_i.
+    Omega = [[a, b], [c, -a]] squares to s^2 I, s^2 = a^2 + bc, so exp(Omega) =
+    cosh(s) I + (sinh(s)/s) Omega, or cos/sin of sqrt(-s^2): det M_i = 1.  A
+    hyperbolic step (s^2 > 0) is scaled by e^(-x), x = s, from one exp: with t
+    = e^(-2x) - 1, e^(-x) cosh x = 1 + t/2 and e^(-x) sinh(x)/x = -t/(2x), so
+    a sweep's states stay O(1) (see _trajectory); an elliptic step keeps x_i =
+    0.  The nodes are symmetric, so the step back over interval i is
+    exp(-Omega_i) = adj(M_i), with the same scale."""
     p0, p1, p2, p3 = table
     omega = p3 * E  # a new stack: the table serves every energy
     for p in (p2, p1):
@@ -264,117 +255,84 @@ def _propagators(table, E: float) -> np.ndarray:
     a, b, c = omega
     s2 = a * a + b * c
     x = np.sqrt(np.abs(s2))
-    ch, sh = np.cosh(x), np.sinh(x)
+    t = np.expm1(-2.0 * x)
+    ch, sh = 0.5 * t + 1.0, -0.5 * t
     ell = s2 <= 0.0  # elliptic steps are the few in classically allowed regions
     np.cos(x, out=ch, where=ell)
     np.sin(x, out=sh, where=ell)
     sh = np.divide(sh, x, out=np.ones_like(x), where=x > 0.0)
+    x[ell] = 0.0
     m = np.empty((2, 2, x.size))
     sha = sh * a
     np.add(ch, sha, out=m[0, 0])
     np.multiply(sh, b, out=m[0, 1])
     np.multiply(sh, c, out=m[1, 0])
     np.subtract(ch, sha, out=m[1, 1])
-    return m
+    return m, x
 
 
-def _adj(m: np.ndarray) -> np.ndarray:
-    """Adjugates [[d, -b], [-c, a]] of a (2, 2, n) stack: inverses, as det M_i = 1."""
-    out = np.negative(m)
-    out[0, 0], out[1, 1] = m[1, 1], m[0, 0]
-    return out
+def _trajectory(m: np.ndarray, i: int, y_out, y_in, E: float) -> np.ndarray:
+    """Every state of both sweeps over a (2, 2, n) stack m of steps in grid
+    order, outward from y_out by m[..., :i] and inward from y_in by the
+    adjugates of m[..., i:] taken in reverse, each seed scaled to unit 1-norm:
+    a (2, n + 2) array of the i + 1 outward states in grid order, then the
+    n - i + 1 inward ones in sweep order.
+
+    The recurrence y_j = M_j y_(j-1) is a unit lower-triangular system with
+    three subdiagonals in the interleaved unknowns (y_0[0], y_0[1], y_1[0],
+    ...), with -M_j below the diagonal and zeros where the inward seed enters,
+    so one BLAS dtbsv call solves both sweeps by forward substitution
+    (Dongarra, Du Croz, Hammarling and Hanson, ACM TOMS 14 (1988) 1): the
+    sequential product, in compiled code.  ConvergenceError if an end state is
+    not finite, as a step lost anywhere in a sweep reaches its end."""
+    n = m.shape[-1]
+    band = np.zeros((n + 2, 2, 4))  # per state, its two band columns: diagonal, 3 below
+    neg = np.negative(m)
+    # below the diagonal, state j's two band columns hold -M_j's columns
+    out = band[:i]
+    out[:, 0, 2], out[:, 0, 3] = neg[0, 0, :i], neg[1, 0, :i]
+    out[:, 1, 1], out[:, 1, 2] = neg[0, 1, :i], neg[1, 1, :i]
+    inw = band[i + 1 : n + 1][::-1]  # -adj(M) = [[-d, b], [c, -a]], in reverse
+    inw[:, 0, 2], inw[:, 0, 3] = neg[1, 1, i:], m[1, 0, i:]
+    inw[:, 1, 1], inw[:, 1, 2] = m[0, 1, i:], neg[0, 0, i:]
+    y = np.zeros(2 * n + 4)
+    for seed, j in ((y_out, 0), (y_in, 2 * i + 2)):
+        seed = np.asarray(seed, dtype=float)
+        y[j : j + 2] = seed / np.abs(seed).sum()
+    Y = dtbsv(3, band.reshape(-1, 4).T, y, lower=1, diag=1, overwrite_x=1).reshape(-1, 2).T
+    if not np.isfinite(Y[:, [i, -1]]).all():
+        raise ConvergenceError(f"sweep lost finiteness at E={E}")
+    return Y
 
 
-def _padded(x: np.ndarray, la: int, pa: int, pb: int, fill: np.ndarray) -> np.ndarray:
-    """x with pa fill columns inserted after its first la and pb appended."""
-    return np.concatenate([x[..., :la], fill[..., :pa], x[..., la:], fill[..., :pb]], axis=-1)
-
-
-def _tree(steps: np.ndarray, i: int, k: np.ndarray | None = None, levels: list | None = None):
-    """Products, up to positive scales, of the outward steps steps[..., :i] and
-    the inward ones steps[..., i:] of a (2, 2, n) stack, each in sweep order,
-    by one pairwise tree that never pairs across i: a product per level, odd
-    segments padded with an identity, products rescaled to unit 1-norm.  The
-    roots (I for an empty segment), with half-turn counts if k holds the
-    steps' (see _end_state); levels, a list, gets each level for _states."""
-    la, lb, prod = i, steps.shape[-1] - i, steps
-    lam = None if levels is None else np.zeros(prod.shape[-1])
-    while la > 1 or lb > 1:
-        pa, pb = la % 2, lb % 2
-        if pa or pb:  # k and lam pad with 0, the half-turns and log-scale of I
-            prod, k, lam = (None if x is None else _padded(x, la, pa, pb, f) for x, f in
-                            ((prod, _EYE), (k, np.zeros(1, np.int64)), (lam, np.zeros(1))))
-        if levels is not None:
-            levels.append((prod, lam, la, pa, lb))
-        pairs, nrm = _unit(_mul(prod[..., 1::2], prod[..., 0::2]))
-        if k is not None:
-            kp = k[0::2] + k[1::2]
-            kp += (kp ^ _half(pairs[:, 0])) & 1  # the parity of the pair's half-plane
-            k = kp
-        if lam is not None:
-            lam = lam[0::2] + lam[1::2] + np.log(nrm)
-        prod, la, lb = pairs, (la + pa) // 2, (lb + pb) // 2
-    return tuple((prod[..., j], None if k is None else int(k[j])) if n else (_EYE[..., 0], 0)
-                 for j, n in ((0, la), (la, lb)))
-
-
-def _end_state(p: np.ndarray, k_p: int, y0, E: float):
-    """State y = p y0 after a product p with half-turn count k_p, and the index k
-    of the half-turn [k pi, (k + 1) pi) holding its angle unwound from
-    atan2(y0) through every step; (-1)^k y points into [0, pi).
+def _half_turns(Y: np.ndarray, i: int) -> tuple[int, int]:
+    """Half-turn indices (k_o, k_i) of the end states of both sweeps of a
+    trajectory Y (see _trajectory): the index k of the half-turn [k pi, (k +
+    1) pi) holding the state's angle unwound from its seed's principal value
+    in [-pi, pi); (-1)^k y points into [0, pi).
 
     Assumes each step turns every direction by less than pi: as det M = 1, a
     hyperbolic step (s^2 > 0, see _propagators) keeps directions between its
     eigenlines, and an elliptic one is a rotation by x = sqrt(-s^2) < pi up to
     conjugation; x peaks near threshold at about sqrt(u h Delta/(2a)) for a
     -u/r tail (xi step h, tail step Delta): 0.89 rad for u = 0.99 on the
-    coarsest grid.  A det > 0 product P turns directions monotonically and
-    P(-y) = -P y, so its lifted angle of e_0 pins every direction's to within
-    a half-turn; _tree carries k_P = floor(that angle / pi) exactly: a leaf
-    takes its principal value, in [-pi, pi), and G after F turns e_0 by k_F +
-    k_G half-turns or one more, as the half-plane of GF e_0 says."""
-    def lower(v):  # _half of a pair of floats
-        return int(v[1] < 0.0 or (v[1] == 0.0 and v[0] < 0.0))
-    (a, b), (c, d) = p.tolist()
-    y = (a * y0[0] + b * y0[1], c * y0[0] + d * y0[1])
-    if not (math.isfinite(y[0]) and math.isfinite(y[1])):
-        raise ConvergenceError(f"sweep lost finiteness at E={E}")
-    k_s = -lower(y0)  # the seed joins last, as a rotation
-    return y, k_p + k_s + (lower(y) - k_p - k_s) % 2
+    coarsest grid.  So the angle passes a multiple of pi exactly where the
+    state changes half-plane, upward if the cross product of the states on
+    either side is positive; the states are O(1), so it neither under- nor
+    overflows."""
+    h = _half(Y)
+    d = np.flatnonzero(h[1:] != h[:-1])
+    a, b = Y[:, d], Y[:, d + 1]
+    turn = np.sign(a[0] * b[1] - a[1] * b[0])
+    return int(turn[d < i].sum()) - int(h[0]), int(turn[d > i].sum()) - int(h[i + 1])
 
 
-def _states(steps: np.ndarray, i: int, y_out, y_in, E: float):
-    """Every state y = Y exp(ls) of both sweeps of _tree, outward from y_out and
-    inward from y_in, as unit vectors Y and log-scales ls: ((Y, ls) of the i +
-    1 outward states in grid order, (Y, ls) of the n - i + 1 inward ones in
-    sweep order).  O(n), by a Blelloch down-sweep (CMU-CS-90-190, 1990) of the
-    levels of _tree, each segment closed by an identity step whose entering
-    state is its end state: a node passes its entering state to its left child
-    and, through the left child's product, to its right one."""
-    ext = np.concatenate([steps[..., :i], _EYE, steps[..., i:], _EYE], axis=-1)
-    levels = []
-    _tree(ext, i + 1, levels=levels)
-    seeds = np.array([y_out, y_in], dtype=float).T
-    nrm = np.abs(seeds).sum(axis=0)
-    Y, ls = seeds / nrm, np.log(nrm)
-    for prod, lam, la, pa, lb in reversed(levels):
-        left = prod[..., 0::2]
-        right = left[:, 0] * Y[0] + left[:, 1] * Y[1]
-        nrm = np.abs(right).sum(axis=0)
-        Y2, ls2 = np.empty((2, 2 * ls.size)), np.empty(2 * ls.size)
-        Y2[:, 0::2], Y2[:, 1::2] = Y, right / nrm
-        ls2[0::2], ls2[1::2] = ls, ls + lam[0::2] + np.log(nrm)
-        Y, ls = Y2, ls2
-        if pa or lb % 2:
-            Y = np.concatenate([Y[:, :la], Y[:, la + pa : la + pa + lb]], axis=1)
-            ls = np.concatenate([ls[:la], ls[la + pa : la + pa + lb]])
-    if not np.isfinite(ls[[i, -1]]).all():  # a step lost anywhere reaches the end scales
-        raise ConvergenceError(f"sweep lost finiteness at E={E}")
-    return (Y[:, : i + 1], ls[: i + 1]), (Y[:, i + 1 :], ls[i + 1 :])
-
-
-def _samples(Y: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """Y_i exp(ls_i - max ls): the far side of a growing sweep underflows to zero."""
+def _samples(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """States Y_j exp(x_0 + ... + x_(j-1)) of one sweep of a trajectory and its
+    steps' log-scales x, over the largest such scale: the far side of a
+    growing sweep underflows to zero."""
+    ls = np.zeros(Y.shape[-1])
+    np.cumsum(x, out=ls[1:])
     return Y * np.exp(ls - ls.max())
 
 
@@ -387,9 +345,10 @@ def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
 
 
 class _ShootingWorkspace:
-    """Stage tables and sweep functionals for one (pot, ch, grid): per energy, one
-    propagator pass serves both sweeps, reduced by one split tree (_tree).  A
-    count at (E, i) keeps the Wronskian at (E, i) in probes for Brent."""
+    """Stage tables and sweep functionals for one (pot, ch, grid): per energy and
+    match index, one propagator pass and one banded solve (_trajectory) give
+    every state of both sweeps, kept in probes with their Wronskian, so a
+    count, a Wronskian and the eigenfunction at one (E, i) share one pass."""
 
     def __init__(self, pot, ch: Channel, grid: RadialGrid):
         self.pot = pot
@@ -400,16 +359,7 @@ class _ShootingWorkspace:
         r = grid.points
         self.v_grid = pot.evaluate(r)
         self.table = _stage_tables(pot, ch.tau * ch.k, r[:-1], np.diff(r))
-        self.probes: dict[tuple[float, int], float] = {}
-
-    def steps(self, E: float, i: int) -> np.ndarray:
-        """Propagators at E of the outward sweep to grid index i, then of the
-        inward sweep down to it, each in sweep order: one (2, 2, n_int) stack."""
-        if not 0 <= i <= self.n_int:
-            raise ValueError(f"match_index {i} outside the valid range [0, {self.n_int}]")
-        m = _propagators(self.table, E)
-        m[..., i:] = _adj(m[..., i:])[..., ::-1]
-        return m
+        self.probes: dict[tuple[float, int], tuple[float, np.ndarray, np.ndarray]] = {}
 
     def _seed_out(self, E):
         return origin_series_seed(self.pot, self.ch, E, self.grid.points[0])
@@ -418,15 +368,18 @@ class _ShootingWorkspace:
         w = E - self.v_inf
         return 1.0, -math.sqrt((1.0 - w) / (1.0 + w))
 
-    def _sweep(self, E: float, i: int, halves: bool):
-        """Scaled Wronskian of the sweeps met at grid index i, kept in probes, and
-        the half-turn indices of their end states (0 unless halves)."""
-        steps = self.steps(E, i)
-        roots = _tree(steps, i, -_half(steps[:, 0]).astype(np.int64) if halves else None)
-        seeds = self._seed_out(E), self._seed_in(E)
-        (y_o, k_o), (y_i, k_i) = (_end_state(p, k or 0, y0, E) for (p, k), y0 in zip(roots, seeds))
-        w = self.probes[(E, i)] = _scaled_wronskian(*y_o, *y_i, E)
-        return w, k_o, k_i
+    def _sweep(self, E: float, i: int):
+        """The probe at (E, i), made by a pass unless kept: the scaled Wronskian
+        of the sweeps met at grid index i, their trajectory (see _trajectory)
+        and the log-scales of the propagators, in grid order."""
+        if not 0 <= i <= self.n_int:
+            raise ValueError(f"match_index {i} outside the valid range [0, {self.n_int}]")
+        probe = self.probes.get((E, i))
+        if probe is None:
+            m, x = _propagators(self.table, E)
+            Y = _trajectory(m, i, self._seed_out(E), self._seed_in(E), E)
+            probe = self.probes[(E, i)] = (_scaled_wronskian(*Y[:, i], *Y[:, -1], E), Y, x)
+        return probe
 
     def count(self, E: float, i: int) -> int:
         """floor((theta_out - theta_in)/pi) of the sweeps' unwound angles met at
@@ -434,7 +387,8 @@ class _ShootingWorkspace:
         the inward angle to the tail's and keep differences in their half-turn
         band.  Within it, theta_out is the smaller if the turned ends' cross
         product (the Wronskian's sign) is positive."""
-        w, k_o, k_i = self._sweep(E, i, True)
+        w, Y, _ = self._sweep(E, i)
+        k_o, k_i = _half_turns(Y, i)
         return k_o - k_i - int((-1) ** (k_o + k_i) * w > 0.0)
 
     def bisect_count(
@@ -503,22 +457,26 @@ class _ShootingWorkspace:
 
     def wronskian(self, E: float, i_match: int) -> float:
         """Scaled Wronskian of outward and inward sweeps at the match point."""
-        w = self.probes.get((E, i_match))
-        return self._sweep(E, i_match, False)[0] if w is None else w
+        return self._sweep(E, i_match)[0]
+
+    def sweeps(self, E: float, i: int):
+        """Both sweeps met at grid index i as samples in grid order (see
+        _samples), outward on [0, i] and inward on [i, n_int], and their scaled
+        Wronskian."""
+        w, Y, x = self._sweep(E, i)
+        return _samples(Y[:, : i + 1], x[:i]), _samples(Y[:, i + 1 :], x[i:][::-1])[:, ::-1], w
 
     def eigenfunction(self, E: float, i_match: int):
         """Components on the full grid from both sweeps, their scaled Wronskian,
-        and their Wronskian at the join in psi's scale over |psi(r_m)|^2."""
-        seeds = self._seed_out(E), self._seed_in(E)
-        (Yo, ls_o), (Yi, ls_i) = _states(self.steps(E, i_match), i_match, *seeds, E)
-        out = _samples(Yo, ls_o)
-        inw = _samples(Yi, ls_i)[:, ::-1]
+        and their Wronskian at the join in psi's scale over |psi(r_m)|^2; from
+        the probe at (E, i_match) if Brent or a count made one."""
+        out, inw, w = self.sweeps(E, i_match)
         # join on the component the inward sweep resolves best
         (o1, o2), (i1, i2) = out[:, -1], inw[:, 0]
         scale = o1 / i1 if abs(i1) >= abs(i2) else o2 / i2
         psi = np.concatenate([out, scale * inw[:, 1:]], axis=1)
         join = float((o1 * scale * i2 - o2 * scale * i1) / (o1 * o1 + o2 * o2))
-        return psi[0], psi[1], _scaled_wronskian(*Yo[:, -1], *Yi[:, -1], E), join
+        return psi[0], psi[1], w, join
 
 
 def _wronskian(E: float, ws: _ShootingWorkspace, i_match: int) -> float:
@@ -540,8 +498,8 @@ def integrate_radial(
     Outward sweeps start from the origin series seed and run up to
     match_index (default: the whole grid); inward sweeps start from the
     decaying-tail seed at r_max and run down to match_index (default: 0).
-    Samples outside the swept range are zero; inside it they are scaled so
-    the largest log-amplitude is 0, with the far side of a growing sweep
+    Samples outside the swept range are zero; inside it they share one
+    positive scale (see _samples), with the far side of a growing sweep
     underflowing to zero.  A match_index outside [0, n_int] is a ValueError.
     """
     v_inf = pot.value_at_infinity
@@ -552,14 +510,13 @@ def integrate_radial(
     ws = _ShootingWorkspace(pot, ch, grid)
     outward = direction == "outward"
     i_stop = (ws.n_int if outward else 0) if match_index is None else int(match_index)
-    seeds = ws._seed_out(E), ws._seed_in(E)
-    (Yo, ls_o), (Yi, ls_i) = _states(ws.steps(E, i_stop), i_stop, *seeds, E)
+    out, inw, _ = ws.sweeps(E, i_stop)
     psi = np.zeros((2, ws.n_int + 1))
     if outward:
-        psi[:, : i_stop + 1] = _samples(Yo, ls_o)
+        psi[:, : i_stop + 1] = out
         first, last = 0, i_stop
     else:
-        psi[:, i_stop:] = _samples(Yi, ls_i)[:, ::-1]
+        psi[:, i_stop:] = inw
         first, last = i_stop, ws.n_int
     return SweepResult(direction, psi[0], psi[1], first, last)
 
@@ -575,7 +532,7 @@ def matching_mismatch(
 
 def count_nodes(samples) -> int:
     """Sign changes between the nonzero samples of a finite 1-D sequence: exact on
-    an eigenfunction, as each step turns it monotonically by less than pi (_end_state)."""
+    an eigenfunction, as each step turns it monotonically by less than pi (_half_turns)."""
     y = np.asarray(samples, dtype=float)
     if y.ndim != 1 or not np.all(np.isfinite(y)):
         raise ValueError("samples must be a finite 1-D sequence")

@@ -1,6 +1,7 @@
 """Regression record of the solver's outputs at full precision.
 
-    PYTHONPATH=src python tests/make_record.py      # rewrites tests/data/record.json
+    PYTHONPATH=src python tests/make_record.py          # rewrites tests/data/record.json
+    PYTHONPATH=src python tests/make_record.py --diff   # prints what moved, writes nothing
 
 The record holds, with every energy as ``float.hex``:
 
@@ -14,11 +15,14 @@ The record holds, with every energy as ``float.hex``:
   ``compute_state_pair``, the envelope bound and the hinted solve per cell.
 
 ``tests/test_record.py`` recomputes every entry and compares it with the
-committed file, so a change that moves a number shows as a diff of it.
+committed file, so a change that moves a number shows as a diff of it;
+``--diff`` prints, per section and numeric field, how many values moved and
+the largest move with its cell, the form in which a change cites the record.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -103,9 +107,55 @@ def build_record() -> dict:
     }
 
 
-def main() -> int:
+def _number(v):
+    """An energy (float.hex) or a residual as a float; None for a label."""
+    if isinstance(v, float):
+        return v
+    if isinstance(v, str) and v.lstrip("-").startswith("0x"):
+        return float.fromhex(v)
+    return None
+
+
+def diff_lines(old: dict, new: dict) -> list[str]:
+    """Per section and numeric field, how many values moved between two
+    records and the largest move with its cell; labels that differ are listed
+    one by one."""
+    lines = []
+    for section in new:
+        if len(old[section]) != len(new[section]):
+            lines.append(f"{section}: {len(old[section])} -> {len(new[section])} entries")
+        moves = {}  # field -> [moved, total, largest, cell]
+        for k, (a, b) in enumerate(zip(old[section], new[section])):
+            cell = " ".join(f"{key}={v}" for key, v in b.items() if _number(v) is None)
+            for key in b:
+                x, y = _number(a[key]), _number(b[key])
+                if x is None or y is None:
+                    if a[key] != b[key]:
+                        lines.append(f"{section}[{k}] {cell}: {key} {a[key]!r} -> {b[key]!r}")
+                    continue
+                m = moves.setdefault(key, [0, 0, 0.0, None])
+                m[1] += 1
+                if x != y:
+                    m[0] += 1
+                    if abs(x - y) > m[2]:
+                        m[2], m[3] = abs(x - y), f"[{k}] {cell}"
+        for key, (moved, total, largest, cell) in moves.items():
+            line = f"{section} {key}: {moved} of {total} moved"
+            lines.append(line + (f", largest {largest:.3g} at {section}{cell}" if moved else ""))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="compare with the committed record instead of rewriting it")
+    args = parser.parse_args(argv)
+    record = build_record()
+    if args.diff:
+        print("\n".join(diff_lines(json.loads(RECORD.read_text()), record)))
+        return 0
     RECORD.parent.mkdir(exist_ok=True)
-    RECORD.write_text(json.dumps(build_record(), indent=1) + "\n")
+    RECORD.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {RECORD}")
     return 0
 

@@ -12,6 +12,7 @@ import gc
 import logging
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -289,22 +290,22 @@ class TestSearch:
     def test_hinted_table_solve_sweep_budget(self, sweep_calls, monkeypatch):
         # the envelope hint already holds exactly the target state: three
         # verifying counts, whose sweeps also give Brent its bracket-end
-        # Wronskians, then Brent and the eigenfunction; no count or Wronskian
-        # sweeps an (E, i) twice
+        # Wronskians, then Brent, whose probes keep the eigenfunction's
+        # states; no pass sweeps an (E, i) twice
         passes = []
-        steps = radial._ShootingWorkspace.steps
+        trajectory = radial._trajectory
 
-        def recorded(self, E, i):
+        def recorded(m, i, y_out, y_in, E):
             passes.append((E, i))
-            return steps(self, E, i)
+            return trajectory(m, i, y_out, y_in, E)
 
-        monkeypatch.setattr(radial._ShootingWorkspace, "steps", recorded)
+        monkeypatch.setattr(radial, "_trajectory", recorded)
         numeric = compute_state_pair(40, "1s_1/2")[1]
         assert not numeric.failed
         assert len(sweep_calls["count"]) <= 3
-        assert len(passes) <= 8
-        search = passes[:-1]  # the last pass takes every state, for the eigenfunction
-        assert len(set(search)) == len(search)
+        # the eigenfunction takes the states of Brent's probe at its (E, i)
+        assert len(passes) <= 7
+        assert len(set(passes)) == len(passes)
 
     def test_count_keeps_its_wronskian_per_split(self, ch_s):
         # a count at (E, i) keeps the Wronskian of its sweeps met at i, which
@@ -668,18 +669,35 @@ def z80_workspace(ch_s):
 WINDOW_ENERGIES = [-0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.999]
 
 
+def _adjugates(m):
+    """Adjugates [[d, -b], [-c, a]] of a (2, 2, n) stack."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
 def _sweeps(ws, E):
-    """Full-grid outward and inward propagator stacks at E, each in sweep order."""
-    return ws.steps(E, ws.n_int), ws.steps(E, 0)
+    """Full-grid outward and inward propagator stacks at E, each in sweep order,
+    with their log-scales."""
+    m, x = radial._propagators(ws.table, E)
+    return (m, x), (_adjugates(m)[..., ::-1], x[::-1])
+
+
+def _scan(steps, y0):
+    """The state after steps, a (2, 2, n) stack, from y0: the plain loop."""
+    y = np.array(y0, dtype=float)
+    for j in range(steps.shape[-1]):
+        y = steps[..., j] @ y
+    return y
 
 
 class TestPropagatorKernel:
     # the E^3 term of the generator weighs most at the window edges
     @pytest.mark.parametrize("E", [-1.0 + 1e-9, -0.5, 0.5, 0.9, 1.0 - 1e-9])
     def test_columns_match_expm_of_generator(self, z80_workspace, E):
+        # each step is exp(Omega) scaled by e^(-x), x its log-scale
         ws = z80_workspace
         r = ws.grid.points
-        for m, ends in zip(_sweeps(ws, E), ((r[:-1], r[1:]), (r[:0:-1], r[-2::-1]))):
+        for (m, x), ends in zip(_sweeps(ws, E), ((r[:-1], r[1:]), (r[:0:-1], r[-2::-1]))):
+            m = m * np.exp(x)
             for i in range(0, ws.n_int, 97):
                 exact = expm(_magnus_generator(ws.pot, ws.ch, ends[0][i], ends[1][i], E))
                 for j in range(2):
@@ -689,10 +707,11 @@ class TestPropagatorKernel:
     @pytest.mark.parametrize("E", WINDOW_ENERGIES)
     def test_unit_determinant(self, z80_workspace, E):
         # tr A = 0, so each exact propagator has det 1 (Liouville); so does
-        # the exponential of each traceless Magnus generator, up to round-off
-        for m in _sweeps(z80_workspace, E):
+        # the exponential of each traceless Magnus generator, up to round-off,
+        # and a step scaled by e^(-x) has det e^(-2x)
+        for m, x in _sweeps(z80_workspace, E):
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            assert np.max(np.abs(det - 1.0)) < 4e-15
+            assert np.max(np.abs(det * np.exp(2.0 * x) - 1.0)) < 4e-15
 
     @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
     def test_inward_steps_are_adjugates_of_outward_ones(self, z80_workspace, E):
@@ -702,18 +721,23 @@ class TestPropagatorKernel:
         ws = z80_workspace
         r = ws.grid.points
         i = ws.match_index(E)
-        steps = ws.steps(E, i)
-        out, inw = steps[..., :i], steps[..., i:]
-        full = radial._propagators(ws.table, E)
-        np.testing.assert_array_equal(out, full[..., :i])
+        full, x = radial._propagators(ws.table, E)
+        inw = _adjugates(full[..., i:])[..., ::-1]
         back = radial._stage_tables(ws.pot, ws.ch.tau * ws.ch.k, r[:0:-1], -np.diff(r)[::-1])
-        direct = radial._propagators(back, E)[..., : ws.n_int - i]
+        direct, x_back = radial._propagators(back, E)
+        direct, x_back = direct[..., : ws.n_int - i], x_back[: ws.n_int - i]
+        np.testing.assert_allclose(x_back, x[i:][::-1], rtol=1e-14, atol=1e-15)
         scale = np.maximum(1.0, np.abs(direct).max(axis=(0, 1)))
         assert np.max(np.abs(inw - direct) / scale) < 1e-15
-        # M_in M_out = I for each interval, to round-off
-        prod = radial._mul(inw, full[..., i:][..., ::-1])
-        eye = np.eye(2)[..., None]
+        # M_in M_out = I for each interval, to round-off: e^(-2x) I once scaled
+        prod = np.einsum("ijn,jkn->ikn", inw, full[..., i:][..., ::-1])
+        eye = np.eye(2)[..., None] * np.exp(-2.0 * x[i:][::-1])
         assert np.max(np.abs(prod - eye) / scale**2) < 4e-15
+        # and the trajectory takes them: its inward end state is their product
+        seed = ws._seed_in(E)
+        Y = radial._trajectory(full, i, ws._seed_out(E), seed, E)
+        end = _scan(inw, seed)
+        np.testing.assert_allclose(Y[:, -1], end / np.abs(seed).sum(), rtol=1e-12)
 
     @pytest.mark.parametrize("label", ["1s_1/2", "6h_11/2"])
     @pytest.mark.parametrize(
@@ -769,10 +793,10 @@ class TestPropagatorKernel:
         assert comm_hinted == comm_unhinted > 0
 
     def test_one_propagator_pass_per_energy(self, monkeypatch):
-        # every count, Wronskian not found in probes and eigenfunction builds
-        # the propagators once, takes the inward steps as their adjugates and
-        # reduces both sweeps in one tree
-        calls = dict.fromkeys(["_propagators", "_tree", "count", "eigenfunction"], 0)
+        # every count and Wronskian not found in probes builds the propagators
+        # once and solves both sweeps in one banded system; the eigenfunction
+        # takes the states Brent's probe at its (E, i) kept
+        calls = dict.fromkeys(["_propagators", "_trajectory", "count", "eigenfunction"], 0)
 
         def counted(owner, name):
             inner = getattr(owner, name)
@@ -783,69 +807,138 @@ class TestPropagatorKernel:
 
             monkeypatch.setattr(owner, name, wrapped)
 
-        for name in ("_propagators", "_tree"):
+        for name in ("_propagators", "_trajectory"):
             counted(radial, name)
         for name in ("count", "eigenfunction"):
             counted(radial._ShootingWorkspace, name)
         assert not compute_state_pair(40, "1s_1/2")[1].failed
         assert calls["eigenfunction"] == 1 and calls["count"] == 3
-        assert calls["_propagators"] == calls["_tree"] <= 8
+        assert calls["_propagators"] == calls["_trajectory"] <= 7
+
+    def test_eigenfunction_reuses_the_probe(self, ch_s):
+        # a probed (E, i) gives the same eigenfunction as a fresh pass
+        pot, grid, E = PureCoulomb(0.5), build_grid(0.5), 0.9
+        ws = radial._ShootingWorkspace(pot, ch_s, grid)
+        i = ws.match_index(E)
+        ws.wronskian(E, i)
+        kept = ws.eigenfunction(E, i)
+        fresh = radial._ShootingWorkspace(pot, ch_s, grid).eigenfunction(E, i)
+        for a, b in zip(kept, fresh):
+            np.testing.assert_array_equal(a, b)
+        assert list(ws.probes) == [(E, i)]
 
     @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
     def test_end_value_matches_scan(self, z80_workspace, E):
-        # the roots of the split tree, as the Wronskian uses them, against the
-        # end states of its down-sweep, as the eigenfunction does
+        # the trajectory's end states, as the Wronskian uses them, against a
+        # plain loop over the same steps from the same seeds
         ws = z80_workspace
         i_match = ws.match_index(E)
         seeds = ws._seed_out(E), ws._seed_in(E)
-        steps = ws.steps(E, i_match)
-        roots = radial._tree(steps, i_match)
-        sweeps = radial._states(steps, i_match, *seeds, E)
-        for (p, _), seed, (Y, _) in zip(roots, seeds, sweeps):
-            end = p @ seed
-            np.testing.assert_allclose(end / np.abs(end).sum(), Y[:, -1], rtol=1e-12)
+        m, _ = radial._propagators(ws.table, E)
+        Y = radial._trajectory(m, i_match, *seeds, E)
+        sweeps = (m[..., :i_match], _adjugates(m[..., i_match:])[..., ::-1])
+        for end, steps, seed in zip((Y[:, i_match], Y[:, -1]), sweeps, seeds):
+            want = _scan(steps, seed)
+            want /= np.abs(want).sum()
+            np.testing.assert_allclose(end / np.abs(end).sum(), want, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "pot, label, kappa",
+        [(ScreenedCoulomb.from_charge(40), "1s_1/2", None), (PureCoulomb(0.99), "2p_1/2", 1e-3)],
+        ids=["Z=40-1s_1/2", "u=0.99-2p_1/2"],
+    )
+    def test_end_direction_matches_exact_product(self, pot, label, kappa):
+        # against a 40-digit product of the same float steps from the same
+        # seeds, at the level and 1e-3 off it, each sweep to the match index:
+        # sequential products round once per step, so the direction errors
+        # of n steps add up like a random walk, within 4 sqrt(n) ulps
+        ch = parse_state_label(label)
+        grid = None if kappa is None else build_grid(kappa)
+        level = solve_eigenvalue(pot, ch, grid=grid)
+        ws = radial._ShootingWorkspace(pot, ch, level.grid)
+        with mpmath.workdps(40):
+            for E in (level.E - 1e-3, level.E, level.E + 1e-3):
+                i = ws.match_index(E)
+                seeds = ws._seed_out(E), ws._seed_in(E)
+                m, _ = radial._propagators(ws.table, E)
+                Y = radial._trajectory(m, i, *seeds, E)
+                sweeps = (m[..., :i], _adjugates(m[..., i:])[..., ::-1])
+                for end, steps, seed in zip((Y[:, i], Y[:, -1]), sweeps, seeds):
+                    y = [mpmath.mpf(v) for v in seed]
+                    for a, b, c, d in steps.reshape(4, -1).T.tolist():
+                        y = [a * y[0] + b * y[1], c * y[0] + d * y[1]]
+                    norm = abs(y[0]) + abs(y[1])
+                    exact = np.array([float(v / norm) for v in y])
+                    miss = np.max(np.abs(end / np.abs(end).sum() - exact))
+                    assert miss <= 4.0 * math.sqrt(steps.shape[-1]) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.05, 1.0])
+    def test_trajectory_amplitude_stays_bounded(self, kappa):
+        # the e^(-x) scale of growing steps keeps every state O(1), so one
+        # unscaled forward substitution neither under- nor overflows: across
+        # the grid family, the window edges and the strongest and weakest
+        # couplings, each state's 1-norm stays within 10^+-8 of its seed's
+        edge = 1.0 - radial.WINDOW_EDGE
+        pots = [ScreenedCoulomb.from_charge(136), ScreenedCoulomb.from_charge(1), PureCoulomb(0.99)]
+        lo, hi = math.inf, -math.inf
+        for scale in (0.5, 1.0):
+            grid = build_grid(kappa, scale)
+            for pot in pots:
+                for ch in map(parse_state_label, ("1s_1/2", "2p_1/2", "6h_11/2")):
+                    ws = radial._ShootingWorkspace(pot, ch, grid)
+                    for E in (-edge, -0.5, 0.5, 0.9, edge):
+                        for i in {0, ws.match_index(E), ws.n_int}:
+                            decades = np.log10(np.abs(ws._sweep(E, i)[1]).sum(axis=0))
+                            lo, hi = min(lo, decades.min()), max(hi, decades.max())
+        assert -8.0 < lo and hi < 8.0
+
+    @pytest.mark.parametrize("where", [0.25, 0.75], ids=["outward", "inward"])
+    def test_nan_step_is_a_convergence_error(self, z80_workspace, where):
+        ws = z80_workspace
+        E = 0.5
+        m, _ = radial._propagators(ws.table, E)
+        m[0, 1, int(where * ws.n_int)] = np.nan
+        with pytest.raises(ConvergenceError, match="sweep lost finiteness"):
+            radial._trajectory(m, ws.n_int // 2, ws._seed_out(E), ws._seed_in(E), E)
 
     @pytest.mark.parametrize("n", [1, 2, 1024, 1001, None], ids=lambda n: f"n={n}")
     def test_kernel_leaves_its_inputs_unchanged(self, z80_workspace, n):
-        # the kernel may rescale only the products it makes: a stack scaled in
+        # the kernel may write only the arrays it makes: a stack changed in
         # place would corrupt every later sweep over the same steps.  Odd
-        # lengths leave an element over at some level; the inward steps are
-        # a reversed view
+        # lengths and every split; the second stack is a reversed view
         ws = z80_workspace
         E = 0.5
         table = [t.copy() for t in ws.table]
-        full = radial._propagators(ws.table, E)
+        full, x = radial._propagators(ws.table, E)
         for t, t0 in zip(ws.table, table):
             np.testing.assert_array_equal(t, t0)
         seed = np.array(ws._seed_out(E))
-        calls = [
-            lambda s, i, k: radial._tree(s, i),
-            lambda s, i, k: radial._tree(s, i, k),
-            lambda s, i, k: radial._states(s, i, seed, seed, E),
-        ]
-        for steps in (full[..., :n], radial._adj(full)[..., ::-1][..., :n]):
-            k = -radial._half(steps[:, 0]).astype(np.int64)
-            before, k_before = steps.copy(), k.copy()
+        for steps in (full[..., :n], _adjugates(full)[..., ::-1][..., :n]):
+            before = steps.copy()
             m = steps.shape[-1]
             for i in sorted({0, 1, m // 3, m - 1, m}):
-                for call in calls:
-                    call(steps, i, k)
-                    np.testing.assert_array_equal(steps, before)
-                    np.testing.assert_array_equal(k, k_before)
-                    np.testing.assert_array_equal(seed, ws._seed_out(E))
+                Y = radial._trajectory(steps, i, seed, seed, E)
+                Y_before = Y.copy()
+                radial._half_turns(Y, i)
+                radial._samples(Y[:, : i + 1], x[:i])
+                np.testing.assert_array_equal(Y, Y_before)
+                np.testing.assert_array_equal(steps, before)
+                np.testing.assert_array_equal(seed, ws._seed_out(E))
 
     @pytest.mark.parametrize(
         "pot", [ScreenedCoulomb.from_charge(136), PureCoulomb(0.3)], ids=["Z=136", "u=0.3"]
     )
     def test_determinant_at_round_off_on_coarsest_grid(self, ch_s, pot):
         # the longest, coarsest grid has the largest steps: hyperbolic steps
-        # in the log section's outer end and elliptic ones in the tail
+        # in the log section's outer end and elliptic ones in the tail.
+        # Scaled by e^(-x), det is e^(-2x), to round-off of |M|^2
         ws = radial._ShootingWorkspace(pot, ch_s, build_grid(1e-3, 0.5))
         for E in (-1.0 + 1e-9, -0.5, 0.5, 1.0 - 1e-9):
-            for m in _sweeps(ws, E):
-                m = m[..., ::7]
+            for m, x in _sweeps(ws, E):
+                m, x = m[..., ::7], x[::7]
                 det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-                assert np.max(np.abs(det - 1.0) / np.abs(m).max(axis=(0, 1)) ** 2) < 4e-15
+                miss = np.abs(det - np.exp(-2.0 * x)) / np.abs(m).max(axis=(0, 1)) ** 2
+                assert np.max(miss) < 4e-15
 
     def test_no_workspace_outlives_its_solve(self, ch_s):
         # brentq keeps its callable in a reference cycle, so a workspace the
@@ -869,33 +962,31 @@ class TestPropagatorKernel:
 def _scan_phase(ws, E):
     """Matching phase from every sample of the outward sweep: seed angle plus
     winding, the sum of the angles turned between neighbouring samples."""
-    (Y, _), _ = radial._states(ws.steps(E, ws.n_int), ws.n_int, ws._seed_out(E), ws._seed_in(E), E)
-    u = Y
+    u = ws._sweep(E, ws.n_int)[1][:, : ws.n_int + 1]
     a, b = u[:, :-1], u[:, 1:]
     winding = np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1]).sum()
-    return math.atan2(Y[1, 0], Y[0, 0]) + winding - decaying_tail_angle(E - ws.v_inf)
+    return math.atan2(u[1, 0], u[0, 0]) + winding - decaying_tail_angle(E - ws.v_inf)
 
 
 def _angle(y, k):
-    """Unwound angle of an end state y with half-turn index k (see _end_state)."""
+    """Unwound angle of an end state y with half-turn index k (see _half_turns)."""
     u = (-1) ** k * np.asarray(y)
     return k * math.pi + math.atan2(u[1], u[0])
 
 
 def _lifted_angle(stack, y0, i=None):
     """Unwound angle of the state after the steps of stack[..., :i] from y0, by
-    the split tree with half-turns."""
+    the half-turns of the trajectory split at i."""
     i = stack.shape[-1] if i is None else i
-    (p, k_p), _ = radial._tree(stack, i, -radial._half(stack[:, 0]).astype(np.int64))
-    return _angle(*radial._end_state(p, k_p, y0, 0.0))
+    Y = radial._trajectory(stack, i, y0, (1.0, 0.0), 0.0)
+    return _angle(Y[:, i], radial._half_turns(Y, i)[0])
 
 
-def _tree_phase(ws, E):
-    """Matching phase of the split tree at i = n_int: the outward sweep's
+def _half_turn_phase(ws, E):
+    """Matching phase from the half-turns at i = n_int: the outward sweep's
     unwound angle at r_max less the tail angle."""
-    return _lifted_angle(ws.steps(E, ws.n_int), ws._seed_out(E)) - decaying_tail_angle(
-        E - ws.v_inf
-    )
+    steps, _ = radial._propagators(ws.table, E)
+    return _lifted_angle(steps, ws._seed_out(E)) - decaying_tail_angle(E - ws.v_inf)
 
 
 def _near_identity_step(phi, a, b, c, d):
@@ -919,14 +1010,14 @@ _step = st.tuples(
 
 
 class TestHalfTurnReduction:
-    """Phase counts from the half-turn reduction agree with the full scan."""
+    """Phase counts from the half-turns of the trajectory agree with the full scan."""
 
     @pytest.mark.parametrize("E", WINDOW_ENERGIES)
     def test_phase_matches_scan_z80(self, z80_workspace, E):
         ws = z80_workspace
-        assert abs(_tree_phase(ws, E) - _scan_phase(ws, E)) < 1e-10
+        assert abs(_half_turn_phase(ws, E) - _scan_phase(ws, E)) < 1e-10
 
-    @pytest.mark.parametrize("kappa", [1e-3, 0.25, 1.0])
+    @pytest.mark.parametrize("kappa", [1e-3, 0.05, 0.25, 1.0])
     @pytest.mark.parametrize(
         "ch",
         [Channel(tau=-1, two_j=1), Channel(tau=1, two_j=1), parse_state_label("4f_7/2")],
@@ -936,11 +1027,11 @@ class TestHalfTurnReduction:
         pot = ScreenedCoulomb.from_charge(80)
         ws = radial._ShootingWorkspace(pot, ch, build_grid(kappa, 0.5))
         for E in WINDOW_ENERGIES:
-            new, old = _tree_phase(ws, E), _scan_phase(ws, E)
+            new, old = _half_turn_phase(ws, E), _scan_phase(ws, E)
             assert abs(new - old) < 1e-10
             assert ws.count(E, ws.n_int) == math.floor(new / math.pi) == math.floor(old / math.pi)
 
-    @pytest.mark.parametrize("kappa", [1e-3, 0.05, 1.0])
+    @pytest.mark.parametrize("kappa", [1e-3, 0.05, 0.25, 1.0])
     def test_count_is_the_same_at_every_split(self, kappa):
         # the outward steps past i map the inward angle at i to the tail's and
         # keep angle differences in their half-turn band, so the count at any
@@ -970,7 +1061,7 @@ class TestHalfTurnReduction:
             expected += math.atan2(y[0] * nxt[1] - y[1] * nxt[0], y @ nxt)
             y = nxt / np.abs(nxt).sum()
         assert _lifted_angle(stack, y0) == pytest.approx(expected, abs=1e-9)
-        # the outward part of a split tree does not see the steps past the split
+        # the outward sweep of a split trajectory does not see the steps past the split
         i = stack.shape[-1] // 2
         assert _lifted_angle(stack, y0, i) == pytest.approx(_lifted_angle(stack[..., :i], y0))
 
@@ -988,7 +1079,7 @@ class TestHalfTurnReduction:
 
     @pytest.mark.parametrize("kappa", [1e-3, 0.05, 1.0])
     def test_elliptic_steps_turn_less_than_a_quarter(self, kappa):
-        # _end_state needs every step to turn each direction by less than pi.
+        # _half_turns needs every step to turn each direction by less than pi.
         # An elliptic step is conjugate to a rotation by sqrt(-s^2); near
         # threshold this peaks at about sqrt(u h Delta/(2a)) for a -u/r tail
         grid = build_grid(kappa, 0.5)
@@ -1008,23 +1099,20 @@ class TestHalfTurnReduction:
         assert worst < min(math.pi / 2.0, 1.001 * bound)
 
     def test_counts_do_not_scan(self, monkeypatch):
-        # a hinted solve takes every state of its sweeps only for the
-        # eigenfunction; its three phase counts are trees with half-turns
-        calls = {"_states": 0, "halves": 0}
-        states, tree = radial._states, radial._tree
+        # a hinted solve takes half-turns only in its three phase counts; its
+        # Wronskians and the eigenfunction read the end states and samples of
+        # the same trajectories, the eigenfunction without a pass of its own
+        calls = {"_half_turns": 0, "_trajectory": 0}
+        for name in calls:
+            inner = getattr(radial, name)
 
-        def counted_states(*args):
-            calls["_states"] += 1
-            return states(*args)
+            def counted(*args, _inner=inner, _name=name):
+                calls[_name] += 1
+                return _inner(*args)
 
-        def counted_tree(steps, i, k=None, levels=None):
-            calls["halves"] += k is not None
-            return tree(steps, i, k, levels)
-
-        monkeypatch.setattr(radial, "_states", counted_states)
-        monkeypatch.setattr(radial, "_tree", counted_tree)
+            monkeypatch.setattr(radial, name, counted)
         assert not compute_state_pair(40, "1s_1/2")[1].failed
-        assert calls == {"_states": 1, "halves": 3}
+        assert calls["_half_turns"] == 3 and calls["_trajectory"] <= 7
 
 
 # --------------------------------------------------------------------------

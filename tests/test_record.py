@@ -3,7 +3,8 @@
 Every energy must lie within E_TOL of its recorded value, node counts and
 verdicts must match exactly, and the ordering residuals must lie within
 their bounds.  Regenerate the record with ``tests/make_record.py`` only for
-a change that is meant to move numbers, and cite the record's diff.
+a change that is meant to move numbers, and cite the record's diff, as
+``tests/make_record.py --diff`` prints it before the rewrite.
 """
 
 from __future__ import annotations
@@ -75,3 +76,17 @@ def test_ordering_pairs(record):
         assert g["derivative_residual"] == pytest.approx(
             w["derivative_residual"], rel=0, abs=DERIVATIVE_TOL
         )
+
+
+def test_diff_lines_count_moves_and_name_the_largest():
+    old = {"cells": [{"z": 1, "state": "1s_1/2", "E": (0.5).hex()},
+                     {"z": 2, "state": "1s_1/2", "E": (0.75).hex()}],
+           "ordering": [{"z": 3, "verdict": "PASS", "identity_relative": 1e-10}]}
+    new = {"cells": [{"z": 1, "state": "1s_1/2", "E": (0.5).hex()},
+                     {"z": 2, "state": "1s_1/2", "E": (0.75 + 2**-52).hex()}],
+           "ordering": [{"z": 3, "verdict": "FAIL", "identity_relative": 1e-10}]}
+    assert make_record.diff_lines(old, new) == [
+        f"cells E: 1 of 2 moved, largest {2**-52:.3g} at cells[1] z=2 state=1s_1/2",
+        "ordering[0] z=3 verdict=FAIL: verdict 'PASS' -> 'FAIL'",
+        "ordering identity_relative: 0 of 1 moved",
+    ]
