@@ -13,23 +13,23 @@ window |E - V(inf)| < 1.  The solver combines:
   origin, linear in the tail): each step is the exact exponential M_i(E) of a
   traceless generator (det M_i = 1), a cubic in E built once per grid,
   scaled by e^-x where it grows like e^x, and the inward steps are
-  adjugates.  The outward sweep to the match point and the inward one down
-  to it are one unit lower-triangular banded system, solved by one BLAS
-  dtbsv forward substitution: every state of both sweeps, for the
-  Wronskian, the phase count and the eigenfunction alike;
+  adjugates.  A pass at E meets the outward sweep and the inward one at
+  E's own match point: the outermost point where Q = (E - V)^2 - 1 -
+  (k/r)^2 >= 0, else where Q peaks (every nodeless state).  Both sweeps are
+  one unit lower-triangular banded system, solved by one BLAS dtbsv forward
+  substitution: every state of both, for the Wronskian, the phase count and
+  the eigenfunction alike, so one pass per energy serves all three;
 * Pruefer phase counting: the unwound angle of (psi1, psi2) at r_max less
   that of the decaying tail, equally the outward angle less the inward one at
   any match point, drops through a multiple of pi at every eigenvalue of the
   truncated problem.  Counted from the window bottom (whole half-turns are
   the states' half-plane changes, as integers), it locates the n-th level by
-  index; bisection stops once the bracket holds that state alone (3 sweeps
-  for a verified hint, leaving Brent the Wronskians at the bracket ends);
+  index; bisection stops once the bracket holds that state alone;
 * Wronskian matching: Brent (xtol BRENT_XTOL) on the sine of the angle
-  between the sweeps met at the outermost point where Q = (E - V)^2 - 1 -
-  (k/r)^2 >= 0, else where Q peaks (every nodeless state).  It vanishes
-  exactly where the count drops: an isolating bracket shows one sign change
-  unless round-off puts an end on the root, and then the end with the
-  smaller |W| is taken;
+  between the sweeps, whose sign is the same at any match point (det M_i =
+  1, positive scales).  It vanishes exactly where the count drops: an
+  isolating bracket shows one sign change unless round-off puts an end on
+  the root, and then the end with the smaller |W| is taken;
 * one shooting correction (W. R. Johnson, Atomic Structure Theory, 2007,
   ch. 2): W(y, z)' = (E - E')(y1 z1 + y2 z2) for solutions at E and E', so
   the level is E - w/N, w the Wronskian of the sweeps joined at the matching
@@ -327,13 +327,18 @@ def _half_turns(Y: np.ndarray, i: int) -> tuple[int, int]:
     return int(turn[d < i].sum()) - int(h[0]), int(turn[d > i].sum()) - int(h[i + 1])
 
 
-def _samples(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """States Y_j exp(x_0 + ... + x_(j-1)) of one sweep of a trajectory and its
-    steps' log-scales x, over the largest such scale: the far side of a
-    growing sweep underflows to zero."""
-    ls = np.zeros(Y.shape[-1])
-    np.cumsum(x, out=ls[1:])
-    return Y * np.exp(ls - ls.max())
+def _samples(Y: np.ndarray, x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both sweeps of a trajectory Y met at grid index i (see _trajectory) as
+    samples in grid order, outward on [0, i] and inward on [i, n_int]: each
+    sweep's states Y_j exp(x_0 + ... + x_(j-1)), x the log-scales of its
+    steps, over its largest such scale, so the far side of a growing sweep
+    underflows to zero."""
+    sides = []
+    for y, xs in ((Y[:, : i + 1], x[:i]), (Y[:, i + 1 :], x[i:][::-1])):
+        ls = np.zeros(y.shape[-1])
+        np.cumsum(xs, out=ls[1:])
+        sides.append(y * np.exp(ls - ls.max()))
+    return sides[0], sides[1][:, ::-1]
 
 
 def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
@@ -345,10 +350,12 @@ def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
 
 
 class _ShootingWorkspace:
-    """Stage tables and sweep functionals for one (pot, ch, grid): per energy and
-    match index, one propagator pass and one banded solve (_trajectory) give
-    every state of both sweeps, kept in probes with their Wronskian, so a
-    count, a Wronskian and the eigenfunction at one (E, i) share one pass."""
+    """Stage tables and sweep functionals for one (pot, ch, grid).  A pass at
+    energy E joins the sweeps at match_index(E), the one join rule: the
+    scaled Wronskian has one sign at every join (det M_i = 1 and every scale
+    is positive) and the phase count is the same at every join (see count),
+    so one pass per E, kept in probes as (i, W, Y, x) (see sweep), serves a
+    count, a Wronskian and the eigenfunction at E alike."""
 
     def __init__(self, pot, ch: Channel, grid: RadialGrid):
         self.pot = pot
@@ -358,8 +365,9 @@ class _ShootingWorkspace:
         self.v_inf = pot.value_at_infinity
         r = grid.points
         self.v_grid = pot.evaluate(r)
+        self.q_edge = 1.0 + (ch.k / r) ** 2  # Q = (E - V)^2 - q_edge (see match_index)
         self.table = _stage_tables(pot, ch.tau * ch.k, r[:-1], np.diff(r))
-        self.probes: dict[tuple[float, int], tuple[float, np.ndarray, np.ndarray]] = {}
+        self.probes: dict[float, tuple[int, float, np.ndarray, np.ndarray]] = {}
 
     def _seed_out(self, E):
         return origin_series_seed(self.pot, self.ch, E, self.grid.points[0])
@@ -368,40 +376,44 @@ class _ShootingWorkspace:
         w = E - self.v_inf
         return 1.0, -math.sqrt((1.0 - w) / (1.0 + w))
 
-    def _sweep(self, E: float, i: int):
-        """The probe at (E, i), made by a pass unless kept: the scaled Wronskian
-        of the sweeps met at grid index i, their trajectory (see _trajectory)
-        and the log-scales of the propagators, in grid order."""
+    def sweep(self, E: float, i: int):
+        """One pass at E with the sweeps met at grid index i, kept nowhere: (i,
+        their scaled Wronskian, their trajectory (see _trajectory), the
+        propagators' log-scales in grid order)."""
         if not 0 <= i <= self.n_int:
             raise ValueError(f"match_index {i} outside the valid range [0, {self.n_int}]")
-        probe = self.probes.get((E, i))
+        m, x = _propagators(self.table, E)
+        Y = _trajectory(m, i, self._seed_out(E), self._seed_in(E), E)
+        return i, _scaled_wronskian(*Y[:, i], *Y[:, -1], E), Y, x
+
+    def _probe(self, E: float):
+        """The pass at E joined at match_index(E), made unless kept."""
+        probe = self.probes.get(E)
         if probe is None:
-            m, x = _propagators(self.table, E)
-            Y = _trajectory(m, i, self._seed_out(E), self._seed_in(E), E)
-            probe = self.probes[(E, i)] = (_scaled_wronskian(*Y[:, i], *Y[:, -1], E), Y, x)
+            probe = self.probes[E] = self.sweep(E, self.match_index(E))
         return probe
 
-    def count(self, E: float, i: int) -> int:
+    def count(self, E: float) -> int:
         """floor((theta_out - theta_in)/pi) of the sweeps' unwound angles met at
-        grid index i: the phase count at any i, as the outward steps past i map
+        E's match index i: the same at any i, as the outward steps past i map
         the inward angle to the tail's and keep differences in their half-turn
         band.  Within it, theta_out is the smaller if the turned ends' cross
         product (the Wronskian's sign) is positive."""
-        w, Y, _ = self._sweep(E, i)
+        i, w, Y, _ = self._probe(E)
         k_o, k_i = _half_turns(Y, i)
         return k_o - k_i - int((-1) ** (k_o + k_i) * w > 0.0)
 
     def bisect_count(
-        self, level: int, lo: float, hi: float, c_lo: int, c_hi: int, i: int
+        self, level: int, lo: float, hi: float, c_lo: int, c_hi: int
     ) -> tuple[float, float]:
         """Bisect (lo, hi) with counts c_lo >= level > c_hi at its ends until it
         holds the crossing at level alone (c_lo == level == c_hi + 1), or
-        cannot be split further; every count joins the sweeps at i."""
+        cannot be split further."""
         while c_lo > level or c_hi < level - 1:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            c = self.count(mid, i)
+            c = self.count(mid)
             if c >= level:
                 lo, c_lo = mid, c
             else:
@@ -414,33 +426,29 @@ class _ShootingWorkspace:
 
         A hint (E_lo, E_hi) inside window narrows the search if the phase counts,
         anchored at the window bottom, place the n-th state in it and no state
-        below it; otherwise it is dropped with a DEBUG record.  A hinted search
-        joins every sweep at the match index of the hint's midpoint, so Brent
-        finds the Wronskians at the bracket ends in probes."""
-        i = self.n_int if hint is None else self.match_index(0.5 * (hint[0] + hint[1]))
-        c_bot = self.count(window[0], i)
+        below it; otherwise it is dropped with a DEBUG record.  The counts at
+        the bracket ends leave Brent their Wronskians in probes."""
+        c_bot = self.count(window[0])
         if hint is not None:
             lo, hi = hint
-            c_lo, c_hi = self.count(lo, i), self.count(hi, i)
+            c_lo, c_hi = self.count(lo), self.count(hi)
             if not (c_bot - c_lo == n - 1 and c_bot - c_hi >= n):
                 _log.debug("bracket hint %s rejected for %s: phase counts %d at the window "
                            "bottom, %d and %d at the hint ends", hint, self.ch, c_bot, c_lo, c_hi)
                 hint = None
         if hint is None:
             (lo, hi), c_lo = window, c_bot
-            c_hi = self.count(hi, i)
+            c_hi = self.count(hi)
         if c_bot - c_hi < n:
             return c_bot - c_hi, None
-        lo, hi = self.bisect_count(c_bot - (n - 1), lo, hi, c_lo, c_hi, i)
-        if hint is None:
-            i = self.match_index(0.5 * (lo + hi))
+        lo, hi = self.bisect_count(c_bot - (n - 1), lo, hi, c_lo, c_hi)
         try:
             # brentq evaluates both ends and returns one whose Wronskian is 0
-            energy = brentq(_wronskian, lo, hi, args=(self, i), xtol=BRENT_XTOL, rtol=8.9e-16)
+            energy = brentq(_wronskian, lo, hi, args=(self,), xtol=BRENT_XTOL, rtol=8.9e-16)
         except ValueError:
             # W vanishes only where the count drops, once in this bracket, so
             # ends of one sign mean round-off has put one of them on the root
-            w_lo, w_hi = _wronskian(lo, self, i), _wronskian(hi, self, i)
+            w_lo, w_hi = _wronskian(lo, self), _wronskian(hi, self)
             if np.sign(w_lo) != np.sign(w_hi):
                 raise
             energy = lo if abs(w_lo) <= abs(w_hi) else hi
@@ -449,40 +457,34 @@ class _ShootingWorkspace:
 
     def match_index(self, E: float) -> int:
         """Outermost classically allowed grid index (fallback: least forbidden)."""
-        r = self.grid.points
-        Q = (E - self.v_grid) ** 2 - 1.0 - (self.ch.k / r) ** 2
-        allowed = np.nonzero(Q >= 0.0)[0]
+        Q = (E - self.v_grid) ** 2 - self.q_edge
+        allowed = np.flatnonzero(Q >= 0.0)
         i = int(allowed[-1]) if len(allowed) else int(np.argmax(Q))
-        return int(min(max(i, 8), self.n_int - 8))
+        return min(max(i, 8), self.n_int - 8)
 
-    def wronskian(self, E: float, i_match: int) -> float:
+    def wronskian(self, E: float) -> float:
         """Scaled Wronskian of outward and inward sweeps at the match point."""
-        return self._sweep(E, i_match)[0]
+        return self._probe(E)[1]
 
-    def sweeps(self, E: float, i: int):
-        """Both sweeps met at grid index i as samples in grid order (see
-        _samples), outward on [0, i] and inward on [i, n_int], and their scaled
-        Wronskian."""
-        w, Y, x = self._sweep(E, i)
-        return _samples(Y[:, : i + 1], x[:i]), _samples(Y[:, i + 1 :], x[i:][::-1])[:, ::-1], w
-
-    def eigenfunction(self, E: float, i_match: int):
-        """Components on the full grid from both sweeps, their scaled Wronskian,
-        and their Wronskian at the join in psi's scale over |psi(r_m)|^2; from
-        the probe at (E, i_match) if Brent or a count made one."""
-        out, inw, w = self.sweeps(E, i_match)
+    def eigenfunction(self, E: float):
+        """The match index i, the components on the full grid from both sweeps
+        met at i, their scaled Wronskian, and their Wronskian at the join in
+        psi's scale over |psi(r_i)|^2; from the probe at E if Brent or a count
+        made one."""
+        i, w, Y, x = self._probe(E)
+        out, inw = _samples(Y, x, i)
         # join on the component the inward sweep resolves best
         (o1, o2), (i1, i2) = out[:, -1], inw[:, 0]
         scale = o1 / i1 if abs(i1) >= abs(i2) else o2 / i2
         psi = np.concatenate([out, scale * inw[:, 1:]], axis=1)
         join = float((o1 * scale * i2 - o2 * scale * i1) / (o1 * o1 + o2 * o2))
-        return psi[0], psi[1], w, join
+        return i, psi[0], psi[1], w, join
 
 
-def _wronskian(E: float, ws: _ShootingWorkspace, i_match: int) -> float:
+def _wronskian(E: float, ws: _ShootingWorkspace) -> float:
     """ws.wronskian as brentq's callable, taking ws in args: scipy keeps its
     callable in a reference cycle, so a closure over ws would outlive the solve."""
-    return ws.wronskian(E, i_match)
+    return ws.wronskian(E)
 
 
 def integrate_radial(
@@ -510,7 +512,8 @@ def integrate_radial(
     ws = _ShootingWorkspace(pot, ch, grid)
     outward = direction == "outward"
     i_stop = (ws.n_int if outward else 0) if match_index is None else int(match_index)
-    out, inw, _ = ws.sweeps(E, i_stop)
+    _, _, Y, x = ws.sweep(E, i_stop)
+    out, inw = _samples(Y, x, i_stop)
     psi = np.zeros((2, ws.n_int + 1))
     if outward:
         psi[:, : i_stop + 1] = out
@@ -527,7 +530,7 @@ def matching_mismatch(
     """Scaled Wronskian of the sweeps met at match_index in [0, n_int]; 0 at eigenvalues."""
     ws = _ShootingWorkspace(pot, ch, grid)
     i_match = ws.match_index(E) if match_index is None else int(match_index)
-    return ws.wronskian(E, i_match)
+    return ws.sweep(E, i_match)[1]
 
 
 def count_nodes(samples) -> int:
@@ -618,10 +621,7 @@ def solve_eigenvalue(
         _log.debug("%s: rebuilding with kappa_ref=%g (was %g)", reason, 1e-3, kappa_ref)
         kappa_ref = 1e-3  # the longest grid: if it fails too, the check above raises
 
-    # an isolating bracket can be wide, so its midpoint's turning point may miss
-    # the state's; join the sweeps at the turning point of the energy found
-    i_match = ws.match_index(energy)
-    psi1, psi2, mismatch, join = ws.eigenfunction(energy, i_match)
+    i_match, psi1, psi2, mismatch, join = ws.eigenfunction(energy)
     # node counts are exact (see count_nodes) and scale-free
     sol = normalize(RadialSolution(
         ch=ch, E=energy, grid=grid, psi1=psi1, psi2=psi2, nodes1=count_nodes(psi1),

@@ -291,34 +291,82 @@ class TestSearch:
         # the envelope hint already holds exactly the target state: three
         # verifying counts, whose sweeps also give Brent its bracket-end
         # Wronskians, then Brent, whose probes keep the eigenfunction's
-        # states; no pass sweeps an (E, i) twice
+        # states; no pass sweeps an energy twice
         passes = []
         trajectory = radial._trajectory
 
         def recorded(m, i, y_out, y_in, E):
-            passes.append((E, i))
+            passes.append(E)
             return trajectory(m, i, y_out, y_in, E)
 
         monkeypatch.setattr(radial, "_trajectory", recorded)
         numeric = compute_state_pair(40, "1s_1/2")[1]
         assert not numeric.failed
         assert len(sweep_calls["count"]) <= 3
-        # the eigenfunction takes the states of Brent's probe at its (E, i)
+        # the eigenfunction takes the states of Brent's probe at its root
         assert len(passes) <= 7
         assert len(set(passes)) == len(passes)
 
-    def test_count_keeps_its_wronskian_per_split(self, ch_s):
-        # a count at (E, i) keeps the Wronskian of its sweeps met at i, which
-        # serves a Wronskian at (E, i) without a pass and none at another split
+    def test_count_keeps_its_wronskian_per_energy(self, ch_s, monkeypatch):
+        # a count at E keeps the Wronskian of its sweeps met at E's match
+        # index, which serves a Wronskian at E without a pass; a sweep at
+        # another split makes a pass of its own and keeps nothing
         pot, grid, E = PureCoulomb(0.5), build_grid(0.5), 0.9
         ws = radial._ShootingWorkspace(pot, ch_s, grid)
         i, j = ws.match_index(E), ws.n_int // 2
-        ws.count(E, i)
+        ws.count(E)
+        assert list(ws.probes) == [E] and ws.probes[E][0] == i
         fresh = radial._ShootingWorkspace(pot, ch_s, grid)
-        assert list(ws.probes) == [(E, i)]
-        assert ws.wronskian(E, i) == fresh.wronskian(E, i)
-        assert ws.wronskian(E, j) == fresh.wronskian(E, j) != fresh.wronskian(E, i)
-        assert list(ws.probes) == [(E, i), (E, j)]
+        expected = fresh.sweep(E, i)[1], fresh.sweep(E, j)[1]
+        passes = []
+        propagators = radial._propagators
+        monkeypatch.setattr(radial, "_propagators", lambda *a: passes.append(a) or propagators(*a))
+        assert ws.wronskian(E) == expected[0] and passes == []
+        assert ws.sweep(E, j)[1] == expected[1] != expected[0] and len(passes) == 1
+        assert list(ws.probes) == [E]
+
+    @pytest.mark.parametrize(
+        "pot, label",
+        [
+            (ScreenedCoulomb.from_charge(80), "1s_1/2"),
+            (PureCoulomb(0.5), "2p_3/2"),
+            (ShiftedCoulomb(shift=0.3, coupling=0.9), "3d_5/2"),
+            (PureCoulomb(0.99), "1s_1/2"),
+        ],
+        ids=["Z=80-1s_1/2", "u=0.5-2p_3/2", "A=0.3-u=0.9-3d_5/2", "u=0.99-1s_1/2"],
+    )
+    def test_wronskian_has_one_sign_at_every_join(self, pot, label):
+        # det M_i = 1 and every scale is positive, so the scaled Wronskian of
+        # the sweeps at E has the same sign wherever they meet: every pass
+        # may join at its own energy's match index, and Brent still sees one
+        # sign-correct function of E.  Energies across the window, each at
+        # least 1e-7 from a level (the count is the same on both sides)
+        ch = parse_state_label(label)
+        ws = radial._ShootingWorkspace(pot, ch, build_grid(0.05))
+        splits = [*range(0, ws.n_int, ws.n_int // 30), ws.n_int]
+        for w in np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 21):
+            E = pot.value_at_infinity + w
+            assert ws.count(E - 1e-7) == ws.count(E + 1e-7)
+            signs = {math.copysign(1.0, ws.sweep(E, i)[1]) for i in splits}
+            assert signs == {math.copysign(1.0, ws.wronskian(E))}
+
+    @pytest.mark.parametrize(
+        "pot", [PureCoulomb(0.4), ScreenedCoulomb.from_charge(40)], ids=["u=0.4", "Z=40"]
+    )
+    def test_unhinted_solve_sweeps_no_energy_twice(self, ch_s, pot, monkeypatch):
+        # every count, Wronskian and the eigenfunction at one energy join at
+        # its match index, so the counts at the isolating bracket's ends
+        # serve Brent and its root serves the eigenfunction
+        energies = []
+        trajectory = radial._trajectory
+
+        def recorded(m, i, y_out, y_in, E):
+            energies.append(E)
+            return trajectory(m, i, y_out, y_in, E)
+
+        monkeypatch.setattr(radial, "_trajectory", recorded)
+        solve_eigenvalue(pot, ch_s)
+        assert len(set(energies)) == len(energies)
 
     def test_unhinted_sweep_budget(self, ch_s, sweep_calls):
         # bisection stops once the bracket isolates the state, not at a fixed width
@@ -338,10 +386,10 @@ class TestSearch:
             brackets.append(bisect_count(self, *args))
             return brackets[-1]
 
-        def on_the_root(E, ws, i_match):
+        def on_the_root(E, ws):
             if E == brackets[-1][end]:
-                return math.copysign(1e-17, wronskian(brackets[-1][1 - end], ws, i_match))
-            return wronskian(E, ws, i_match)
+                return math.copysign(1e-17, wronskian(brackets[-1][1 - end], ws))
+            return wronskian(E, ws)
 
         monkeypatch.setattr(radial._ShootingWorkspace, "bisect_count", recorded)
         monkeypatch.setattr(radial, "_wronskian", on_the_root)
@@ -551,9 +599,10 @@ class TestSweeps:
 
     def test_outward_phase_accumulates(self, ch_s):
         ws = radial._ShootingWorkspace(PureCoulomb(0.5), ch_s, build_grid(0.5))
-        # the phase count drops as E grows (levels in between)
+        # the phase count drops as E grows (levels in between), at every split
+        assert ws.count(0.999) < ws.count(0.2)
         for i in (0, ws.n_int // 2, ws.n_int):
-            assert ws.count(0.999, i) < ws.count(0.2, i)
+            assert _count_at(ws, 0.999, i) < _count_at(ws, 0.2, i)
 
     @pytest.mark.parametrize("direction", ["outward", "inward"])
     def test_rescaled_samples_stay_continuous(self, ch_s, direction):
@@ -767,7 +816,7 @@ class TestPropagatorKernel:
 
     def test_no_commutator_per_energy(self, ch_s, monkeypatch):
         # the generator's cubic is built once per workspace, so a hinted solve
-        # (about 10 propagator passes) and an unhinted one (about 17) evaluate
+        # (about 7 propagator passes) and an unhinted one (about 15) evaluate
         # the same commutators per workspace
         calls = dict.fromkeys(["_comm", "_propagators", "__init__"], 0)
         for owner, name in (
@@ -789,13 +838,13 @@ class TestPropagatorKernel:
         comm_hinted, passes_hinted = per_workspace(lambda: compute_state_pair(40, "1s_1/2"))
         pot = ScreenedCoulomb.from_charge(40)
         comm_unhinted, passes_unhinted = per_workspace(lambda: solve_eigenvalue(pot, ch_s))
-        assert passes_hinted <= 12 and passes_unhinted >= 15
+        assert passes_hinted <= 12 and passes_unhinted > passes_hinted
         assert comm_hinted == comm_unhinted > 0
 
     def test_one_propagator_pass_per_energy(self, monkeypatch):
         # every count and Wronskian not found in probes builds the propagators
         # once and solves both sweeps in one banded system; the eigenfunction
-        # takes the states Brent's probe at its (E, i) kept
+        # takes the states Brent's probe at its root kept
         calls = dict.fromkeys(["_propagators", "_trajectory", "count", "eigenfunction"], 0)
 
         def counted(owner, name):
@@ -815,17 +864,18 @@ class TestPropagatorKernel:
         assert calls["eigenfunction"] == 1 and calls["count"] == 3
         assert calls["_propagators"] == calls["_trajectory"] <= 7
 
-    def test_eigenfunction_reuses_the_probe(self, ch_s):
-        # a probed (E, i) gives the same eigenfunction as a fresh pass
+    def test_eigenfunction_reuses_the_probe(self, ch_s, monkeypatch):
+        # a probed E gives, with no pass of its own, the same eigenfunction
+        # as a fresh pass, joined at E's match index
         pot, grid, E = PureCoulomb(0.5), build_grid(0.5), 0.9
         ws = radial._ShootingWorkspace(pot, ch_s, grid)
-        i = ws.match_index(E)
-        ws.wronskian(E, i)
-        kept = ws.eigenfunction(E, i)
-        fresh = radial._ShootingWorkspace(pot, ch_s, grid).eigenfunction(E, i)
+        ws.wronskian(E)
+        fresh = radial._ShootingWorkspace(pot, ch_s, grid).eigenfunction(E)
+        monkeypatch.setattr(radial, "_propagators", lambda *a: pytest.fail("a second pass"))
+        kept = ws.eigenfunction(E)
         for a, b in zip(kept, fresh):
             np.testing.assert_array_equal(a, b)
-        assert list(ws.probes) == [(E, i)]
+        assert kept[0] == ws.match_index(E) and list(ws.probes) == [E]
 
     @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
     def test_end_value_matches_scan(self, z80_workspace, E):
@@ -888,7 +938,7 @@ class TestPropagatorKernel:
                     ws = radial._ShootingWorkspace(pot, ch, grid)
                     for E in (-edge, -0.5, 0.5, 0.9, edge):
                         for i in {0, ws.match_index(E), ws.n_int}:
-                            decades = np.log10(np.abs(ws._sweep(E, i)[1]).sum(axis=0))
+                            decades = np.log10(np.abs(ws.sweep(E, i)[2]).sum(axis=0))
                             lo, hi = min(lo, decades.min()), max(hi, decades.max())
         assert -8.0 < lo and hi < 8.0
 
@@ -920,7 +970,7 @@ class TestPropagatorKernel:
                 Y = radial._trajectory(steps, i, seed, seed, E)
                 Y_before = Y.copy()
                 radial._half_turns(Y, i)
-                radial._samples(Y[:, : i + 1], x[:i])
+                radial._samples(Y, x[:m], i)
                 np.testing.assert_array_equal(Y, Y_before)
                 np.testing.assert_array_equal(steps, before)
                 np.testing.assert_array_equal(seed, ws._seed_out(E))
@@ -962,10 +1012,18 @@ class TestPropagatorKernel:
 def _scan_phase(ws, E):
     """Matching phase from every sample of the outward sweep: seed angle plus
     winding, the sum of the angles turned between neighbouring samples."""
-    u = ws._sweep(E, ws.n_int)[1][:, : ws.n_int + 1]
+    u = ws.sweep(E, ws.n_int)[2][:, : ws.n_int + 1]
     a, b = u[:, :-1], u[:, 1:]
     winding = np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1]).sum()
     return math.atan2(u[1, 0], u[0, 0]) + winding - decaying_tail_angle(E - ws.v_inf)
+
+
+def _count_at(ws, E, i):
+    """The phase count at E by the rule of _ShootingWorkspace.count, with the
+    sweeps met at grid index i in place of E's match index."""
+    _, w, Y, _ = ws.sweep(E, i)
+    k_o, k_i = radial._half_turns(Y, i)
+    return k_o - k_i - int((-1) ** (k_o + k_i) * w > 0.0)
 
 
 def _angle(y, k):
@@ -1029,7 +1087,8 @@ class TestHalfTurnReduction:
         for E in WINDOW_ENERGIES:
             new, old = _half_turn_phase(ws, E), _scan_phase(ws, E)
             assert abs(new - old) < 1e-10
-            assert ws.count(E, ws.n_int) == math.floor(new / math.pi) == math.floor(old / math.pi)
+            assert ws.count(E) == _count_at(ws, E, ws.n_int) == math.floor(new / math.pi)
+            assert math.floor(new / math.pi) == math.floor(old / math.pi)
 
     @pytest.mark.parametrize("kappa", [1e-3, 0.05, 0.25, 1.0])
     def test_count_is_the_same_at_every_split(self, kappa):
@@ -1043,8 +1102,9 @@ class TestHalfTurnReduction:
             ws = radial._ShootingWorkspace(pot, ch, build_grid(kappa, 0.5))
             splits = (0, 1, 8, ws.n_int // 3, ws.n_int // 2 + 1, ws.n_int - 8, ws.n_int - 1)
             for E in energies:
-                at_r_max = ws.count(E, ws.n_int)
-                assert [ws.count(E, i) for i in splits] == [at_r_max] * len(splits)
+                at_r_max = _count_at(ws, E, ws.n_int)
+                assert [_count_at(ws, E, i) for i in splits] == [at_r_max] * len(splits)
+                assert ws.count(E) == at_r_max
 
     @given(
         st.lists(_step, min_size=1, max_size=65),
