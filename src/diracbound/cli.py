@@ -192,13 +192,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.potential == "screened":
         if not args.z:
             raise UsageError("--potential screened requires --z")
+        if args.coupling is not None or args.shift is not None:
+            raise UsageError("--coupling and --shift are only meaningful with --potential shifted")
         pots = [ScreenedCoulomb.from_charge(z, args.constants) for z in args.z]
     elif args.z:
         raise UsageError("--z is only meaningful with --potential screened, not shifted")
     elif args.coupling is None:
         raise UsageError("--potential shifted requires --coupling")
     else:
-        pots = [ShiftedCoulomb(shift=args.shift, coupling=args.coupling)]
+        shift = 0.0 if args.shift is None else args.shift
+        pots = [ShiftedCoulomb(shift=shift, coupling=args.coupling)]
     tasks = [(pot, state) for pot in pots for state in args.state]
     if args.dump_wavefunction and len(tasks) != 1:
         raise UsageError("--dump-wavefunction needs exactly one (z, state) pair")
@@ -311,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", choices=("screened", "shifted"), default="screened")
     p.add_argument("--z", type=int, nargs="+", default=[],
                    help="nuclear charges (screened potential only)")
-    p.add_argument("--shift", type=float, default=0.0,
+    p.add_argument("--shift", type=float, default=None,
                    help="constant offset of the shifted-Coulomb potential (default 0)")
     p.add_argument("--coupling", type=float, default=None,
                    help="coupling of the shifted-Coulomb potential")

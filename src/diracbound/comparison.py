@@ -218,13 +218,13 @@ def assert_ordering(
     )
 
 
-def random_screened_tangent_pair(rng: np.random.Generator, z_low: int = 20, z_high: int = 80):
+def random_screened_tangent_pair(rng: np.random.Generator):
     """Random (screened, tangent) ordered pair for property sweeps.
 
-    Z is uniform on [z_low, z_high]; the contact radius is log-uniform over
-    [0.3, 30], which straddles the optimal contact radii of the whole
-    Z range."""
-    z = int(rng.integers(z_low, z_high + 1))
+    Z is uniform on the table's range [20, 80]; the contact radius is
+    log-uniform over [0.3, 30], which straddles the optimal contact radii of
+    the whole Z range."""
+    z = int(rng.integers(20, 81))
     t = float(np.exp(rng.uniform(math.log(0.3), math.log(30.0))))
     pot = ScreenedCoulomb.from_charge(z)
     return pot, tangent_at(pot, t)

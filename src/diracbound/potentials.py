@@ -100,6 +100,8 @@ class ScreenedCoulomb:
     screening: float
 
     def __post_init__(self) -> None:
+        if not hasattr(self.Z, "__index__"):
+            raise ValueError(f"nuclear charge must be an integer, got {self.Z!r}")
         if self.Z < 1:
             raise ValueError(f"nuclear charge must be >= 1, got {self.Z}")
         if not 0.0 < self.coupling < 1.0:

@@ -100,17 +100,6 @@ class RadialSolution:
     mismatch: float  # Wronskian residual of the two sweeps at that E
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Raw single-direction integration output on a grid."""
-
-    direction: str
-    psi1: np.ndarray
-    psi2: np.ndarray
-    first_index: int
-    last_index: int
-
-
 def _grid_map(kappa_ref: float, scale: float) -> tuple[float, float]:
     """The xi step h and length rho of the grid coordinate xi = a ln r + r/rho."""
     h = 0.008 / scale
@@ -167,13 +156,6 @@ def origin_series_seed(pot, ch: Channel, E: float, r: float) -> tuple[float, flo
     b1 = ((gamma + 1.0 + tk) * em * a0 - v * ep * b0) / den
     pref = r**gamma
     return pref * (a0 + a1 * r), pref * (b0 + b1 * r)
-
-
-def decaying_tail_angle(w: float) -> float:
-    """Phase angle atan2(psi2, psi1) of the decaying solution at large r.
-
-    w = E - V(inf) must lie strictly inside (-1, 1)."""
-    return -math.atan(math.sqrt((1.0 - w) / (1.0 + w)))
 
 
 def _decay_rate(w: float) -> float:
@@ -377,11 +359,9 @@ class _ShootingWorkspace:
         return 1.0, -math.sqrt((1.0 - w) / (1.0 + w))
 
     def sweep(self, E: float, i: int):
-        """One pass at E with the sweeps met at grid index i, kept nowhere: (i,
-        their scaled Wronskian, their trajectory (see _trajectory), the
-        propagators' log-scales in grid order)."""
-        if not 0 <= i <= self.n_int:
-            raise ValueError(f"match_index {i} outside the valid range [0, {self.n_int}]")
+        """One pass at E with the sweeps met at grid index i in [0, n_int], kept
+        nowhere: (i, their scaled Wronskian, their trajectory (see
+        _trajectory), the propagators' log-scales in grid order)."""
         m, x = _propagators(self.table, E)
         Y = _trajectory(m, i, self._seed_out(E), self._seed_in(E), E)
         return i, _scaled_wronskian(*Y[:, i], *Y[:, -1], E), Y, x
@@ -487,50 +467,23 @@ def _wronskian(E: float, ws: _ShootingWorkspace) -> float:
     return ws.wronskian(E)
 
 
-def integrate_radial(
-    pot,
-    ch: Channel,
-    E: float,
-    grid: RadialGrid,
-    direction: str = "outward",
-    match_index: int | None = None,
-) -> SweepResult:
-    """One-directional sweep at trial energy E.
-
-    Outward sweeps start from the origin series seed and run up to
-    match_index (default: the whole grid); inward sweeps start from the
-    decaying-tail seed at r_max and run down to match_index (default: 0).
-    Samples outside the swept range are zero; inside it they share one
-    positive scale (see _samples), with the far side of a growing sweep
-    underflowing to zero.  A match_index outside [0, n_int] is a ValueError.
-    """
+def integrate_radial(pot, ch: Channel, E: float, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Outward sweep at trial energy E over the whole grid, from the origin
+    series seed: (psi1, psi2) sharing one positive scale (see _samples), the
+    inner samples of a growing sweep underflowing to zero.  A ValueError if E
+    lies outside the bound-state window."""
     v_inf = pot.value_at_infinity
     if not v_inf - 1.0 < E < v_inf + 1.0:
         raise ValueError(f"trial energy {E} outside the bound-state window of {pot!r}")
-    if direction not in ("outward", "inward"):
-        raise ValueError(f"direction must be 'outward' or 'inward', got {direction!r}")
     ws = _ShootingWorkspace(pot, ch, grid)
-    outward = direction == "outward"
-    i_stop = (ws.n_int if outward else 0) if match_index is None else int(match_index)
-    _, _, Y, x = ws.sweep(E, i_stop)
-    out, inw = _samples(Y, x, i_stop)
-    psi = np.zeros((2, ws.n_int + 1))
-    if outward:
-        psi[:, : i_stop + 1] = out
-        first, last = 0, i_stop
-    else:
-        psi[:, i_stop:] = inw
-        first, last = i_stop, ws.n_int
-    return SweepResult(direction, psi[0], psi[1], first, last)
+    _, _, Y, x = ws.sweep(E, ws.n_int)
+    psi1, psi2 = _samples(Y, x, ws.n_int)[0]
+    return psi1, psi2
 
 
-def matching_mismatch(
-    pot, ch: Channel, E: float, grid: RadialGrid, match_index: int | None = None
-) -> float:
-    """Scaled Wronskian of the sweeps met at match_index in [0, n_int]; 0 at eigenvalues."""
-    ws = _ShootingWorkspace(pot, ch, grid)
-    i_match = ws.match_index(E) if match_index is None else int(match_index)
-    return ws.sweep(E, i_match)[1]
+def matching_mismatch(pot, ch: Channel, E: float, grid: RadialGrid) -> float:
+    """Scaled Wronskian of the sweeps met at match_index(E); 0 at eigenvalues."""
+    return _ShootingWorkspace(pot, ch, grid).wronskian(E)
 
 
 def count_nodes(samples) -> int:

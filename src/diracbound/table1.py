@@ -112,9 +112,8 @@ def compute_state_pair(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     *,
     grid_scale: float = DEFAULT_GRID_SCALE,
-    upper_only: bool = False,
-) -> tuple[TableCell, ...]:
-    """Envelope-bound and solver cells for one (Z, state) pair.
+) -> tuple[TableCell, TableCell]:
+    """Envelope-bound and solver cells (upper, numeric) for one (Z, state) pair.
 
     Each cell is computed independently; a solver failure is recorded in the
     cell rather than raised.  The successful envelope bound's rigorous energy
@@ -125,10 +124,8 @@ def compute_state_pair(
         pot = ScreenedCoulomb.from_charge(z, constants)
     except ValueError as exc:
         # a bad parameterization fails every cell of this pair, not the run
-        failed = _cell(z, state, "upper", None, constants, error=str(exc))
-        if upper_only:
-            return (failed,)
-        return failed, _cell(z, state, "numeric", None, constants, error=str(exc))
+        return (_cell(z, state, "upper", None, constants, error=str(exc)),
+                _cell(z, state, "numeric", None, constants, error=str(exc)))
 
     hint = None
     try:
@@ -138,8 +135,6 @@ def compute_state_pair(
     else:
         upper = _cell(z, state, "upper", bound.E_upper, constants)
         hint = bound.bracket
-    if upper_only:
-        return (upper,)
 
     try:
         sol = solve_eigenvalue(pot, ch, grid_scale=grid_scale, bracket_hint=hint)
@@ -155,17 +150,12 @@ def compute_table(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     *,
     grid_scale: float = DEFAULT_GRID_SCALE,
-    upper_only: bool = False,
 ) -> TableResult:
     """Full table over ``z_values``: four cells per Z (two per channel)."""
     cells: list[TableCell] = []
     for z in z_values:
         for state in STATE_LABELS:
-            cells.extend(
-                compute_state_pair(
-                    z, state, constants, grid_scale=grid_scale, upper_only=upper_only
-                )
-            )
+            cells.extend(compute_state_pair(z, state, constants, grid_scale=grid_scale))
     deviations = [abs(c.deviation_kev) for c in cells if c.deviation_kev is not None]
     return TableResult(
         z_values=tuple(z_values),

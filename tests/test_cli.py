@@ -157,6 +157,8 @@ class TestSolve:
                 ),
                 "exactly one",
             ),
+            (("solve", "--z", "40", "--coupling", "0.5"), "--coupling"),
+            (("solve", "--z", "40", "--coupling", "0.5", "--shift", "0.3"), "--shift"),
         ],
     )
     def test_usage_errors(self, capsys, argv, fragment):

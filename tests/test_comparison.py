@@ -287,12 +287,6 @@ class TestRandomPairs:
         assert np.all(tangent.evaluate(r) - pot.evaluate(r) >= -1e-16)
         assert np.all(ordering_gap(pot, tangent.contact_radius, r) >= 0.0)
 
-    def test_charge_range_is_respected(self):
-        rng = np.random.default_rng(123)
-        zs = {random_screened_tangent_pair(rng, 30, 40)[0].Z for _ in range(60)}
-        assert zs <= set(range(30, 41))
-        assert len(zs) > 5
-
 
 class TestIdentityCheckShape:
     def test_to_dict_keys(self, ch_s):

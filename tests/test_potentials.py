@@ -138,6 +138,14 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ScreenedCoulomb(Z=20, coupling=0.5, screening=0.0)
 
+    def test_screened_charge_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="nuclear charge must be an integer"):
+            ScreenedCoulomb.from_charge(20.5)
+        with pytest.raises(ValueError, match="nuclear charge must be an integer"):
+            ScreenedCoulomb.from_charge(20.0)
+        # numpy integers pass, as Channel's do, and build the same potential
+        assert ScreenedCoulomb.from_charge(np.int64(20)) == ScreenedCoulomb.from_charge(20)
+
     def test_from_charge_wiring(self):
         pot = ScreenedCoulomb.from_charge(50)
         assert pot.coupling == pytest.approx(DEFAULT_CONSTANTS.coupling(50), rel=1e-15)

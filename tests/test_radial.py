@@ -29,7 +29,6 @@ from diracbound.radial import (
     RadialGrid,
     build_grid,
     count_nodes,
-    decaying_tail_angle,
     grid_derivative,
     integrate_radial,
     matching_mismatch,
@@ -158,14 +157,23 @@ class TestOriginSeed:
 # --------------------------------------------------------------------------
 # decaying tail angle
 
+# a workspace of -0.5/r, whose V(inf) = 0 makes E the tail's w = E - V(inf)
+_COULOMB_WS = radial._ShootingWorkspace(PureCoulomb(0.5), Channel(-1, 1), build_grid(1.0))
+
+
+def _tail_angle(w):
+    """Angle atan2(psi2, psi1) of the inward sweep's decaying-tail seed at w."""
+    y1, y2 = _COULOMB_WS._seed_in(w)
+    return math.atan2(y2, y1)
+
 
 class TestTailAngle:
     def test_zero_energy_value(self):
-        assert decaying_tail_angle(0.0) == pytest.approx(-math.pi / 4.0)
+        assert _tail_angle(0.0) == pytest.approx(-math.pi / 4.0)
 
     @given(st.floats(min_value=-0.999, max_value=0.999))
     def test_range(self, w):
-        a = decaying_tail_angle(w)
+        a = _tail_angle(w)
         assert -math.pi / 2.0 < a < 0.0
 
     @given(
@@ -175,7 +183,7 @@ class TestTailAngle:
     def test_monotone_in_w(self, w, dw):
         if w + dw >= 1.0:
             return
-        assert decaying_tail_angle(w + dw) > decaying_tail_angle(w)
+        assert _tail_angle(w + dw) > _tail_angle(w)
 
 
 # --------------------------------------------------------------------------
@@ -577,25 +585,30 @@ class TestSolutionStructure:
 # raw sweeps and mismatch
 
 
+def _sweep_samples(ws, E, direction):
+    """Samples in grid order of the outward sweep over the whole grid, or of
+    the inward one (met at n_int or 0; see _samples)."""
+    i = ws.n_int if direction == "outward" else 0
+    _, _, Y, x = ws.sweep(E, i)
+    return radial._samples(Y, x, i)[direction == "inward"]
+
+
 class TestSweeps:
     def test_outward_fills_prefix(self, ch_s):
-        pot = PureCoulomb(0.5)
         grid = build_grid(0.5)
-        res = integrate_radial(pot, ch_s, 0.8, grid, direction="outward")
-        assert res.direction == "outward"
-        assert res.first_index == 0
-        assert res.last_index == grid.count - 1
-        assert np.all(np.isfinite(res.psi1))
+        psi1, psi2 = integrate_radial(PureCoulomb(0.5), ch_s, 0.8, grid)
+        assert psi1.shape == psi2.shape == (grid.count,)
+        assert np.all(np.isfinite(psi1)) and np.all(np.isfinite(psi2))
 
     def test_inward_seed_ratio(self, ch_s):
         # the inward sweep starts from the decaying-tail direction
         pot = PureCoulomb(0.5)
-        grid = build_grid(0.5)
+        ws = radial._ShootingWorkspace(pot, ch_s, build_grid(0.5))
         E = 0.8
-        res = integrate_radial(pot, ch_s, E, grid, direction="inward")
+        psi1, psi2 = _sweep_samples(ws, E, "inward")
         w = E - pot.value_at_infinity
         expected = -math.sqrt((1.0 - w) / (1.0 + w))
-        assert res.psi2[-1] / res.psi1[-1] == pytest.approx(expected, rel=1e-12)
+        assert psi2[-1] / psi1[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_outward_phase_accumulates(self, ch_s):
         ws = radial._ShootingWorkspace(PureCoulomb(0.5), ch_s, build_grid(0.5))
@@ -609,18 +622,12 @@ class TestSweeps:
         # off an eigenvalue a 35000-unit tail rescales the sweep many times;
         # stored samples are rescaled with it, so the far side underflows to
         # exact zeros and no rescale seam shows as a jump between neighbours
-        grid = build_grid(1e-3)
-        res = integrate_radial(PureCoulomb(0.5), ch_s, 0.5, grid, direction=direction)
-        for y in (res.psi1, res.psi2):
+        ws = radial._ShootingWorkspace(PureCoulomb(0.5), ch_s, build_grid(1e-3))
+        for y in _sweep_samples(ws, 0.5, direction):
             assert np.all(np.isfinite(y))
             assert np.any(y == 0.0)
             decades = np.log10(np.abs(y[y != 0.0]))
             assert np.max(np.abs(np.diff(decades))) <= 10.0
-
-    def test_direction_validated(self, ch_s):
-        grid = build_grid(0.5)
-        with pytest.raises(ValueError, match="direction"):
-            integrate_radial(PureCoulomb(0.5), ch_s, 0.8, grid, direction="up")
 
     def test_energy_window_validated(self, ch_s):
         grid = build_grid(0.5)
@@ -636,41 +643,20 @@ class TestSweeps:
         assert abs(at_exact) < 1e-8
         assert abs(off) > 10.0 * abs(at_exact)
 
-    @pytest.mark.parametrize("beyond", [-5, -1, 1, 5])
-    @pytest.mark.parametrize(
-        "sweep",
-        [
-            lambda pot, ch, grid, i: matching_mismatch(pot, ch, 0.9, grid, match_index=i),
-            lambda pot, ch, grid, i: integrate_radial(pot, ch, 0.9, grid, "outward", i),
-            lambda pot, ch, grid, i: integrate_radial(pot, ch, 0.9, grid, "inward", i),
-        ],
-        ids=["mismatch", "outward", "inward"],
-    )
-    def test_match_index_out_of_range_rejected(self, ch_s, sweep, beyond):
-        grid = build_grid(0.5)
-        n_int = grid.count - 1
-        i = beyond if beyond < 0 else n_int + beyond
-        with pytest.raises(ValueError, match=rf"match_index {i} outside .*\[0, {n_int}\]"):
-            sweep(PureCoulomb(0.5), ch_s, grid, i)
-
     def test_empty_side_of_sweep_is_its_seed(self, ch_s):
-        # matched at an end of the grid, one sweep takes no step and its end
-        # value is its seed: the Wronskian pairs it with the other full sweep
-        pot, grid, E = PureCoulomb(0.5), build_grid(0.5), 0.9
-        n_int = grid.count - 1
-        ws = radial._ShootingWorkspace(pot, ch_s, grid)
-        full_out = integrate_radial(pot, ch_s, E, grid, "outward")
-        full_in = integrate_radial(pot, ch_s, E, grid, "inward")
-        ends = {
-            n_int: ((full_out.psi1[-1], full_out.psi2[-1]), ws._seed_in(E)),
-            0: (ws._seed_out(E), (full_in.psi1[0], full_in.psi2[0])),
-        }
-        for i, (o, inw) in ends.items():
-            expected = radial._scaled_wronskian(*o, *inw, E)
-            got = matching_mismatch(pot, ch_s, E, grid, match_index=i)
-            assert got == pytest.approx(expected, rel=1e-10)
-        short = integrate_radial(pot, ch_s, E, grid, "inward", n_int)
-        assert np.count_nonzero(short.psi1) == 1 and short.first_index == n_int
+        # met at an end of the grid, one sweep takes no step and its one
+        # sample is its seed: the Wronskian pairs it with the other full sweep
+        ws = radial._ShootingWorkspace(PureCoulomb(0.5), ch_s, build_grid(0.5))
+        E = 0.9
+        for i in (ws.n_int, 0):
+            _, w, Y, x = ws.sweep(E, i)
+            out, inw = radial._samples(Y, x, i)
+            # the (outward, inward) end states at the join
+            o, n = (out[:, -1], ws._seed_in(E)) if i else (ws._seed_out(E), inw[:, 0])
+            empty, seed = (inw, n) if i else (out, o)
+            assert empty.shape == (2, 1)
+            assert empty[1, 0] / empty[0, 0] == pytest.approx(seed[1] / seed[0], rel=1e-12)
+            assert w == pytest.approx(radial._scaled_wronskian(*o, *n, E), rel=1e-10)
 
     def test_mismatch_changes_sign_across_eigenvalue(self, ch_s):
         pot = PureCoulomb(0.5)
@@ -1015,7 +1001,8 @@ def _scan_phase(ws, E):
     u = ws.sweep(E, ws.n_int)[2][:, : ws.n_int + 1]
     a, b = u[:, :-1], u[:, 1:]
     winding = np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1]).sum()
-    return math.atan2(u[1, 0], u[0, 0]) + winding - decaying_tail_angle(E - ws.v_inf)
+    w = E - ws.v_inf  # less the decaying tail's angle, -atan(sqrt((1 - w)/(1 + w)))
+    return math.atan2(u[1, 0], u[0, 0]) + winding + math.atan(math.sqrt((1.0 - w) / (1.0 + w)))
 
 
 def _count_at(ws, E, i):
@@ -1044,7 +1031,8 @@ def _half_turn_phase(ws, E):
     """Matching phase from the half-turns at i = n_int: the outward sweep's
     unwound angle at r_max less the tail angle."""
     steps, _ = radial._propagators(ws.table, E)
-    return _lifted_angle(steps, ws._seed_out(E)) - decaying_tail_angle(E - ws.v_inf)
+    w = E - ws.v_inf  # the tail angle as in _scan_phase
+    return _lifted_angle(steps, ws._seed_out(E)) + math.atan(math.sqrt((1.0 - w) / (1.0 + w)))
 
 
 def _near_identity_step(phi, a, b, c, d):

@@ -53,17 +53,16 @@ class TestGoldenFixture:
 
 class TestComputeStatePair:
     def test_upper_only_cell(self):
-        cells = compute_state_pair(20, "1s_1/2", upper_only=True)
-        assert len(cells) == 1
-        (cell,) = cells
-        assert cell.quantity == "upper"
+        cells = compute_state_pair(20, "1s_1/2")
+        assert [c.quantity for c in cells] == ["upper", "numeric"]
+        cell = cells[0]
         assert not cell.failed
         assert cell.reference_kev == REFERENCE_BINDINGS_KEV[20][0]
         assert abs(cell.deviation_kev) < 5e-3
         assert cell.energy is not None and cell.binding_kev < 0.0
 
     def test_charge_outside_fixture_has_no_reference(self):
-        (cell,) = compute_state_pair(25, "2p_3/2", upper_only=True)
+        cell, _ = compute_state_pair(25, "2p_3/2")
         assert cell.reference_kev is None
         assert cell.deviation_kev is None
         assert not cell.failed
@@ -149,15 +148,15 @@ class TestComputeTable:
         assert d["max_abs_deviation_kev"] == z20_table.max_abs_deviation_kev
 
     def test_failed_cells_gate_ok(self):
-        result = compute_table((999,), upper_only=True)
-        assert result.failed_cells == 2
+        result = compute_table((999,))
+        assert result.failed_cells == 4
         assert not result.ok
         assert result.max_abs_deviation_kev is None
 
     def test_custom_constants_shift_the_answer(self):
         # a 1% heavier rest energy scales keV bindings by the same 1%
         heavy = PhysicalConstants(electron_rest_energy_kev=510.999 * 1.01)
-        (cell,) = compute_state_pair(20, "1s_1/2", heavy, upper_only=True)
-        (base,) = compute_state_pair(20, "1s_1/2", upper_only=True)
+        cell, _ = compute_state_pair(20, "1s_1/2", heavy)
+        base, _ = compute_state_pair(20, "1s_1/2")
         assert cell.energy == pytest.approx(base.energy, rel=1e-12)
         assert cell.binding_kev == pytest.approx(1.01 * base.binding_kev, rel=1e-12)
