@@ -15,9 +15,11 @@ window |E - V(inf)| < 1.  The solver combines:
   scaled by e^-x where it grows like e^x, and the inward steps are
   adjugates.  A pass at E meets the outward sweep and the inward one at
   E's own match point: the outermost point where Q = (E - V)^2 - 1 -
-  (k/r)^2 >= 0, else where Q peaks (every nodeless state).  Both sweeps are
-  one unit lower-triangular banded system, solved by one BLAS dtbsv forward
-  substitution: every state of both, for the Wronskian, the phase count and
+  (k/r)^2 >= 0, else where Q peaks (every nodeless state).  It writes -M_i(E)
+  into the workspace's one band, a unit lower-triangular system that does
+  not depend on the join; a BLAS dtbsv forward substitution on it gives the
+  outward sweep and the transposed back substitution the inward one (adj M
+  = J M^T J^-1): every state of both, for the Wronskian, the phase count and
   the eigenfunction alike, so one pass per energy serves all three;
 * Pruefer phase counting: the unwound angle of (psi1, psi2) at r_max less
   that of the decaying tail, equally the outward angle less the inward one at
@@ -209,25 +211,25 @@ def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _half(v: np.ndarray):
-    """True where the vector v (each column of a (2, n) stack) points into [pi, 2 pi)."""
-    h = v[1] < 0.0
-    if np.count_nonzero(v[1]) < v.shape[-1]:  # on the x axis, only -x lies in [pi, 2 pi)
-        h |= (v[1] == 0.0) & (v[0] < 0.0)
+def _half(p: np.ndarray, q: np.ndarray):
+    """True where the vector (q, p) points into [pi, 2 pi): p < 0, or p = 0 and q < 0."""
+    h = p < 0.0
+    if np.count_nonzero(p) < p.size:  # on the x axis, only -x lies in [pi, 2 pi)
+        h |= (p == 0.0) & (q < 0.0)
     return h
 
 
-def _propagators(table, E: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sixth-order Magnus propagators M_i(E) = exp(Omega_i) of the table's
-    intervals, Omega_i(E) by one Horner pass over the table's cubic (see
-    _stage_tables): a (2, 2, n) stack of e^(-x_i) M_i and the log-scales x_i.
-    Omega = [[a, b], [c, -a]] squares to s^2 I, s^2 = a^2 + bc, so exp(Omega) =
-    cosh(s) I + (sinh(s)/s) Omega, or cos/sin of sqrt(-s^2): det M_i = 1.  A
-    hyperbolic step (s^2 > 0) is scaled by e^(-x), x = s, from one exp: with t
-    = e^(-2x) - 1, e^(-x) cosh x = 1 + t/2 and e^(-x) sinh(x)/x = -t/(2x), so
-    a sweep's states stay O(1) (see _trajectory); an elliptic step keeps x_i =
-    0.  The nodes are symmetric, so the step back over interval i is
-    exp(-Omega_i) = adj(M_i), with the same scale."""
+def _steps(table, E: float, band: np.ndarray) -> np.ndarray:
+    """Write -M_j(E), the table's sixth-order Magnus steps M_j(E) = exp(Omega_j)
+    negated, into their four slots of a band (see _trajectory), Omega_j(E) by
+    one Horner pass over the table's cubic (see _stage_tables); return their
+    log-scales x_j.  Omega = [[a, b], [c, -a]] squares to s^2 I, s^2 = a^2 +
+    bc, so exp(Omega) = cosh(s) I + (sinh(s)/s) Omega, or cos/sin of sqrt(-s^2):
+    det M_j = 1.  A hyperbolic step (s^2 > 0) is scaled by e^(-x), x = s, from
+    one exp: with t = e^(-2x) - 1, e^(-x) cosh x = 1 + t/2 and e^(-x) sinh(x)/x
+    = -t/(2x), so a sweep's states stay O(1); an elliptic step keeps x_j = 0.
+    The nodes are symmetric, so the step back over interval j is exp(-Omega_j)
+    = adj(M_j), with the same scale."""
     p0, p1, p2, p3 = table
     omega = p3 * E  # a new stack: the table serves every energy
     for p in (p2, p1):
@@ -237,54 +239,46 @@ def _propagators(table, E: float) -> tuple[np.ndarray, np.ndarray]:
     a, b, c = omega
     s2 = a * a + b * c
     x = np.sqrt(np.abs(s2))
-    t = np.expm1(-2.0 * x)
-    ch, sh = 0.5 * t + 1.0, -0.5 * t
-    ell = s2 <= 0.0  # elliptic steps are the few in classically allowed regions
-    np.cos(x, out=ch, where=ell)
-    np.sin(x, out=sh, where=ell)
-    sh = np.divide(sh, x, out=np.ones_like(x), where=x > 0.0)
+    ell = np.flatnonzero(s2 <= 0.0)  # elliptic steps are the few in classically allowed regions
+    xe = x[ell]
+    x[ell] = np.inf  # no 0/0 where s^2 = 0: the hyperbolic forms there are replaced
+    ht = 0.5 * np.expm1(-2.0 * x)
+    nch, nsh = -1.0 - ht, ht / x  # -e^(-x) cosh x, -e^(-x) sinh(x)/x
+    nch[ell] = -np.cos(xe)
+    nsh[ell] = -np.divide(np.sin(xe), xe, out=np.ones(xe.size), where=xe > 0.0)
     x[ell] = 0.0
-    m = np.empty((2, 2, x.size))
-    sha = sh * a
-    np.add(ch, sha, out=m[0, 0])
-    np.multiply(sh, b, out=m[0, 1])
-    np.multiply(sh, c, out=m[1, 0])
-    np.subtract(ch, sha, out=m[1, 1])
-    return m, x
+    out, nsha = band[: x.size], nsh * a
+    np.add(nch, nsha, out=out[:, 0, 2])
+    np.multiply(nsh, c, out=out[:, 0, 3])
+    np.multiply(nsh, b, out=out[:, 1, 1])
+    np.subtract(nch, nsha, out=out[:, 1, 2])
+    return x
 
 
-def _trajectory(m: np.ndarray, i: int, y_out, y_in, E: float) -> np.ndarray:
-    """Every state of both sweeps over a (2, 2, n) stack m of steps in grid
-    order, outward from y_out by m[..., :i] and inward from y_in by the
-    adjugates of m[..., i:] taken in reverse, each seed scaled to unit 1-norm:
-    a (2, n + 2) array of the i + 1 outward states in grid order, then the
-    n - i + 1 inward ones in sweep order.
+def _trajectory(band: np.ndarray, i: int, y_out, y_in) -> np.ndarray:
+    """Every state of both sweeps over the n steps of a (n + 1, 2, 4) band (see
+    _steps) met at grid index i, in grid order, each seed scaled to unit
+    1-norm: a fresh (2, n + 2) array of the outward states y_0 ... y_i from
+    y_out, then the inward states at points i ... n from y_in, each as J^-1 z,
+    J = [[0, 1], [-1, 0]], z = (u[1], -u[0]) for a column u.
 
-    The recurrence y_j = M_j y_(j-1) is a unit lower-triangular system with
-    three subdiagonals in the interleaved unknowns (y_0[0], y_0[1], y_1[0],
-    ...), with -M_j below the diagonal and zeros where the inward seed enters,
-    so one BLAS dtbsv call solves both sweeps by forward substitution
-    (Dongarra, Du Croz, Hammarling and Hanson, ACM TOMS 14 (1988) 1): the
-    sequential product, in compiled code.  ConvergenceError if an end state is
-    not finite, as a step lost anywhere in a sweep reaches its end."""
-    n = m.shape[-1]
-    band = np.zeros((n + 2, 2, 4))  # per state, its two band columns: diagonal, 3 below
-    neg = np.negative(m)
-    # below the diagonal, state j's two band columns hold -M_j's columns
-    out = band[:i]
-    out[:, 0, 2], out[:, 0, 3] = neg[0, 0, :i], neg[1, 0, :i]
-    out[:, 1, 1], out[:, 1, 2] = neg[0, 1, :i], neg[1, 1, :i]
-    inw = band[i + 1 : n + 1][::-1]  # -adj(M) = [[-d, b], [c, -a]], in reverse
-    inw[:, 0, 2], inw[:, 0, 3] = neg[1, 1, i:], m[1, 0, i:]
-    inw[:, 1, 1], inw[:, 1, 2] = m[0, 1, i:], neg[0, 0, i:]
-    y = np.zeros(2 * n + 4)
-    for seed, j in ((y_out, 0), (y_in, 2 * i + 2)):
-        seed = np.asarray(seed, dtype=float)
-        y[j : j + 2] = seed / np.abs(seed).sum()
-    Y = dtbsv(3, band.reshape(-1, 4).T, y, lower=1, diag=1, overwrite_x=1).reshape(-1, 2).T
-    if not np.isfinite(Y[:, [i, -1]]).all():
-        raise ConvergenceError(f"sweep lost finiteness at E={E}")
-    return Y
+    Per state, the band holds its two columns of a unit lower-triangular
+    matrix L with three subdiagonals in the interleaved unknowns (y_0[0],
+    y_0[1], y_1[0], ...): the diagonal, then -M_j below it.  The outward
+    recurrence y_(j+1) = M_j y_j is L y = (y_out, 0, ...), solved by a BLAS
+    dtbsv forward substitution on the first 2i + 2 unknowns (Dongarra, Du
+    Croz, Hammarling and Hanson, ACM TOMS 14 (1988) 1).  As adj M = J M^T
+    J^-1, the inward recurrence z_j = adj(M_j) z_(j+1) is L^T u = (0, ...,
+    J^-1 y_in) on the unknowns from 2i, solved by dtbsv's transposed back
+    substitution: neither solve depends on the band past its own unknowns."""
+    b = band.reshape(-1, 4)
+    y = np.zeros(b.shape[0] + 2)
+    (p, q), (r, s) = y_out, y_in
+    y[:2] = p / (abs(p) + abs(q)), q / (abs(p) + abs(q))
+    y[-2:] = -s / (abs(r) + abs(s)), r / (abs(r) + abs(s))
+    dtbsv(3, b[: 2 * i + 2].T, y[: 2 * i + 2], lower=1, diag=1, overwrite_x=1)
+    dtbsv(3, b[2 * i :].T, y[2 * i + 2 :], lower=1, trans=1, diag=1, overwrite_x=1)
+    return y.reshape(-1, 2).T
 
 
 def _half_turns(Y: np.ndarray, i: int) -> tuple[int, int]:
@@ -294,33 +288,37 @@ def _half_turns(Y: np.ndarray, i: int) -> tuple[int, int]:
     in [-pi, pi); (-1)^k y points into [0, pi).
 
     Assumes each step turns every direction by less than pi: as det M = 1, a
-    hyperbolic step (s^2 > 0, see _propagators) keeps directions between its
+    hyperbolic step (s^2 > 0, see _steps) keeps directions between its
     eigenlines, and an elliptic one is a rotation by x = sqrt(-s^2) < pi up to
     conjugation; x peaks near threshold at about sqrt(u h Delta/(2a)) for a
     -u/r tail (xi step h, tail step Delta): 0.89 rad for u = 0.99 on the
     coarsest grid.  So the angle passes a multiple of pi exactly where the
     state changes half-plane, upward if the cross product of the states on
-    either side is positive; the states are O(1), so it neither under- nor
-    overflows."""
-    h = _half(Y)
+    either side is positive (J^-1 keeps cross products); the states are O(1),
+    so it neither under- nor overflows."""
+    u = Y[:, i + 1 :]
+    h = np.concatenate([_half(Y[1, : i + 1], Y[0, : i + 1]), _half(-u[0], u[1])])
     d = np.flatnonzero(h[1:] != h[:-1])
     a, b = Y[:, d], Y[:, d + 1]
     turn = np.sign(a[0] * b[1] - a[1] * b[0])
-    return int(turn[d < i].sum()) - int(h[0]), int(turn[d > i].sum()) - int(h[i + 1])
+    # the inward sweep runs against grid order, from its seed in the last column
+    return int(turn[d < i].sum()) - int(h[0]), -int(turn[d > i].sum()) - int(h[-1])
 
 
 def _samples(Y: np.ndarray, x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Both sweeps of a trajectory Y met at grid index i (see _trajectory) as
     samples in grid order, outward on [0, i] and inward on [i, n_int]: each
-    sweep's states Y_j exp(x_0 + ... + x_(j-1)), x the log-scales of its
-    steps, over its largest such scale, so the far side of a growing sweep
-    underflows to zero."""
-    sides = []
-    for y, xs in ((Y[:, : i + 1], x[:i]), (Y[:, i + 1 :], x[i:][::-1])):
-        ls = np.zeros(y.shape[-1])
-        np.cumsum(xs, out=ls[1:])
-        sides.append(y * np.exp(ls - ls.max()))
-    return sides[0], sides[1][:, ::-1]
+    state (the inward ones as z) times exp of the log-scales x of the steps
+    between it and its seed, over its sweep's largest such factor, so the far
+    side of a growing sweep underflows to zero."""
+    ls = np.zeros(i + 1)
+    np.cumsum(x[:i], out=ls[1:])
+    out = Y[:, : i + 1] * np.exp(ls - ls.max())
+    ls = np.zeros(x.size - i + 1)
+    np.cumsum(x[i:][::-1], out=ls[-2::-1])
+    inw = Y[::-1, i + 1 :] * np.exp(ls - ls.max())
+    inw[1] *= -1.0
+    return out, inw
 
 
 def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
@@ -332,11 +330,14 @@ def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
 
 
 class _ShootingWorkspace:
-    """Stage tables and sweep functionals for one (pot, ch, grid).  A pass at
-    energy E joins the sweeps at match_index(E), the one join rule: the
-    scaled Wronskian has one sign at every join (det M_i = 1 and every scale
-    is positive) and the phase count is the same at every join (see count),
-    so one pass per E, kept in probes as (i, W, Y, x) (see sweep), serves a
+    """Stage tables, one band and the sweep functionals for one (pot, ch,
+    grid).  The band, allocated and zeroed once, is every pass's scratch: a
+    pass at E writes its steps -M_j(E) into it (see _steps) and solves both
+    sweeps on it (see _trajectory); what a pass keeps is its own.  A pass
+    joins the sweeps at match_index(E), the one join rule: the scaled
+    Wronskian has one sign at every join (det M_j = 1 and every scale is
+    positive) and the phase count is the same at every join (see count), so
+    one pass per E, kept in probes as (i, W, Y, x) (see sweep), serves a
     count, a Wronskian and the eigenfunction at E alike."""
 
     def __init__(self, pot, ch: Channel, grid: RadialGrid):
@@ -349,6 +350,7 @@ class _ShootingWorkspace:
         self.v_grid = pot.evaluate(r)
         self.q_edge = 1.0 + (ch.k / r) ** 2  # Q = (E - V)^2 - q_edge (see match_index)
         self.table = _stage_tables(pot, ch.tau * ch.k, r[:-1], np.diff(r))
+        self.band = np.zeros((self.n_int + 1, 2, 4))
         self.probes: dict[float, tuple[int, float, np.ndarray, np.ndarray]] = {}
 
     def _seed_out(self, E):
@@ -361,10 +363,15 @@ class _ShootingWorkspace:
     def sweep(self, E: float, i: int):
         """One pass at E with the sweeps met at grid index i in [0, n_int], kept
         nowhere: (i, their scaled Wronskian, their trajectory (see
-        _trajectory), the propagators' log-scales in grid order)."""
-        m, x = _propagators(self.table, E)
-        Y = _trajectory(m, i, self._seed_out(E), self._seed_in(E), E)
-        return i, _scaled_wronskian(*Y[:, i], *Y[:, -1], E), Y, x
+        _trajectory), the steps' log-scales in grid order).  ConvergenceError
+        if an end state is not finite, as a step lost anywhere in a sweep
+        reaches its end."""
+        x = _steps(self.table, E, self.band)
+        Y = _trajectory(self.band, i, self._seed_out(E), self._seed_in(E))
+        o1, o2, u1, u2 = Y.T[i : i + 2].ravel().tolist()  # the inward end is (u2, -u1)
+        if not all(map(math.isfinite, (o1, o2, u1, u2))):
+            raise ConvergenceError(f"sweep lost finiteness at E={E}")
+        return i, _scaled_wronskian(o1, o2, u2, -u1, E), Y, x
 
     def _probe(self, E: float):
         """The pass at E joined at match_index(E), made unless kept."""

@@ -294,20 +294,26 @@ def sweep_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    """Energies of the passes made (see _ShootingWorkspace.sweep)."""
+    energies = []
+    sweep = radial._ShootingWorkspace.sweep
+
+    def recorded(self, E, i):
+        energies.append(E)
+        return sweep(self, E, i)
+
+    monkeypatch.setattr(radial._ShootingWorkspace, "sweep", recorded)
+    return energies
+
+
 class TestSearch:
-    def test_hinted_table_solve_sweep_budget(self, sweep_calls, monkeypatch):
+    def test_hinted_table_solve_sweep_budget(self, sweep_calls, passes):
         # the envelope hint already holds exactly the target state: three
         # verifying counts, whose sweeps also give Brent its bracket-end
         # Wronskians, then Brent, whose probes keep the eigenfunction's
         # states; no pass sweeps an energy twice
-        passes = []
-        trajectory = radial._trajectory
-
-        def recorded(m, i, y_out, y_in, E):
-            passes.append(E)
-            return trajectory(m, i, y_out, y_in, E)
-
-        monkeypatch.setattr(radial, "_trajectory", recorded)
         numeric = compute_state_pair(40, "1s_1/2")[1]
         assert not numeric.failed
         assert len(sweep_calls["count"]) <= 3
@@ -315,7 +321,7 @@ class TestSearch:
         assert len(passes) <= 7
         assert len(set(passes)) == len(passes)
 
-    def test_count_keeps_its_wronskian_per_energy(self, ch_s, monkeypatch):
+    def test_count_keeps_its_wronskian_per_energy(self, ch_s, passes):
         # a count at E keeps the Wronskian of its sweeps met at E's match
         # index, which serves a Wronskian at E without a pass; a sweep at
         # another split makes a pass of its own and keeps nothing
@@ -326,9 +332,7 @@ class TestSearch:
         assert list(ws.probes) == [E] and ws.probes[E][0] == i
         fresh = radial._ShootingWorkspace(pot, ch_s, grid)
         expected = fresh.sweep(E, i)[1], fresh.sweep(E, j)[1]
-        passes = []
-        propagators = radial._propagators
-        monkeypatch.setattr(radial, "_propagators", lambda *a: passes.append(a) or propagators(*a))
+        passes.clear()
         assert ws.wronskian(E) == expected[0] and passes == []
         assert ws.sweep(E, j)[1] == expected[1] != expected[0] and len(passes) == 1
         assert list(ws.probes) == [E]
@@ -361,20 +365,12 @@ class TestSearch:
     @pytest.mark.parametrize(
         "pot", [PureCoulomb(0.4), ScreenedCoulomb.from_charge(40)], ids=["u=0.4", "Z=40"]
     )
-    def test_unhinted_solve_sweeps_no_energy_twice(self, ch_s, pot, monkeypatch):
+    def test_unhinted_solve_sweeps_no_energy_twice(self, ch_s, pot, passes):
         # every count, Wronskian and the eigenfunction at one energy join at
         # its match index, so the counts at the isolating bracket's ends
         # serve Brent and its root serves the eigenfunction
-        energies = []
-        trajectory = radial._trajectory
-
-        def recorded(m, i, y_out, y_in, E):
-            energies.append(E)
-            return trajectory(m, i, y_out, y_in, E)
-
-        monkeypatch.setattr(radial, "_trajectory", recorded)
         solve_eigenvalue(pot, ch_s)
-        assert len(set(energies)) == len(energies)
+        assert len(set(passes)) == len(passes)
 
     def test_unhinted_sweep_budget(self, ch_s, sweep_calls):
         # bisection stops once the bracket isolates the state, not at a fixed width
@@ -709,19 +705,44 @@ def _adjugates(m):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
+def _band_steps(band):
+    """The steps M_j a pass wrote into a band (see radial._steps), read back as
+    its negated slots: a (2, 2, n) stack."""
+    b = band[:-1]
+    return -np.array([[b[:, 0, 2], b[:, 1, 1]], [b[:, 0, 3], b[:, 1, 2]]])
+
+
+def _band(steps):
+    """A band (see radial._trajectory) holding the steps of a (2, 2, n) stack."""
+    band = np.zeros((steps.shape[-1] + 1, 2, 4))
+    b = band[:-1]
+    b[:, 0, 2], b[:, 0, 3] = -steps[0, 0], -steps[1, 0]
+    b[:, 1, 1], b[:, 1, 2] = -steps[0, 1], -steps[1, 1]
+    return band
+
+
+def _inward(Y, i):
+    """The inward states z of a trajectory met at i (see radial._trajectory), in
+    grid order."""
+    u = Y[:, i + 1 :]
+    return np.array([u[1], -u[0]])
+
+
 def _sweeps(ws, E):
-    """Full-grid outward and inward propagator stacks at E, each in sweep order,
-    with their log-scales."""
-    m, x = radial._propagators(ws.table, E)
+    """Full-grid outward and inward step stacks of a pass at E, each in sweep
+    order, with their log-scales."""
+    x = ws.sweep(E, ws.match_index(E))[3]
+    m = _band_steps(ws.band)
     return (m, x), (_adjugates(m)[..., ::-1], x[::-1])
 
 
 def _scan(steps, y0):
-    """The state after steps, a (2, 2, n) stack, from y0: the plain loop."""
-    y = np.array(y0, dtype=float)
+    """Every state from y0 over steps, a (2, 2, n) stack, by the plain loop: a
+    (2, n + 1) array."""
+    ys = [np.array(y0, dtype=float)]
     for j in range(steps.shape[-1]):
-        y = steps[..., j] @ y
-    return y
+        ys.append(steps[..., j] @ ys[-1])
+    return np.array(ys).T
 
 
 class TestPropagatorKernel:
@@ -756,11 +777,13 @@ class TestPropagatorKernel:
         ws = z80_workspace
         r = ws.grid.points
         i = ws.match_index(E)
-        full, x = radial._propagators(ws.table, E)
+        _, _, Y, x = ws.sweep(E, i)
+        full = _band_steps(ws.band)
         inw = _adjugates(full[..., i:])[..., ::-1]
         back = radial._stage_tables(ws.pot, ws.ch.tau * ws.ch.k, r[:0:-1], -np.diff(r)[::-1])
-        direct, x_back = radial._propagators(back, E)
-        direct, x_back = direct[..., : ws.n_int - i], x_back[: ws.n_int - i]
+        band = np.zeros_like(ws.band)
+        x_back = radial._steps(back, E, band)
+        direct, x_back = _band_steps(band)[..., : ws.n_int - i], x_back[: ws.n_int - i]
         np.testing.assert_allclose(x_back, x[i:][::-1], rtol=1e-14, atol=1e-15)
         scale = np.maximum(1.0, np.abs(direct).max(axis=(0, 1)))
         assert np.max(np.abs(inw - direct) / scale) < 1e-15
@@ -768,11 +791,10 @@ class TestPropagatorKernel:
         prod = np.einsum("ijn,jkn->ikn", inw, full[..., i:][..., ::-1])
         eye = np.eye(2)[..., None] * np.exp(-2.0 * x[i:][::-1])
         assert np.max(np.abs(prod - eye) / scale**2) < 4e-15
-        # and the trajectory takes them: its inward end state is their product
+        # and the pass takes them: its inward end state is their product
         seed = ws._seed_in(E)
-        Y = radial._trajectory(full, i, ws._seed_out(E), seed, E)
-        end = _scan(inw, seed)
-        np.testing.assert_allclose(Y[:, -1], end / np.abs(seed).sum(), rtol=1e-12)
+        end = _scan(inw, seed)[:, -1]
+        np.testing.assert_allclose(_inward(Y, i)[:, 0], end / np.abs(seed).sum(), rtol=1e-12)
 
     @pytest.mark.parametrize("label", ["1s_1/2", "6h_11/2"])
     @pytest.mark.parametrize(
@@ -802,12 +824,11 @@ class TestPropagatorKernel:
 
     def test_no_commutator_per_energy(self, ch_s, monkeypatch):
         # the generator's cubic is built once per workspace, so a hinted solve
-        # (about 7 propagator passes) and an unhinted one (about 15) evaluate
-        # the same commutators per workspace
-        calls = dict.fromkeys(["_comm", "_propagators", "__init__"], 0)
-        for owner, name in (
-            (radial, "_comm"), (radial, "_propagators"), (radial._ShootingWorkspace, "__init__")
-        ):
+        # (about 7 passes) and an unhinted one (about 15) evaluate the same
+        # commutators per workspace
+        calls = dict.fromkeys(["_comm", "sweep", "__init__"], 0)
+        ws_cls = radial._ShootingWorkspace
+        for owner, name in ((radial, "_comm"), (ws_cls, "sweep"), (ws_cls, "__init__")):
             inner = getattr(owner, name)
 
             def wrapped(*args, _inner=inner, _name=name):
@@ -819,7 +840,7 @@ class TestPropagatorKernel:
         def per_workspace(solve):
             calls.update(dict.fromkeys(calls, 0))
             solve()
-            return calls["_comm"] / calls["__init__"], calls["_propagators"]
+            return calls["_comm"] / calls["__init__"], calls["sweep"]
 
         comm_hinted, passes_hinted = per_workspace(lambda: compute_state_pair(40, "1s_1/2"))
         pot = ScreenedCoulomb.from_charge(40)
@@ -828,10 +849,10 @@ class TestPropagatorKernel:
         assert comm_hinted == comm_unhinted > 0
 
     def test_one_propagator_pass_per_energy(self, monkeypatch):
-        # every count and Wronskian not found in probes builds the propagators
-        # once and solves both sweeps in one banded system; the eigenfunction
-        # takes the states Brent's probe at its root kept
-        calls = dict.fromkeys(["_propagators", "_trajectory", "count", "eigenfunction"], 0)
+        # every count and Wronskian not found in probes writes the steps into
+        # the band once and solves both sweeps on it; the eigenfunction takes
+        # the states Brent's probe at its root kept
+        calls = dict.fromkeys(["_steps", "_trajectory", "count", "eigenfunction"], 0)
 
         def counted(owner, name):
             inner = getattr(owner, name)
@@ -842,13 +863,13 @@ class TestPropagatorKernel:
 
             monkeypatch.setattr(owner, name, wrapped)
 
-        for name in ("_propagators", "_trajectory"):
+        for name in ("_steps", "_trajectory"):
             counted(radial, name)
         for name in ("count", "eigenfunction"):
             counted(radial._ShootingWorkspace, name)
         assert not compute_state_pair(40, "1s_1/2")[1].failed
         assert calls["eigenfunction"] == 1 and calls["count"] == 3
-        assert calls["_propagators"] == calls["_trajectory"] <= 7
+        assert calls["_steps"] == calls["_trajectory"] <= 7
 
     def test_eigenfunction_reuses_the_probe(self, ch_s, monkeypatch):
         # a probed E gives, with no pass of its own, the same eigenfunction
@@ -857,7 +878,10 @@ class TestPropagatorKernel:
         ws = radial._ShootingWorkspace(pot, ch_s, grid)
         ws.wronskian(E)
         fresh = radial._ShootingWorkspace(pot, ch_s, grid).eigenfunction(E)
-        monkeypatch.setattr(radial, "_propagators", lambda *a: pytest.fail("a second pass"))
+        def no_pass(*args):
+            pytest.fail("a second pass")
+
+        monkeypatch.setattr(radial._ShootingWorkspace, "sweep", no_pass)
         kept = ws.eigenfunction(E)
         for a, b in zip(kept, fresh):
             np.testing.assert_array_equal(a, b)
@@ -865,18 +889,37 @@ class TestPropagatorKernel:
 
     @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
     def test_end_value_matches_scan(self, z80_workspace, E):
-        # the trajectory's end states, as the Wronskian uses them, against a
-        # plain loop over the same steps from the same seeds
+        # the pass's end states, as the Wronskian uses them, against a plain
+        # loop over the same steps from the same seeds
         ws = z80_workspace
         i_match = ws.match_index(E)
         seeds = ws._seed_out(E), ws._seed_in(E)
-        m, _ = radial._propagators(ws.table, E)
-        Y = radial._trajectory(m, i_match, *seeds, E)
+        _, _, Y, _ = ws.sweep(E, i_match)
+        m = _band_steps(ws.band)
         sweeps = (m[..., :i_match], _adjugates(m[..., i_match:])[..., ::-1])
-        for end, steps, seed in zip((Y[:, i_match], Y[:, -1]), sweeps, seeds):
-            want = _scan(steps, seed)
+        for end, steps, seed in zip((Y[:, i_match], _inward(Y, i_match)[:, 0]), sweeps, seeds):
+            want = _scan(steps, seed)[:, -1]
             want /= np.abs(want).sum()
             np.testing.assert_allclose(end / np.abs(end).sum(), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("E", [-0.5, 0.5, 0.9])
+    def test_every_state_matches_scan(self, z80_workspace, E):
+        # every state of both sweeps, not only the ends, against the plain
+        # loop over the same float steps: M_j outward from y_out, adj M_j
+        # inward from y_in.  At n_int, the join integrate_radial takes, the
+        # transposed system holds only the inward seed
+        ws = z80_workspace
+        seeds = ws._seed_out(E), ws._seed_in(E)
+        for i in (0, ws.match_index(E), ws.n_int):
+            _, _, Y, _ = ws.sweep(E, i)
+            m = _band_steps(ws.band)
+            out = _scan(m[..., :i], seeds[0])
+            inw = _scan(_adjugates(m[..., i:])[..., ::-1], seeds[1])[:, ::-1]
+            for got, want in ((Y[:, : i + 1], out), (_inward(Y, i), inw)):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(
+                    got / np.abs(got).sum(axis=0), want / np.abs(want).sum(axis=0), rtol=1e-12
+                )
 
     @pytest.mark.parametrize(
         "pot, label, kappa",
@@ -896,10 +939,10 @@ class TestPropagatorKernel:
             for E in (level.E - 1e-3, level.E, level.E + 1e-3):
                 i = ws.match_index(E)
                 seeds = ws._seed_out(E), ws._seed_in(E)
-                m, _ = radial._propagators(ws.table, E)
-                Y = radial._trajectory(m, i, *seeds, E)
+                _, _, Y, _ = ws.sweep(E, i)
+                m = _band_steps(ws.band)
                 sweeps = (m[..., :i], _adjugates(m[..., i:])[..., ::-1])
-                for end, steps, seed in zip((Y[:, i], Y[:, -1]), sweeps, seeds):
+                for end, steps, seed in zip((Y[:, i], _inward(Y, i)[:, 0]), sweeps, seeds):
                     y = [mpmath.mpf(v) for v in seed]
                     for a, b, c, d in steps.reshape(4, -1).T.tolist():
                         y = [a * y[0] + b * y[1], c * y[0] + d * y[1]]
@@ -929,37 +972,61 @@ class TestPropagatorKernel:
         assert -8.0 < lo and hi < 8.0
 
     @pytest.mark.parametrize("where", [0.25, 0.75], ids=["outward", "inward"])
-    def test_nan_step_is_a_convergence_error(self, z80_workspace, where):
+    def test_nan_step_is_a_convergence_error(self, z80_workspace, where, monkeypatch):
         ws = z80_workspace
         E = 0.5
-        m, _ = radial._propagators(ws.table, E)
-        m[0, 1, int(where * ws.n_int)] = np.nan
+        table = [p.copy() for p in ws.table]
+        table[0][1, int(where * ws.n_int)] = np.nan
+        monkeypatch.setattr(ws, "table", table)
         with pytest.raises(ConvergenceError, match="sweep lost finiteness"):
-            radial._trajectory(m, ws.n_int // 2, ws._seed_out(E), ws._seed_in(E), E)
+            ws.sweep(E, ws.n_int // 2)
 
     @pytest.mark.parametrize("n", [1, 2, 1024, 1001, None], ids=lambda n: f"n={n}")
     def test_kernel_leaves_its_inputs_unchanged(self, z80_workspace, n):
-        # the kernel may write only the arrays it makes: a stack changed in
-        # place would corrupt every later sweep over the same steps.  Odd
-        # lengths and every split; the second stack is a reversed view
+        # a pass may write only its band and the arrays it makes: a table
+        # changed in place would corrupt every later pass, and the solves
+        # only read the band.  Odd lengths and every split, on the
+        # workspace's band and on one of the reversed adjugates
         ws = z80_workspace
         E = 0.5
         table = [t.copy() for t in ws.table]
-        full, x = radial._propagators(ws.table, E)
+        x = radial._steps(ws.table, E, ws.band)
         for t, t0 in zip(ws.table, table):
             np.testing.assert_array_equal(t, t0)
         seed = np.array(ws._seed_out(E))
-        for steps in (full[..., :n], _adjugates(full)[..., ::-1][..., :n]):
-            before = steps.copy()
-            m = steps.shape[-1]
+        full = _band_steps(ws.band)
+        m = full[..., :n].shape[-1]
+        for band in (ws.band[: m + 1], _band(_adjugates(full)[..., ::-1][..., :n])):
+            before = band.copy()
             for i in sorted({0, 1, m // 3, m - 1, m}):
-                Y = radial._trajectory(steps, i, seed, seed, E)
+                Y = radial._trajectory(band, i, seed, seed)
                 Y_before = Y.copy()
                 radial._half_turns(Y, i)
                 radial._samples(Y, x[:m], i)
                 np.testing.assert_array_equal(Y, Y_before)
-                np.testing.assert_array_equal(steps, before)
+                np.testing.assert_array_equal(band, before)
                 np.testing.assert_array_equal(seed, ws._seed_out(E))
+
+    def test_band_never_aliases_a_probe(self, ch_s):
+        # the band is every pass's scratch: a kept probe's states and
+        # log-scales are its own, untouched by a later pass
+        ws = radial._ShootingWorkspace(PureCoulomb(0.5), ch_s, build_grid(0.5))
+        _, _, Y, x = ws._probe(0.5)
+        kept = Y.copy(), x.copy()
+        ws._probe(0.9)
+        np.testing.assert_array_equal(Y, kept[0])
+        np.testing.assert_array_equal(x, kept[1])
+        assert not np.shares_memory(Y, ws.band) and not np.shares_memory(x, ws.band)
+
+    def test_zero_generator_gives_identity_steps(self):
+        # s^2 = 0 and x = 0 on every interval: sinh(x)/x takes its limit 1
+        # with no 0/0, which pytest would raise as a RuntimeWarning
+        n = 17
+        band = np.zeros((n + 1, 2, 4))
+        x = radial._steps([np.zeros((3, n))] * 4, 0.5, band)
+        np.testing.assert_array_equal(x, np.zeros(n))
+        eye = np.repeat(np.eye(2)[..., None], n, axis=-1)
+        np.testing.assert_array_equal(_band_steps(band), eye)
 
     @pytest.mark.parametrize(
         "pot", [ScreenedCoulomb.from_charge(136), PureCoulomb(0.3)], ids=["Z=136", "u=0.3"]
@@ -1023,16 +1090,17 @@ def _lifted_angle(stack, y0, i=None):
     """Unwound angle of the state after the steps of stack[..., :i] from y0, by
     the half-turns of the trajectory split at i."""
     i = stack.shape[-1] if i is None else i
-    Y = radial._trajectory(stack, i, y0, (1.0, 0.0), 0.0)
+    Y = radial._trajectory(_band(stack), i, y0, (1.0, 0.0))
     return _angle(Y[:, i], radial._half_turns(Y, i)[0])
 
 
 def _half_turn_phase(ws, E):
     """Matching phase from the half-turns at i = n_int: the outward sweep's
     unwound angle at r_max less the tail angle."""
-    steps, _ = radial._propagators(ws.table, E)
+    Y = ws.sweep(E, ws.n_int)[2]
     w = E - ws.v_inf  # the tail angle as in _scan_phase
-    return _lifted_angle(steps, ws._seed_out(E)) + math.atan(math.sqrt((1.0 - w) / (1.0 + w)))
+    angle = _angle(Y[:, ws.n_int], radial._half_turns(Y, ws.n_int)[0])
+    return angle + math.atan(math.sqrt((1.0 - w) / (1.0 + w)))
 
 
 def _near_identity_step(phi, a, b, c, d):
