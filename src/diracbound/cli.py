@@ -35,6 +35,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .channels import (
     DEFAULT_CONSTANTS,
     PhysicalConstants,
@@ -228,12 +230,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _dump_wavefunction(path: str, sol) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["r", "psi1", "psi2"])
-    for r, p1, p2 in zip(sol.grid.points, sol.psi1, sol.psi2):
-        writer.writerow([f"{r:.17g}", f"{p1:.17g}", f"{p2:.17g}"])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    np.savetxt(path, np.column_stack([sol.grid.points, sol.psi1, sol.psi2]), fmt="%.17g",
+               delimiter=",", header="r,psi1,psi2", comments="")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

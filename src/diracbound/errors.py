@@ -11,7 +11,7 @@ class SolverError(Exception):
 
 
 class NoBoundStateError(SolverError):
-    """The potential supports fewer bound states than requested."""
+    """The grid searched holds fewer bound states than requested."""
 
 
 class ConvergenceError(SolverError):

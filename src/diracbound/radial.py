@@ -531,9 +531,10 @@ def solve_eigenvalue(
     that holds fewer than ch.n states or too short a tail for the level found
     is rebuilt once, with a DEBUG record, as the longest grid of the family
     (kappa_ref = 1e-3, r_max = 35000; kappa >= 8.57e-4, a binding of about
-    3.7e-7 mc^2).  NoBoundStateError: the longest grid, or the caller's, holds
-    fewer than ch.n states.  ConvergenceError: the level found does not fit the
-    longest grid's tail ("too weakly bound") or the caller's ("too short")."""
+    3.7e-7 mc^2).  With no rebuild left, it raises NoBoundStateError if the
+    grid searched last holds fewer than ch.n states, else ConvergenceError
+    ("too weakly bound"); either names that grid, "supplied grid" or "longest
+    grid", with its r_max."""
     v_inf = pot.value_at_infinity
     window = (v_inf - 1.0 + WINDOW_EDGE, v_inf + 1.0 - WINDOW_EDGE)
     hint = bracket_hint
@@ -554,20 +555,15 @@ def solve_eigenvalue(
             if grid.r_max * kappa_e >= 30.0:
                 break
         if supplied or kappa_ref == 1e-3:
+            searched = f"{'supplied' if supplied else 'longest'} grid (r_max={grid.r_max:.3g})"
             if level is None:
                 raise NoBoundStateError(
-                    f"{pot!r} supports {n_found} bound state(s) in channel {ch}, "
-                    f"target was n={ch.n}"
-                )
-            if supplied:
-                raise ConvergenceError(
-                    f"supplied grid (r_max={grid.r_max:.3g}) is too short for the "
-                    f"state found at E={energy} (decay rate {kappa_e:.3g})"
+                    f"the {searched} holds {n_found} bound state(s) of {pot!r} in channel "
+                    f"{ch}, target was n={ch.n}"
                 )
             raise ConvergenceError(
-                f"{ch} state too weakly bound: the level found on the longest grid "
-                f"(r_max={grid.r_max:.3g}) lies at E={energy!r}, so its decay rate "
-                f"{kappa_e:.3g} is below the grid family's floor 30/r_max = "
+                f"{ch} state too weakly bound: the level found on the {searched} lies at "
+                f"E={energy!r}, so its decay rate {kappa_e:.3g} is below 30/r_max = "
                 f"{30.0 / grid.r_max:.3g}"
             )
         if level is None:

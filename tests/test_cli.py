@@ -211,7 +211,7 @@ class TestSolve:
         assert "solver failure" in err
         assert "too weakly bound" in err
         assert "longest grid (r_max=3.5e+04)" in err
-        assert "below the grid family's floor 30/r_max = 0.000857" in err
+        assert "below 30/r_max = 0.000857" in err
         # the level quoted is that of the 1e-3 grid, close to the closed form
         energy = float(err.split("lies at E=")[1].split(",")[0])
         assert abs(energy - 0.99999987499996) < 1e-12

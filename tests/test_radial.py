@@ -1307,17 +1307,38 @@ class TestFailureModes:
         # state (decay rate ~0.05); with the grid pinned the solver must
         # report the defect instead of silently rebuilding
         short = build_grid(1.0)
-        with pytest.raises(ConvergenceError, match="too short"):
+        with pytest.raises(ConvergenceError, match="too weakly bound") as err:
             solve_eigenvalue(PureCoulomb(0.05), ch_s, grid=short)
+        assert "supplied grid (r_max=35)" in str(err.value)
 
     def test_missing_excited_state(self):
         # the wall of a pinned short grid pushes all but two s_1/2 states of
         # the u=0.1 well out of the spectral window; asking for the third
-        # must report how many actually exist there
-        with pytest.raises(NoBoundStateError, match="supports 2 bound state"):
+        # must report how many exist on that grid
+        with pytest.raises(NoBoundStateError, match=r"\(r_max=35\) holds 2 bound state"):
             solve_eigenvalue(
                 PureCoulomb(0.1), Channel(tau=-1, two_j=1, n=3), grid=build_grid(1.0)
             )
+
+    @pytest.mark.parametrize(
+        "pot, ch, grid, where, held",
+        [
+            (PureCoulomb(0.01), parse_state_label("3s_1/2"), build_grid(0.05),
+             "supplied grid (r_max=700)", "holds 2"),
+            (PureCoulomb(0.05), Channel(tau=-1, two_j=1, n=40), None,
+             "longest grid (r_max=3.5e+04)", "holds 37"),
+        ],
+        ids=["supplied", "longest"],
+    )
+    def test_missing_state_names_the_grid_searched(self, pot, ch, grid, where, held):
+        # a Coulomb tail has infinitely many levels in every channel (the
+        # unpinned u = 0.01 3s_1/2 solve finds its level on the longest grid),
+        # so the error counts the states of the grid searched last
+        with pytest.raises(NoBoundStateError) as err:
+            solve_eigenvalue(pot, ch, grid=grid)
+        msg = str(err.value)
+        assert where in msg and held in msg
+        assert "supports" not in msg
 
     def test_excited_state_found_by_tail_extension(self):
         # without a pinned grid the solver stretches the tail until the same

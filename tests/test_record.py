@@ -1,10 +1,11 @@
 """The committed regression record (tests/data/record.json) still holds.
 
 Every energy must lie within E_TOL of its recorded value, node counts and
-verdicts must match exactly, and the ordering residuals must lie within
-their bounds.  Regenerate the record with ``tests/make_record.py`` only for
-a change that is meant to move numbers, and cite the record's diff, as
-``tests/make_record.py --diff`` prints it before the rewrite.
+verdicts must match exactly, the ordering residuals must lie within their
+bounds, and each cell's energy between the Coulomb level of its -v/r and
+its envelope bound.  Regenerate the record with ``tests/make_record.py``
+only for a change that is meant to move numbers, and cite the record's
+diff, as ``tests/make_record.py --diff`` prints it before the rewrite.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import json
 import pytest
 
 import make_record
+from diracbound.channels import parse_state_label
+from diracbound.coulomb import coulomb_eigenvalue
+from diracbound.potentials import ScreenedCoulomb
 
 # a few ulps of an energy in [0.5, 2), where every recorded energy lies
 E_TOL = 1e-15
@@ -55,10 +59,24 @@ def test_oracle(record):
     _assert_energies(make_record.oracle_entries(), record["oracle"], ("E",))
 
 
-def test_hinted_cells(record):
-    got = make_record.cell_entries()
-    assert len(got) == 136 * 4
-    _assert_energies(got, record["cells"], ("upper", "E"))
+@pytest.fixture(scope="module")
+def cells():
+    return make_record.cell_entries()
+
+
+def test_hinted_cells(record, cells):
+    assert len(cells) == 136 * 4
+    _assert_energies(cells, record["cells"], ("upper", "E"))
+
+
+def test_cells_in_sandwich(cells):
+    # the screened potential lies above -v/r, so the Coulomb level D(v) is a
+    # floor, and the envelope bound a ceiling; at Z = 1 the screening
+    # vanishes, and E equals D(v) up to the record's tolerance
+    for c in cells:
+        floor = coulomb_eigenvalue(ScreenedCoulomb.from_charge(c["z"]).coupling,
+                                   parse_state_label(c["state"]))
+        assert floor - E_TOL <= _energy(c["E"]) <= _energy(c["upper"]), c
 
 
 def test_ordering_pairs(record):
