@@ -176,38 +176,61 @@ def reference_rate(pot, bracket: tuple[float, float] | None) -> float:
     return min(max(min(_decay_rate(e - v_inf) for e in bracket), 1e-3), 1.0)
 
 
-def _stage_tables(pot, tk: float, base: np.ndarray, step: np.ndarray):
+def _stage_tables(pot, tk: float, base: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Each interval's Magnus generator as a cubic in E, Omega_i(E) = P0 + E P1 +
-    E^2 P2 + E^3 P3: four (3, n) stacks (a, b, c) of traceless [[a, b], [c, -a]]
-    (Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151).  From A_s = A(r +
-    c_s h) at the three Gauss nodes, alpha_1 = h A_2 = g1 + E e, e = h (0, 1, -1),
-    alpha_2 = (sqrt(15) h/3)(A_3 - A_1), alpha_3 = (10 h/3)(A_3 - 2 A_2 + A_1), C_1
-    = [alpha_1, alpha_2] and C_2 = -[alpha_1, 2 alpha_3 + C_1]/60, Omega = alpha_1
-    + alpha_3/12 + [C_1 - 20 alpha_1 - alpha_3, alpha_2 + C_2]/240 is expanded by
-    powers of E: alpha_2 and alpha_3 are E-free, C_1 is linear, C_2 quadratic."""
-    rs = base + _GAUSS_C[:, None] * step
-    v = pot.evaluate(rs)
-    q = np.stack([-tk / rs, -v, v])  # A at each node less its off-diagonal 1 + E, 1 - E
-    g1, e = step * (q[:, 1] + [[0.0], [1.0], [1.0]]), np.multiply.outer([0.0, 1.0, -1.0], step)
-    g2 = (math.sqrt(15.0) / 3.0) * step * (q[:, 2] - q[:, 0])  # differences of q: A's would
-    g3 = (10.0 / 3.0) * step * (q[:, 2] - 2.0 * q[:, 1] + q[:, 0])  # lose V's digits to the 1 +- E
-    def comm_e(y):  # [e, y], written out
-        return step * np.stack([y[1] + y[2], -2.0 * y[0], -2.0 * y[0]])
-    c1, d1 = _comm(g1, g2), comm_e(g2)  # C_1 = c1 + E d1
-    x0, x1 = c1 - 20.0 * g1 - g3, d1 - 20.0 * e  # C_1 - 20 alpha_1 - alpha_3
-    d0 = 2.0 * g3 + c1  # 2 alpha_3 + C_1 = d0 + E d1, so alpha_2 + C_2 = y0 + E y1 + E^2 y2
-    y0, y1, y2 = g2 - _comm(g1, d0) / 60.0, (_comm(g1, d1) + comm_e(d0)) / -60.0, comm_e(d1) / -60.0
-    return (g1 + g3 / 12.0 + _comm(x0, y0) / 240.0, e + (_comm(x0, y1) + _comm(x1, y0)) / 240.0,
-            (_comm(x0, y2) + _comm(x1, y1)) / 240.0, _comm(x1, y2) / 240.0)
-
-
-def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Commutators [x_i, y_i] of two (3, n) stacks of traceless matrices (a, b, c)."""
-    out = np.empty_like(x)
-    np.subtract(x[1] * y[2], x[2] * y[1], out=out[0])
-    np.subtract(x[0] * y[1], x[1] * y[0], out=out[1])
-    np.subtract(x[2] * y[0], x[0] * y[2], out=out[2])
-    out[1:] *= 2.0
+    E^2 P2 + E^3 P3: a (4, 3, n) array of (3, n) stacks (a, b, c) of traceless
+    [[a, b], [c, -a]] (Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151).
+    From A_s = A(r + c_s h) at the three Gauss nodes, alpha_1 = h A_2, alpha_2 =
+    (sqrt(15) h/3)(A_3 - A_1), alpha_3 = (10 h/3)(A_3 - 2 A_2 + A_1), C_1 =
+    [alpha_1, alpha_2] and C_2 = -[alpha_1, 2 alpha_3 + C_1]/60, Omega = alpha_1
+    + alpha_3/12 + [C_1 - 20 alpha_1 - alpha_3, alpha_2 + C_2]/240.  The
+    commutators are written out in (a, s, t), b = s + t, c = s - t, where [x, y]
+    = 2 (x_t y_s - x_s y_t, x_a y_t - x_t y_a, x_a y_s - x_s y_a): alpha_1 = (A,
+    h, T) + E (0, 0, h), alpha_2 = (P, 0, -W) and alpha_3 = (R, 0, -U), so C_1 is
+    linear in E, C_2 quadratic and P3 = (0, h^3 P/90, h^3 P^2/900) in (a, s,
+    t).  P, W, R, U are differences of tau k/r and V at the nodes: A's entries
+    would lose V's digits to the 1 +- E.  The leading part alpha_1 + alpha_3/12
+    + E (0, h, -h) is added last, in (a, b, c): the commutators' round-off lies
+    far below an ulp of Omega."""
+    rs = base + _GAUSS_C[:, None] * h
+    k, v = tk / rs, pot.evaluate(rs)
+    f, g = (math.sqrt(15.0) / 3.0) * h, (10.0 / 3.0) * h
+    A, T = -h * k[1], -h * v[1]
+    P, W = f * (k[0] - k[2]), f * (v[2] - v[0])
+    R, U = g * (2.0 * k[1] - k[2] - k[0]), g * (v[2] - 2.0 * v[1] + v[0])
+    hP, hW = h * P, h * W
+    Q, Rp, Up = A * W + T * P, R + hW, U + hP
+    # C_1 = 2 (hW, -Q, -hP) + E (0, -2 hP, 0), so C_1 - 20 alpha_1 - alpha_3 = x0 + E
+    # x1, x1 = (0, -2 hP, -20 h), 2 alpha_3 + C_1 = 2 (Rp, -Q, -Up) + E (0, -2 hP, 0)
+    # and alpha_2 + C_2 = 120 (z0 + E z1 + E^2 (z2a, 0, 0))
+    x0a, x0s, x0t = 2.0 * hW - 20.0 * A - R, -2.0 * Q - 20.0 * h, U - 2.0 * hP - 20.0 * T
+    z0a, z0s, z0t = (P / 120.0 + (T * Q - h * Up) / 1800.0, (A * Up + T * Rp) / 1800.0,
+                     (A * Q + h * Rp) / 1800.0 - W / 120.0)
+    h1800 = h / 1800.0
+    z1a, z1s, z1t, z2a = h1800 * (Q + P * T), h1800 * Rp, h1800 * (P * A), h1800 * hP
+    # Omega = alpha_1 + alpha_3/12 + [x0 + E x1, z0 + E z1 + E^2 (z2a, 0, 0)]/2 by
+    # powers of E: [x0, z]/2 = (x0_t z_s - x0_s z_t, ...), [x1, z]/2 = 2 h (P z_t -
+    # 10 z_s, 10 z_a, P z_a)
+    h2, h20, h2P = 2.0 * h, 20.0 * h, 2.0 * hP
+    omega = (  # (a, s, t) of the commutator's share of P0, P1, P2 and P3
+        (x0t * z0s - x0s * z0t, x0a * z0t - x0t * z0a, x0a * z0s - x0s * z0a),
+        ((x0t * z1s - x0s * z1t) + h2 * (P * z0t - 10.0 * z0s),
+         (x0a * z1t - x0t * z1a) + h20 * z0a, (x0a * z1s - x0s * z1a) + h2P * z0a),
+        (h2 * (P * z1t - 10.0 * z1s), h20 * z1a - x0t * z2a, h2P * z1a - x0s * z2a),
+        (0.0, h20 * z2a, h2P * z2a),
+    )
+    out = np.empty((4, 3, h.size))
+    for o, (a, s, t) in zip(out, omega):
+        o[0] = a
+        np.add(s, t, out=o[1])
+        np.subtract(s, t, out=o[2])
+    # alpha_1 + alpha_3/12 + E (0, h, -h) in (a, b, c)
+    u12 = U / 12.0
+    out[0, 0] += A + R / 12.0
+    out[0, 1] += h * (1.0 - v[1]) - u12
+    out[0, 2] += h * (1.0 + v[1]) + u12
+    out[1, 1] += h
+    out[1, 2] -= h
     return out
 
 

@@ -808,27 +808,31 @@ class TestPropagatorKernel:
         ids=["Z=136", "u=0.99", "A=-0.5", "A=+0.5"],
     )
     def test_table_is_the_generator_as_a_cubic_in_E(self, pot, label):
-        # Omega_i(E) = P0 + E P1 + E^2 P2 + E^3 P3 on the coarsest grid, whose
-        # steps are the largest, from E = -1.5 to 1.5 across the shifts and at
-        # the window edges, to a few ulps of |Omega_i|
+        # Omega_i(E) = P0 + E P1 + E^2 P2 + E^3 P3 on the coarsest grid (the
+        # largest steps), the default one and the finest, each outward and
+        # reversed (negative steps, as the inward generator is built), from
+        # E = -1.5 to 1.5 across the shifts and at the window edges, to a few
+        # ulps of |Omega_i|
         ch = parse_state_label(label)
-        r = build_grid(1e-3, 0.5).points
-        p0, p1, p2, p3 = radial._stage_tables(pot, ch.tau * ch.k, r[:-1], np.diff(r))
-        for w in (-1.0 + 1e-9, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0 - 1e-9):
-            E = pot.value_at_infinity + w
-            a, b, c = ((p3 * E + p2) * E + p1) * E + p0
-            exact = _magnus_generator(pot, ch, r[:-1], r[1:], E)
-            ulp = np.finfo(float).eps * np.abs(exact).max(axis=(1, 2))
-            for got, want in ((a, exact[:, 0, 0]), (b, exact[:, 0, 1]), (c, exact[:, 1, 0])):
-                assert np.max(np.abs(got - want) / ulp) < 8.0
+        for kappa_ref, scale in ((1e-3, 0.5), (0.05, 1.0), (1.0, 4.0)):
+            r = build_grid(kappa_ref, scale).points
+            for r0, r1 in ((r[:-1], r[1:]), (r[:0:-1], r[-2::-1])):
+                p0, p1, p2, p3 = radial._stage_tables(pot, ch.tau * ch.k, r0, r1 - r0)
+                for w in (-1.0 + 1e-9, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0 - 1e-9):
+                    E = pot.value_at_infinity + w
+                    a, b, c = ((p3 * E + p2) * E + p1) * E + p0
+                    exact = _magnus_generator(pot, ch, r0, r1, E)
+                    ulp = np.finfo(float).eps * np.abs(exact).max(axis=(1, 2))
+                    for got, want in ((a, exact[:, 0, 0]), (b, exact[:, 0, 1]), (c, exact[:, 1, 0])):
+                        assert np.max(np.abs(got - want) / ulp) < 8.0
 
     def test_no_commutator_per_energy(self, ch_s, monkeypatch):
-        # the generator's cubic is built once per workspace, so a hinted solve
-        # (about 7 passes) and an unhinted one (about 15) evaluate the same
-        # commutators per workspace
-        calls = dict.fromkeys(["_comm", "sweep", "__init__"], 0)
+        # the generator's cubic is staged once per workspace, so a hinted solve
+        # (about 7 passes) and an unhinted one (about 15) stage one table per
+        # workspace: none in any pass
+        calls = dict.fromkeys(["_stage_tables", "sweep", "__init__"], 0)
         ws_cls = radial._ShootingWorkspace
-        for owner, name in ((radial, "_comm"), (ws_cls, "sweep"), (ws_cls, "__init__")):
+        for owner, name in ((radial, "_stage_tables"), (ws_cls, "sweep"), (ws_cls, "__init__")):
             inner = getattr(owner, name)
 
             def wrapped(*args, _inner=inner, _name=name):
@@ -840,13 +844,13 @@ class TestPropagatorKernel:
         def per_workspace(solve):
             calls.update(dict.fromkeys(calls, 0))
             solve()
-            return calls["_comm"] / calls["__init__"], calls["sweep"]
+            return calls["_stage_tables"] / calls["__init__"], calls["sweep"]
 
-        comm_hinted, passes_hinted = per_workspace(lambda: compute_state_pair(40, "1s_1/2"))
+        staged_hinted, passes_hinted = per_workspace(lambda: compute_state_pair(40, "1s_1/2"))
         pot = ScreenedCoulomb.from_charge(40)
-        comm_unhinted, passes_unhinted = per_workspace(lambda: solve_eigenvalue(pot, ch_s))
+        staged_unhinted, passes_unhinted = per_workspace(lambda: solve_eigenvalue(pot, ch_s))
         assert passes_hinted <= 12 and passes_unhinted > passes_hinted
-        assert comm_hinted == comm_unhinted > 0
+        assert staged_hinted == staged_unhinted == 1
 
     def test_one_propagator_pass_per_energy(self, monkeypatch):
         # every count and Wronskian not found in probes writes the steps into
