@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .channels import Channel
 from .coulomb import coulomb_eigenvalue
@@ -34,8 +33,8 @@ from .envelope import minimize_bound
 from .errors import HypothesisViolationError
 from .potentials import ScreenedCoulomb, ShiftedCoulomb, tangent_at
 from .radial import (
-    DEFAULT_GRID_SCALE, RadialSolution, build_grid, grid_derivative, reference_rate,
-    solve_eigenvalue,
+    DEFAULT_GRID_SCALE, RadialSolution, build_grid, grid_derivative, grid_integral,
+    reference_rate, solve_eigenvalue,
 )
 
 # ordering pre-check mesh (log-spaced; wide enough for every state we solve)
@@ -106,11 +105,11 @@ def _shared_samples(sol_a: RadialSolution, sol_b: RadialSolution):
 def identity_residual(sol_a: RadialSolution, sol_b: RadialSolution) -> IdentityCheck:
     """Quadrature check of int S (V_a - V_b) dr = (E_a - E_b) int S dr
     for two solutions on one shared grid."""
-    r, a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
+    _, a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
     S = a1 * b1 + a2 * b2
     dv = sol_a.V - sol_b.V
-    lhs = float(simpson(S * dv, x=r))
-    rhs = (sol_a.E - sol_b.E) * float(simpson(S, x=r))
+    lhs = grid_integral(S * dv, sol_a.grid)
+    rhs = (sol_a.E - sol_b.E) * grid_integral(S, sol_a.grid)
     residual = lhs - rhs
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return IdentityCheck(lhs=lhs, rhs=rhs, residual=residual, relative=abs(residual) / scale)

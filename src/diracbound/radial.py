@@ -33,9 +33,9 @@ window |E - V(inf)| < 1.  The solver combines:
   isolating bracket shows one sign change unless round-off puts an end on
   the root, and then the end with the smaller |W| is taken;
 * one shooting correction (W. R. Johnson, Atomic Structure Theory, 2007,
-  ch. 2): W(y, z)' = (E - E')(y1 z1 + y2 z2) for solutions at E and E', so
-  the level is E - w/N, w the Wronskian of the sweeps joined at the matching
-  radius, N the Simpson norm that normalizes psi; clamped to the bracket.
+  ch. 2): W(y, z)' = (E - E')(y1 z1 + y2 z2) for solutions at E and E', so the
+  level is E - w/N, clamped to the bracket: w the sweeps' Wronskian at the join,
+  N psi's norm by Simpson in xi plus the power law below r_min (grid_integral).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg.blas import dtbsv
 from scipy.optimize import brentq
 
@@ -527,8 +526,8 @@ def count_nodes(samples) -> int:
 
 
 def normalize(sol: RadialSolution) -> RadialSolution:
-    """Rescale so the Simpson quadrature of psi1^2 + psi2^2 equals one."""
-    nrm = float(simpson(sol.psi1**2 + sol.psi2**2, x=sol.grid.points))
+    """Rescale so the grid_integral of psi1^2 + psi2^2 equals one."""
+    nrm = grid_integral(sol.psi1**2 + sol.psi2**2, sol.grid)
     if not math.isfinite(nrm) or nrm <= 0.0:
         raise ValueError(f"cannot normalize solution with norm integral {nrm}")
     s = 1.0 / math.sqrt(nrm)
@@ -549,10 +548,11 @@ def solve_eigenvalue(
     up the search; it is clipped to the window, verified against the anchored
     phase count and discarded, with a DEBUG record on the "diracbound" logger,
     if it does not hold the requested state.  A level is accepted once the
-    grid's tail spans 30 of its decay lengths, r_max * kappa >= 30.  Unless
-    the caller supplies a grid (e.g. one shared by a comparison pair), a grid
-    that holds fewer than ch.n states or too short a tail for the level found
-    is rebuilt once, with a DEBUG record, as the longest grid of the family
+    grid's tail spans 30 of its decay lengths, r_max * kappa >= 30, and 18
+    past its match point, (r_max - r_match) kappa >= 18.  Unless the caller
+    supplies a grid (e.g. one shared by a comparison pair), a grid that holds
+    fewer than ch.n states or too short a tail for the level found is rebuilt
+    once, with a DEBUG record, as the longest grid of the family
     (kappa_ref = 1e-3, r_max = 35000; kappa >= 8.57e-4, a binding of about
     3.7e-7 mc^2).  With no rebuild left, it raises NoBoundStateError if the
     grid searched last holds fewer than ch.n states, else ConvergenceError
@@ -575,7 +575,8 @@ def solve_eigenvalue(
         if level is not None:
             energy, (lo, hi) = level
             kappa_e = _decay_rate(energy - v_inf)
-            if grid.r_max * kappa_e >= 30.0:
+            r_match = float(grid.points[ws.match_index(energy)])
+            if kappa_e >= max(30.0 / grid.r_max, 18.0 / (grid.r_max - r_match)):
                 break
         if supplied or kappa_ref == 1e-3:
             searched = f"{'supplied' if supplied else 'longest'} grid (r_max={grid.r_max:.3g})"
@@ -587,7 +588,8 @@ def solve_eigenvalue(
             raise ConvergenceError(
                 f"{ch} state too weakly bound: the level found on the {searched} lies at "
                 f"E={energy!r}, so its decay rate {kappa_e:.3g} is below 30/r_max = "
-                f"{30.0 / grid.r_max:.3g}"
+                f"{30.0 / grid.r_max:.3g} or 18/(r_max - r_match) = "
+                f"{18.0 / (grid.r_max - r_match):.3g}, its match point at r_match = {r_match:.3g}"
             )
         if level is None:
             # the tail may simply be too short for a weakly bound state
@@ -613,18 +615,36 @@ def solve_eigenvalue(
     return replace(sol, E=float(min(max(energy - shift, lo), hi)))
 
 
-def grid_derivative(y: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """d/dr on the grid: fourth-order central differences in xi (see
-    build_grid), with the grid's actual xi step, times dxi/dr = a/r + 1/rho;
-    NaN at the two points next to each end.  A ValueError if the points are
-    not uniform in the xi of the grid's kappa_ref and scale."""
-    a = GRID_LOG_WEIGHT
-    _, rho = _grid_map(grid.kappa_ref, grid.scale)
-    xi_span = a * math.log(grid.r_max / grid.r_min) + (grid.r_max - grid.r_min) / rho
-    h = xi_span / (grid.count - 1)
-    xi = a * np.log(grid.points) + grid.points / rho
+def _xi_map(grid: RadialGrid) -> tuple[float, np.ndarray]:
+    """The step h of a grid in xi = a ln r + r/rho (see build_grid) and dxi/dr =
+    a/r + 1/rho at its points; a ValueError unless they are uniform in xi."""
+    a, r = GRID_LOG_WEIGHT, grid.points
+    rho = _grid_map(grid.kappa_ref, grid.scale)[1]
+    xi = a * np.log(r) + r / rho
+    h = (xi[-1] - xi[0]) / (r.size - 1)
     if not np.max(np.abs(np.diff(xi) - h)) <= 1e-6 * h:  # built grids: within 2e-11 h
         raise ValueError("grid points are not uniform in xi; build the grid with build_grid")
+    return h, a / r + 1.0 / rho
+
+
+def grid_derivative(y: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """d/dr: fourth-order central differences in xi times dxi/dr; NaN at 2 points each end."""
+    h, dxi = _xi_map(grid)
     d = np.full_like(y, np.nan)
     d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
-    return d * (a / grid.points + 1.0 / rho)
+    return d * dxi
+
+
+def grid_integral(f: np.ndarray, grid: RadialGrid) -> float:
+    """Integral of f over (0, r_max): composite Simpson in xi of f dr/dxi, ending
+    on a 3/8 panel when the interval count is odd, plus, on (0, r_min), the power
+    law through the first two samples (regular solutions go like r^gamma)."""
+    h, dxi = _xi_map(grid)
+    g, n = f / dxi, f.size - 1
+    m = n - 3 * (n % 2)  # the intervals under Simpson's rule
+    total = h / 3.0 * (g[0] + 4.0 * g[1:m:2].sum() + 2.0 * g[2:m:2].sum() + g[m])
+    total += 0.375 * h * (g[m] + 3.0 * (g[m + 1] + g[m + 2]) + g[m + 3]) if n % 2 else 0.0
+    r, f0, f1 = grid.points, float(f[0]), float(f[1])
+    if f0 * f1 > 0.0:  # f_0 (r/r_0)^p, p from f_1; none for a zero or sign-changing start
+        total += f0 * r[0] / (1.0 + math.log(f1 / f0) / math.log(r[1] / r[0]))
+    return float(total)

@@ -22,7 +22,7 @@ from scipy.linalg import expm
 
 from diracbound import radial
 from diracbound.channels import DEFAULT_CONSTANTS, Channel, parse_state_label
-from diracbound.coulomb import coulomb_eigenvalue
+from diracbound.coulomb import coulomb_eigenvalue, coulomb_eigenvalue_derivative
 from diracbound.errors import ConvergenceError, NoBoundStateError
 from diracbound.potentials import PureCoulomb, ScreenedCoulomb, ShiftedCoulomb
 from diracbound.radial import (
@@ -30,6 +30,7 @@ from diracbound.radial import (
     build_grid,
     count_nodes,
     grid_derivative,
+    grid_integral,
     integrate_radial,
     matching_mismatch,
     normalize,
@@ -499,8 +500,7 @@ NODE_LABELS = (
 
 class TestSolutionStructure:
     def test_unit_norm(self, coulomb_half):
-        r = coulomb_half.grid.points
-        quad = simpson(coulomb_half.psi1**2 + coulomb_half.psi2**2, x=r)
+        quad = grid_integral(coulomb_half.psi1**2 + coulomb_half.psi2**2, coulomb_half.grid)
         assert quad == pytest.approx(1.0, abs=1e-8)
 
     def test_ground_state_nodeless(self, coulomb_half):
@@ -1247,7 +1247,7 @@ class TestNormalize:
             coulomb_half, psi1=7.0 * coulomb_half.psi1, psi2=7.0 * coulomb_half.psi2
         )
         back = normalize(scaled)
-        quad = simpson(back.psi1**2 + back.psi2**2, x=back.grid.points)
+        quad = grid_integral(back.psi1**2 + back.psi2**2, back.grid)
         assert quad == pytest.approx(1.0, abs=1e-12)
         again = normalize(back)
         assert np.allclose(again.psi1, back.psi1, rtol=0.0, atol=1e-15)
@@ -1299,6 +1299,46 @@ class TestGridDerivative:
         grid = RadialGrid(1e-6, 700.0, r, 0.05, 1.0)
         with pytest.raises(ValueError, match="not uniform"):
             grid_derivative(r, grid)
+
+
+# --------------------------------------------------------------------------
+# grid integral: Simpson in xi plus the power law below r_min
+
+
+class TestGridIntegral:
+    @pytest.mark.parametrize("kappa, odd", [(1e-3, False), (0.05, True)])
+    @pytest.mark.parametrize("power", [0, -1], ids=["density", "density/r"])
+    def test_bound_state_shape(self, kappa, odd, power):
+        # r^(2 gamma + power) e^(-2 kappa r), gamma of v = 0.9, on a grid with
+        # an even and one with an odd interval count (a closing 3/8 panel);
+        # measured within 5.2e-14 relative
+        grid = build_grid(kappa)
+        assert (grid.count - 1) % 2 == odd
+        r = grid.points
+        p = 2.0 * math.sqrt(1.0 - 0.9**2) + power
+        exact = math.gamma(p + 1.0) / (2.0 * kappa) ** (p + 1.0)
+        f = r**p * np.exp(-2.0 * kappa * r)
+        assert grid_integral(f, grid) == pytest.approx(exact, rel=1e-12)
+
+
+# Hellmann-Feynman for V = -u/r: dE/du = <dV/du> = -<1/r>.  Relative residuals
+# of <1/r> on unhinted solves, measured: -1.0e-14, 2.4e-14, 1.2e-11 and 1.5e-7
+# for 1s_1/2 at u = 0.1, 0.5, 0.9 and 0.99, 3.1e-7 for 2s_1/2 at 0.99; each
+# bound is 7-12x that, 3x for 2s_1/2 under the cap 1e-6.  Simpson in r
+# (scipy's simpson(x=r), no piece below r_min) reads -1.4e-10, -2.7e-9,
+# -1.0e-5, -2.7e-2 and -2.9e-2.
+HF_CASES = [
+    ("1s_1/2", 0.1, 1e-13), ("1s_1/2", 0.5, 3e-13), ("1s_1/2", 0.9, 1e-10),
+    ("1s_1/2", 0.99, 1e-6), ("2s_1/2", 0.99, 1e-6),
+]
+
+
+@pytest.mark.parametrize("label, u, tol", HF_CASES, ids=[f"{c}-u{u}" for c, u, _ in HF_CASES])
+def test_inverse_r_is_minus_coupling_derivative(label, u, tol):
+    ch = parse_state_label(label)
+    sol = solve_eigenvalue(PureCoulomb(u), ch)
+    inv_r = grid_integral((sol.psi1**2 + sol.psi2**2) / sol.grid.points, sol.grid)
+    assert abs(inv_r / -coulomb_eigenvalue_derivative(u, ch) - 1.0) < tol
 
 
 # --------------------------------------------------------------------------
@@ -1474,6 +1514,21 @@ class TestWeaklyBoundEdges:
         # 28 and 11.7 decay lengths on the longest grid's tail, short of 30
         with pytest.raises(ConvergenceError, match="too weakly bound"):
             solve_eigenvalue(PureCoulomb(u), parse_state_label(label))
+
+    @pytest.mark.parametrize("n", [26, 27, 28, 29, 30])
+    def test_rydberg_level_at_the_wall_is_typed(self, n):
+        # u = 0.05 ns_1/2 on the longest grid: r_max kappa is 58-67, but the
+        # tail past the match point spans 15.4, 10.9, 6.5, 2.2 and 0.3 decay
+        # lengths, short of 18; those levels lay 2.7e-13 to 2.5e-8 above the
+        # closed form
+        with pytest.raises(ConvergenceError, match=r"too weakly bound.* 18/\(r_max - r_match\)"):
+            solve_eigenvalue(PureCoulomb(0.05), parse_state_label(f"{n}s_1/2"))
+
+    def test_rydberg_level_clear_of_the_wall_solves(self):
+        # 25s_1/2: 20.0 decay lengths past its match point, 1.8e-15 off
+        ch = parse_state_label("25s_1/2")
+        sol = solve_eigenvalue(PureCoulomb(0.05), ch)
+        assert abs(sol.E - coulomb_eigenvalue(0.05, ch)) < 1e-14
 
 
 class TestStrongCouplingEdge:
