@@ -18,8 +18,8 @@ window |E - V(inf)| < 1.  The solver combines:
   (k/r)^2 >= 0, else where Q peaks (every nodeless state).  It writes -M_i(E)
   into the workspace's one band, a unit lower-triangular system that does
   not depend on the join; a BLAS dtbsv forward substitution on it gives the
-  outward sweep and the transposed back substitution the inward one (adj M
-  = J M^T J^-1): every state of both, for the Wronskian, the phase count and
+  outward sweep and the transposed back substitution the inward one (see
+  _trajectory): every state of both, for the Wronskian, the phase count and
   the eigenfunction alike, so one pass per energy serves all three;
 * Pruefer phase counting: the unwound angle of (psi1, psi2) at r_max less
   that of the decaying tail, equally the outward angle less the inward one at
@@ -43,6 +43,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
@@ -58,6 +59,7 @@ WINDOW_EDGE = 1e-9
 # Brent's absolute tolerance on E; the shooting correction does the rest
 BRENT_XTOL = 1e-12
 
+LONGEST_KAPPA_REF = 1e-3  # the least kappa_ref, that of the longest grid (r_max = 35000)
 # weight a of ln r in the grid coordinate xi = a ln r + r/rho (see build_grid)
 GRID_LOG_WEIGHT = 0.5
 # grid density multiplier of every solve that takes no other
@@ -82,6 +84,18 @@ class RadialGrid:
     @property
     def count(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def xi_map(self) -> tuple[float, np.ndarray]:
+        """The step h of the points in xi = a ln r + r/rho (see build_grid) and dxi/dr
+        = a/r + 1/rho at each, kept once derived; a ValueError unless uniform in xi."""
+        a, r = GRID_LOG_WEIGHT, self.points
+        rho = _grid_map(self.kappa_ref, self.scale)[1]
+        xi = a * np.log(r) + r / rho
+        h = (xi[-1] - xi[0]) / (r.size - 1)
+        if not np.max(np.abs(np.diff(xi) - h)) <= 1e-6 * h:  # built grids: within 2e-11 h
+            raise ValueError("grid points are not uniform in xi; build the grid with build_grid")
+        return h, a / r + 1.0 / rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +127,7 @@ def build_grid(kappa_ref: float, scale: float = DEFAULT_GRID_SCALE) -> RadialGri
     dr/r -> h/a near the origin, dr -> h rho = 0.025/(kappa_ref scale) in the
     tail.  About 2490 (kappa_ref = 1) to 2920 (1e-3) points times scale, so
     scale >= 0.5 keeps the 1000 points the quadratures need (1244 at 1)."""
-    if not 1e-3 <= kappa_ref <= 1.0:
+    if not LONGEST_KAPPA_REF <= kappa_ref <= 1.0:
         raise ValueError(f"kappa_ref must lie in [1e-3, 1], got {kappa_ref}")
     if not 0.5 <= scale < math.inf:
         raise ValueError(f"grid scale must be finite and >= 0.5, got {scale}")
@@ -172,7 +186,7 @@ def reference_rate(pot, bracket: tuple[float, float] | None) -> float:
     if bracket is None:
         return 0.05
     v_inf = pot.value_at_infinity
-    return min(max(min(_decay_rate(e - v_inf) for e in bracket), 1e-3), 1.0)
+    return min(max(min(_decay_rate(e - v_inf) for e in bracket), LONGEST_KAPPA_REF), 1.0)
 
 
 def _stage_tables(pot, tk: float, base: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -281,18 +295,18 @@ def _trajectory(band: np.ndarray, i: int, y_out, y_in) -> np.ndarray:
     """Every state of both sweeps over the n steps of a (n + 1, 2, 4) band (see
     _steps) met at grid index i, in grid order, each seed scaled to unit
     1-norm: a fresh (2, n + 2) array of the outward states y_0 ... y_i from
-    y_out, then the inward states at points i ... n from y_in, each as J^-1 z,
-    J = [[0, 1], [-1, 0]], z = (u[1], -u[0]) for a column u.
+    y_out, then the inward states z_i ... z_n from y_in.
 
     Per state, the band holds its two columns of a unit lower-triangular
     matrix L with three subdiagonals in the interleaved unknowns (y_0[0],
     y_0[1], y_1[0], ...): the diagonal, then -M_j below it.  The outward
     recurrence y_(j+1) = M_j y_j is L y = (y_out, 0, ...), solved by a BLAS
     dtbsv forward substitution on the first 2i + 2 unknowns (Dongarra, Du
-    Croz, Hammarling and Hanson, ACM TOMS 14 (1988) 1).  As adj M = J M^T
-    J^-1, the inward recurrence z_j = adj(M_j) z_(j+1) is L^T u = (0, ...,
-    J^-1 y_in) on the unknowns from 2i, solved by dtbsv's transposed back
-    substitution: neither solve depends on the band past its own unknowns."""
+    Croz, Hammarling and Hanson, ACM TOMS 14 (1988) 1).  As adj M = J M^T J^-1,
+    J = [[0, 1], [-1, 0]], the inward recurrence z_j = adj(M_j) z_(j+1) is L^T u
+    = (0, ..., J^-1 y_in) in u = J^-1 z on the unknowns from 2i, solved by
+    dtbsv's transposed back substitution and turned to z = J u in place:
+    neither solve depends on the band past its own unknowns."""
     b = band.reshape(-1, 4)
     y = np.zeros(b.shape[0] + 2)
     (p, q), (r, s) = y_out, y_in
@@ -300,7 +314,9 @@ def _trajectory(band: np.ndarray, i: int, y_out, y_in) -> np.ndarray:
     y[-2:] = -s / (abs(r) + abs(s)), r / (abs(r) + abs(s))
     dtbsv(3, b[: 2 * i + 2].T, y[: 2 * i + 2], lower=1, diag=1, overwrite_x=1)
     dtbsv(3, b[2 * i :].T, y[2 * i + 2 :], lower=1, trans=1, diag=1, overwrite_x=1)
-    return y.reshape(-1, 2).T
+    Y = y.reshape(-1, 2).T
+    Y[0, i + 1 :], Y[1, i + 1 :] = Y[1, i + 1 :], -Y[0, i + 1 :]
+    return Y
 
 
 def _half_turns(Y: np.ndarray, i: int) -> tuple[int, int]:
@@ -316,10 +332,8 @@ def _half_turns(Y: np.ndarray, i: int) -> tuple[int, int]:
     -u/r tail (xi step h, tail step Delta): 0.89 rad for u = 0.99 on the
     coarsest grid.  So the angle passes a multiple of pi exactly where the
     state changes half-plane, upward if the cross product of the states on
-    either side is positive (J^-1 keeps cross products); the states are O(1),
-    so it neither under- nor overflows."""
-    u = Y[:, i + 1 :]
-    h = np.concatenate([_half(Y[1, : i + 1], Y[0, : i + 1]), _half(-u[0], u[1])])
+    either side is positive; the states are O(1), so it neither under- nor overflows."""
+    h = _half(Y[1], Y[0])
     d = np.flatnonzero(h[1:] != h[:-1])
     a, b = Y[:, d], Y[:, d + 1]
     turn = np.sign(a[0] * b[1] - a[1] * b[0])
@@ -330,17 +344,15 @@ def _half_turns(Y: np.ndarray, i: int) -> tuple[int, int]:
 def _samples(Y: np.ndarray, x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Both sweeps of a trajectory Y met at grid index i (see _trajectory) as
     samples in grid order, outward on [0, i] and inward on [i, n_int]: each
-    state (the inward ones as z) times exp of the log-scales x of the steps
-    between it and its seed, over its sweep's largest such factor, so the far
-    side of a growing sweep underflows to zero."""
+    state times exp of the log-scales x of the steps between it and its seed,
+    over its sweep's largest such factor, so the far side of a growing sweep
+    underflows to zero."""
     ls = np.zeros(i + 1)
     np.cumsum(x[:i], out=ls[1:])
     out = Y[:, : i + 1] * np.exp(ls - ls.max())
     ls = np.zeros(x.size - i + 1)
     np.cumsum(x[i:][::-1], out=ls[-2::-1])
-    inw = Y[::-1, i + 1 :] * np.exp(ls - ls.max())
-    inw[1] *= -1.0
-    return out, inw
+    return out, Y[:, i + 1 :] * np.exp(ls - ls.max())
 
 
 def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
@@ -390,10 +402,10 @@ class _ShootingWorkspace:
         reaches its end."""
         x = _steps(self.table, E, self.band)
         Y = _trajectory(self.band, i, self._seed_out(E), self._seed_in(E))
-        o1, o2, u1, u2 = Y.T[i : i + 2].ravel().tolist()  # the inward end is (u2, -u1)
-        if not all(map(math.isfinite, (o1, o2, u1, u2))):
+        ends = Y.T[i : i + 2].ravel().tolist()  # the outward end state, then the inward one
+        if not all(map(math.isfinite, ends)):
             raise ConvergenceError(f"sweep lost finiteness at E={E}")
-        return i, _scaled_wronskian(o1, o2, u2, -u1, E), Y, x
+        return i, _scaled_wronskian(*ends, E), Y, x
 
     def _probe(self, E: float):
         """The pass at E joined at match_index(E), made unless kept."""
@@ -578,7 +590,7 @@ def solve_eigenvalue(
             r_match = float(grid.points[ws.match_index(energy)])
             if kappa_e >= max(30.0 / grid.r_max, 18.0 / (grid.r_max - r_match)):
                 break
-        if supplied or kappa_ref == 1e-3:
+        if supplied or kappa_ref == LONGEST_KAPPA_REF:
             searched = f"{'supplied' if supplied else 'longest'} grid (r_max={grid.r_max:.3g})"
             if level is None:
                 raise NoBoundStateError(
@@ -599,8 +611,8 @@ def solve_eigenvalue(
             reason = f"grid tail too short for E={energy!r}"
             # kept inside the isolating bracket: near threshold E +- 1e-5 spans several levels
             hint = (max(lo, energy - 1e-5), min(hi, energy + 1e-5))
-        _log.debug("%s: rebuilding with kappa_ref=%g (was %g)", reason, 1e-3, kappa_ref)
-        kappa_ref = 1e-3  # the longest grid: if it fails too, the check above raises
+        _log.debug("%s: rebuilding with kappa_ref=%g (was %g)", reason, LONGEST_KAPPA_REF, kappa_ref)
+        kappa_ref = LONGEST_KAPPA_REF  # the longest grid: if it fails too, the check above raises
 
     i_match, psi1, psi2, mismatch, join = ws.eigenfunction(energy)
     # node counts are exact (see count_nodes) and scale-free
@@ -615,21 +627,9 @@ def solve_eigenvalue(
     return replace(sol, E=float(min(max(energy - shift, lo), hi)))
 
 
-def _xi_map(grid: RadialGrid) -> tuple[float, np.ndarray]:
-    """The step h of a grid in xi = a ln r + r/rho (see build_grid) and dxi/dr =
-    a/r + 1/rho at its points; a ValueError unless they are uniform in xi."""
-    a, r = GRID_LOG_WEIGHT, grid.points
-    rho = _grid_map(grid.kappa_ref, grid.scale)[1]
-    xi = a * np.log(r) + r / rho
-    h = (xi[-1] - xi[0]) / (r.size - 1)
-    if not np.max(np.abs(np.diff(xi) - h)) <= 1e-6 * h:  # built grids: within 2e-11 h
-        raise ValueError("grid points are not uniform in xi; build the grid with build_grid")
-    return h, a / r + 1.0 / rho
-
-
 def grid_derivative(y: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """d/dr: fourth-order central differences in xi times dxi/dr; NaN at 2 points each end."""
-    h, dxi = _xi_map(grid)
+    h, dxi = grid.xi_map
     d = np.full_like(y, np.nan)
     d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
     return d * dxi
@@ -639,7 +639,7 @@ def grid_integral(f: np.ndarray, grid: RadialGrid) -> float:
     """Integral of f over (0, r_max): composite Simpson in xi of f dr/dxi, ending
     on a 3/8 panel when the interval count is odd, plus, on (0, r_min), the power
     law through the first two samples (regular solutions go like r^gamma)."""
-    h, dxi = _xi_map(grid)
+    h, dxi = grid.xi_map
     g, n = f / dxi, f.size - 1
     m = n - 3 * (n % 2)  # the intervals under Simpson's rule
     total = h / 3.0 * (g[0] + 4.0 * g[1:m:2].sum() + 2.0 * g[2:m:2].sum() + g[m])

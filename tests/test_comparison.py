@@ -8,6 +8,7 @@ case where the choice of weight in the integral identity matters.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from diracbound import comparison
+from diracbound import comparison, radial
 from diracbound.channels import Channel
 from diracbound.comparison import (
     ComparisonReport,
@@ -286,6 +287,39 @@ class TestRandomPairs:
         r = np.geomspace(1e-6, 1e4, 400)
         assert np.all(tangent.evaluate(r) - pot.evaluate(r) >= -1e-16)
         assert np.all(ordering_gap(pot, tangent.contact_radius, r) >= 0.0)
+
+
+class TestSharedGrid:
+    def test_xi_map_derived_once_per_pair(self, ch_s, monkeypatch):
+        # both normalizations, both identity quadratures and the derivative
+        # check of one pair share one grid, whose xi map is derived on its
+        # first use only
+        derived = []
+        derive = radial.RadialGrid.xi_map.func
+
+        def counted(grid):
+            derived.append(grid)
+            return derive(grid)
+
+        spy = functools.cached_property(counted)
+        spy.__set_name__(radial.RadialGrid, "xi_map")
+        monkeypatch.setattr(radial.RadialGrid, "xi_map", spy)
+        report = assert_ordering(PureCoulomb(0.6), PureCoulomb(0.55), ch_s)
+        assert report.verdict == "PASS"
+        assert len(derived) == 1
+
+    def test_solve_with_a_node_gets_info(self, ch_s, monkeypatch):
+        # the theorem needs all four components nodeless: a node in one solve
+        # takes the pair outside it, so the verdict is neither PASS nor FAIL
+        def one_node(pot, ch, **kwargs):
+            sol = solve_eigenvalue(pot, ch, **kwargs)
+            return dataclasses.replace(sol, nodes1=1) if pot.coupling == 0.55 else sol
+
+        monkeypatch.setattr(comparison, "solve_eigenvalue", one_node)
+        report = assert_ordering(PureCoulomb(0.6), PureCoulomb(0.55), ch_s)
+        assert report.nodes_a == (0, 0) and report.nodes_b == (1, 0)
+        assert report.hypothesis_ok is False
+        assert report.ordered and report.verdict == "INFO"
 
 
 class TestIdentityCheckShape:

@@ -418,6 +418,20 @@ class TestSearch:
                 solve_eigenvalue(PureCoulomb(0.5), ch_s)
         assert not any("keeps one sign" in r.getMessage() for r in caplog.records)
 
+    def test_bisection_stops_on_adjacent_floats(self, ch_s, monkeypatch):
+        # counts 3 and 0 at the ends do not isolate level 2, but no float lies
+        # strictly between lo and its successor: the bracket comes back whole,
+        # with no count made
+        ws = radial._ShootingWorkspace(PureCoulomb(0.5), ch_s, build_grid(0.5))
+
+        def no_count(E):
+            pytest.fail(f"a count at {E!r}")
+
+        monkeypatch.setattr(ws, "count", no_count)
+        lo = 0.5
+        hi = math.nextafter(lo, 1.0)
+        assert ws.bisect_count(2, lo, hi, 3, 0) == (lo, hi)
+
     @pytest.mark.parametrize(
         "pot",
         [PureCoulomb(0.5), PureCoulomb(0.3), ScreenedCoulomb.from_charge(40)],
@@ -721,13 +735,6 @@ def _band(steps):
     return band
 
 
-def _inward(Y, i):
-    """The inward states z of a trajectory met at i (see radial._trajectory), in
-    grid order."""
-    u = Y[:, i + 1 :]
-    return np.array([u[1], -u[0]])
-
-
 def _sweeps(ws, E):
     """Full-grid outward and inward step stacks of a pass at E, each in sweep
     order, with their log-scales."""
@@ -794,7 +801,7 @@ class TestPropagatorKernel:
         # and the pass takes them: its inward end state is their product
         seed = ws._seed_in(E)
         end = _scan(inw, seed)[:, -1]
-        np.testing.assert_allclose(_inward(Y, i)[:, 0], end / np.abs(seed).sum(), rtol=1e-12)
+        np.testing.assert_allclose(Y[:, i + 1], end / np.abs(seed).sum(), rtol=1e-12)
 
     @pytest.mark.parametrize("label", ["1s_1/2", "6h_11/2"])
     @pytest.mark.parametrize(
@@ -901,7 +908,7 @@ class TestPropagatorKernel:
         _, _, Y, _ = ws.sweep(E, i_match)
         m = _band_steps(ws.band)
         sweeps = (m[..., :i_match], _adjugates(m[..., i_match:])[..., ::-1])
-        for end, steps, seed in zip((Y[:, i_match], _inward(Y, i_match)[:, 0]), sweeps, seeds):
+        for end, steps, seed in zip((Y[:, i_match], Y[:, i_match + 1]), sweeps, seeds):
             want = _scan(steps, seed)[:, -1]
             want /= np.abs(want).sum()
             np.testing.assert_allclose(end / np.abs(end).sum(), want, rtol=1e-12)
@@ -919,7 +926,7 @@ class TestPropagatorKernel:
             m = _band_steps(ws.band)
             out = _scan(m[..., :i], seeds[0])
             inw = _scan(_adjugates(m[..., i:])[..., ::-1], seeds[1])[:, ::-1]
-            for got, want in ((Y[:, : i + 1], out), (_inward(Y, i), inw)):
+            for got, want in ((Y[:, : i + 1], out), (Y[:, i + 1 :], inw)):
                 assert got.shape == want.shape
                 np.testing.assert_allclose(
                     got / np.abs(got).sum(axis=0), want / np.abs(want).sum(axis=0), rtol=1e-12
@@ -946,7 +953,7 @@ class TestPropagatorKernel:
                 _, _, Y, _ = ws.sweep(E, i)
                 m = _band_steps(ws.band)
                 sweeps = (m[..., :i], _adjugates(m[..., i:])[..., ::-1])
-                for end, steps, seed in zip((Y[:, i], _inward(Y, i)[:, 0]), sweeps, seeds):
+                for end, steps, seed in zip((Y[:, i], Y[:, i + 1]), sweeps, seeds):
                     y = [mpmath.mpf(v) for v in seed]
                     for a, b, c, d in steps.reshape(4, -1).T.tolist():
                         y = [a * y[0] + b * y[1], c * y[0] + d * y[1]]
@@ -1297,8 +1304,9 @@ class TestGridDerivative:
         # between 0.48 and 11 instead of 1
         r = np.geomspace(1e-6, 700.0, 3000)
         grid = RadialGrid(1e-6, 700.0, r, 0.05, 1.0)
-        with pytest.raises(ValueError, match="not uniform"):
-            grid_derivative(r, grid)
+        for use in (grid_derivative, grid_integral):  # on every use: no map is kept
+            with pytest.raises(ValueError, match="not uniform"):
+                use(r, grid)
 
 
 # --------------------------------------------------------------------------
