@@ -26,7 +26,10 @@ window |E - V(inf)| < 1.  The solver combines:
   any match point, drops through a multiple of pi at every eigenvalue of the
   truncated problem.  Counted from the window bottom (whole half-turns are
   the states' half-plane changes, as integers), it locates the n-th level by
-  index; bisection stops once the bracket holds that state alone;
+  index; bisection, at midpoints in ln(V_inf + 1 - E) as a Coulomb tail's
+  levels crowd toward the top, stops once the bracket holds that state
+  alone.  On a grid the solve may still rebuild, the search stops where
+  r_max kappa = 30, as no level above passes the tail rule (solve_eigenvalue);
 * Wronskian matching: Brent (xtol BRENT_XTOL) on the sine of the angle
   between the sweeps, whose sign is the same at any match point (det M_i =
   1, positive scales).  It vanishes exactly where the count drops: an
@@ -56,8 +59,9 @@ _log = logging.getLogger(__name__)
 
 # window edge margin: kappa = sqrt(1 - (E - V_inf)^2) degenerates at |w| = 1
 WINDOW_EDGE = 1e-9
-# Brent's absolute tolerance on E; the shooting correction does the rest
-BRENT_XTOL = 1e-12
+# Brent's absolute tolerance on E; the shooting correction moves E the rest of the
+# way, but psi stays sampled at Brent's root
+BRENT_XTOL = 1e-14
 
 LONGEST_KAPPA_REF = 1e-3  # the least kappa_ref, that of the longest grid (r_max = 35000)
 # weight a of ln r in the grid coordinate xi = a ln r + r/rho (see build_grid)
@@ -429,9 +433,12 @@ class _ShootingWorkspace:
     ) -> tuple[float, float]:
         """Bisect (lo, hi) with counts c_lo >= level > c_hi at its ends until it
         holds the crossing at level alone (c_lo == level == c_hi + 1), or
-        cannot be split further."""
+        cannot be split further.  The split is the midpoint in ln(top - E), top
+        = V_inf + 1, as the levels of a Coulomb tail crowd toward the top
+        (1 - w ~ u^2/(2 nu^2)); it is the arithmetic one on narrow brackets."""
+        top = self.v_inf + 1.0
         while c_lo > level or c_hi < level - 1:
-            mid = 0.5 * (lo + hi)
+            mid = top - math.sqrt((top - lo) * (top - hi))
             if not lo < mid < hi:
                 break
             c = self.count(mid)
@@ -562,9 +569,10 @@ def solve_eigenvalue(
     if it does not hold the requested state.  A level is accepted once the
     grid's tail spans 30 of its decay lengths, r_max * kappa >= 30, and 18
     past its match point, (r_max - r_match) kappa >= 18.  Unless the caller
-    supplies a grid (e.g. one shared by a comparison pair), a grid that holds
-    fewer than ch.n states or too short a tail for the level found is rebuilt
-    once, with a DEBUG record, as the longest grid of the family
+    supplies a grid (e.g. one shared by a comparison pair), the search window
+    of each grid but the longest ends where r_max * kappa = 30, and a grid
+    that holds fewer than ch.n states below that or too short a tail for the
+    level found is rebuilt once, with a DEBUG record, as the longest grid of the family
     (kappa_ref = 1e-3, r_max = 35000; kappa >= 8.57e-4, a binding of about
     3.7e-7 mc^2).  With no rebuild left, it raises NoBoundStateError if the
     grid searched last holds fewer than ch.n states, else ConvergenceError
@@ -582,15 +590,19 @@ def solve_eigenvalue(
     while True:
         if not supplied:
             grid = build_grid(kappa_ref, grid_scale)
+        last = supplied or kappa_ref == LONGEST_KAPPA_REF
+        # a grid that can be rebuilt is searched only up to where r_max kappa = 30:
+        # no level above that passes the tail rule
+        top = window[1] if last else min(window[1], v_inf + _decay_rate(30.0 / grid.r_max))
         ws = _ShootingWorkspace(pot, ch, grid)
-        n_found, level = ws.find_level(ch.n, window, hint)
+        n_found, level = ws.find_level(ch.n, (window[0], top), hint)
         if level is not None:
             energy, (lo, hi) = level
             kappa_e = _decay_rate(energy - v_inf)
             r_match = float(grid.points[ws.match_index(energy)])
             if kappa_e >= max(30.0 / grid.r_max, 18.0 / (grid.r_max - r_match)):
                 break
-        if supplied or kappa_ref == LONGEST_KAPPA_REF:
+        if last:
             searched = f"{'supplied' if supplied else 'longest'} grid (r_max={grid.r_max:.3g})"
             if level is None:
                 raise NoBoundStateError(
@@ -604,8 +616,7 @@ def solve_eigenvalue(
                 f"{18.0 / (grid.r_max - r_match):.3g}, its match point at r_match = {r_match:.3g}"
             )
         if level is None:
-            # the tail may simply be too short for a weakly bound state
-            reason = f"grid holds {n_found} of {ch.n} states"
+            reason = f"grid holds {n_found} of {ch.n} states below E={top!r}, where r_max*kappa = 30"
             hint = None
         else:
             reason = f"grid tail too short for E={energy!r}"

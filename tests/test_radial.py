@@ -374,10 +374,21 @@ class TestSearch:
         assert len(set(passes)) == len(passes)
 
     def test_unhinted_sweep_budget(self, ch_s, sweep_calls):
-        # bisection stops once the bracket isolates the state, not at a fixed width
+        # bisection stops once the bracket isolates the state, not at a fixed
+        # width, and splits it in ln(1 - E): counts at the window's ends and one
+        # between them isolate the level at E = 0.9165 (7 counts splitting in E)
         sol = solve_eigenvalue(PureCoulomb(0.4), ch_s)
         assert abs(sol.E - coulomb_eigenvalue(0.4, ch_s)) < 1e-10
-        assert len(sweep_calls["count"]) <= 8
+        assert len(sweep_calls["count"]) <= 3
+
+    def test_weak_rebuilding_solve_pass_budget(self, ch_s, passes):
+        # kappa = 0.02 lies below 30/r_max on the first grid, which is searched
+        # only up to where r_max kappa = 30: two counts find no state there and
+        # the longest grid is searched at once (30 passes when the first grid
+        # ran a whole Brent search before its tail rule refused the level)
+        sol = solve_eigenvalue(PureCoulomb(0.02), ch_s)
+        assert abs(sol.E - coulomb_eigenvalue(0.02, ch_s)) < 1e-12
+        assert len(passes) <= 15
 
     @pytest.mark.parametrize("end", [0, 1], ids=["lo", "hi"])
     def test_end_on_the_root_is_taken(self, ch_s, monkeypatch, caplog, end):
@@ -1330,7 +1341,7 @@ class TestGridIntegral:
 
 
 # Hellmann-Feynman for V = -u/r: dE/du = <dV/du> = -<1/r>.  Relative residuals
-# of <1/r> on unhinted solves, measured: -1.0e-14, 2.4e-14, 1.2e-11 and 1.5e-7
+# of <1/r> on unhinted solves, measured: -1.0e-14, 2.8e-14, 1.2e-11 and 1.5e-7
 # for 1s_1/2 at u = 0.1, 0.5, 0.9 and 0.99, 3.1e-7 for 2s_1/2 at 0.99; each
 # bound is 7-12x that, 3x for 2s_1/2 under the cap 1e-6.  Simpson in r
 # (scipy's simpson(x=r), no piece below r_min) reads -1.4e-10, -2.7e-9,
@@ -1478,17 +1489,38 @@ class TestWeaklyBoundEdges:
         sol = solve_eigenvalue(PureCoulomb(2e-3), ch)
         assert abs(sol.E - coulomb_eigenvalue(2e-3, ch)) < 1e-12
 
-    @pytest.mark.parametrize("u", [0.03, 0.02])
-    def test_rebuild_hint_stays_in_isolating_bracket(self, caplog, ch_s, u):
-        # decay rates 0.03 and 0.02 span 21 and 14 decay lengths of the first
-        # grid's tail (r_max = 700); the level found there, widened by 1e-5 and
-        # clipped to the bracket that isolated it, holds the state alone on
-        # the longest grid
+    def test_rebuild_hint_stays_in_isolating_bracket(self, caplog):
+        # u = 0.5 10s_1/2 (kappa = 0.0507) passes r_max kappa >= 30 on the first
+        # grid (r_max = 700) but spans only 16 decay lengths past its match
+        # point; the level found there, widened by 1e-5 and clipped to the
+        # bracket that isolated it, holds the state alone on the longest grid
+        ch = parse_state_label("10s_1/2")
         with caplog.at_level(logging.DEBUG, logger="diracbound.radial"):
-            sol = solve_eigenvalue(PureCoulomb(u), ch_s)
+            sol = solve_eigenvalue(PureCoulomb(0.5), ch)
         messages = [r.getMessage() for r in caplog.records]
         assert sum("grid tail too short" in m for m in messages) == 1
         assert not any("rejected" in m for m in messages)
+        assert abs(sol.E - coulomb_eigenvalue(0.5, ch)) < 1e-12
+
+    @pytest.mark.parametrize("u", [0.03, 0.02])
+    def test_first_grid_makes_no_wronskian_pass(self, caplog, monkeypatch, ch_s, u):
+        # decay rates 0.03 and 0.02 would span 21 and 14 decay lengths of the
+        # first grid's tail (r_max = 700): no level there passes r_max kappa >=
+        # 30, so the counts below that rule's top find no state and the solve
+        # rebuilds with no Brent search on the first grid
+        grids = []
+        wronskian = radial._ShootingWorkspace.wronskian
+
+        def recorded(self, E):
+            grids.append(self.grid.r_max)
+            return wronskian(self, E)
+
+        monkeypatch.setattr(radial._ShootingWorkspace, "wronskian", recorded)
+        with caplog.at_level(logging.DEBUG, logger="diracbound.radial"):
+            sol = solve_eigenvalue(PureCoulomb(u), ch_s)
+        (message,) = [r.getMessage() for r in caplog.records if "rebuilding" in r.getMessage()]
+        assert message.startswith("grid holds 0 of 1 states below E=0.99908")
+        assert grids and set(grids) == {35000.0}
         assert abs(sol.E - coulomb_eigenvalue(u, ch_s)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -1502,8 +1534,8 @@ class TestWeaklyBoundEdges:
         ids=["0.01-3s_1/2", "0.01-4f_5/2", "Z5-6h_11/2", "0.002-2s_1/2"],
     )
     def test_one_rebuild_per_solve(self, caplog, pot, label):
-        # the first grid holds too few states (u = 0.01 and 0.002) or too short
-        # a tail (Z = 5); the one rebuild is the longest grid, which fits each
+        # the first grid holds none of these states below where r_max kappa =
+        # 30; the one rebuild is the longest grid, which fits each
         with caplog.at_level(logging.DEBUG, logger="diracbound.radial"):
             sol = solve_eigenvalue(pot, parse_state_label(label))
         assert sum("rebuilding" in r.getMessage() for r in caplog.records) == 1
