@@ -15,12 +15,14 @@ window |E - V(inf)| < 1.  The solver combines:
   scaled by e^-x where it grows like e^x, and the inward steps are
   adjugates.  A pass at E meets the outward sweep and the inward one at
   E's own match point: the outermost point where Q = (E - V)^2 - 1 -
-  (k/r)^2 >= 0, else where Q peaks (every nodeless state).  It writes -M_i(E)
-  into the workspace's one band, a unit lower-triangular system that does
-  not depend on the join; a BLAS dtbsv forward substitution on it gives the
-  outward sweep and the transposed back substitution the inward one (see
-  _trajectory): every state of both, for the Wronskian, the phase count and
-  the eigenfunction alike, so one pass per energy serves all three;
+  (k/r)^2 >= 0, else where Q peaks (every nodeless state); the inward sweep
+  starts TAIL_CUT decay lengths past it if the grid reaches further (see
+  _probe).  It writes -M_i(E) into the workspace's one band, a unit
+  lower-triangular system that does not depend on the join; a BLAS dtbsv
+  forward substitution on it gives the outward sweep and the transposed back
+  substitution the inward one (see _trajectory): every state of both, for
+  the Wronskian, the phase count and the eigenfunction alike, so one pass
+  per energy serves all three;
 * Pruefer phase counting: the unwound angle of (psi1, psi2) at r_max less
   that of the decaying tail, equally the outward angle less the inward one at
   any match point, drops through a multiple of pi at every eigenvalue of the
@@ -46,7 +48,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
@@ -68,6 +70,9 @@ LONGEST_KAPPA_REF = 1e-3  # the least kappa_ref, that of the longest grid (r_max
 GRID_LOG_WEIGHT = 0.5
 # grid density multiplier of every solve that takes no other
 DEFAULT_GRID_SCALE = 1.0
+# decay lengths kappa (r_e - r_i) a pass sweeps past its match point r_i, where the
+# inward seed's error has fallen by e^-2 TAIL_CUT; the grid may end sooner (see _probe)
+TAIL_CUT = 40.0
 # Gauss-Legendre nodes of the sixth-order Magnus step, as fractions of a step
 _GAUSS_C = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
@@ -99,7 +104,9 @@ class RadialGrid:
         h = (xi[-1] - xi[0]) / (r.size - 1)
         if not np.max(np.abs(np.diff(xi) - h)) <= 1e-6 * h:  # built grids: within 2e-11 h
             raise ValueError("grid points are not uniform in xi; build the grid with build_grid")
-        return h, a / r + 1.0 / rho
+        dxi = a / r + 1.0 / rho
+        dxi.setflags(write=False)  # kept with a grid that build_grid shares
+        return h, dxi
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +132,15 @@ def _grid_map(kappa_ref: float, scale: float) -> tuple[float, float]:
     return h, (0.025 / (kappa_ref * scale)) / h
 
 
+@lru_cache(maxsize=2)
 def build_grid(kappa_ref: float, scale: float = DEFAULT_GRID_SCALE) -> RadialGrid:
     """Mesh for states decaying like exp(-kappa_ref r), uniform in xi = a ln r +
     r/rho (a = GRID_LOG_WEIGHT), step h = 0.008/scale, rho = 3.125/kappa_ref:
     dr/r -> h/a near the origin, dr -> h rho = 0.025/(kappa_ref scale) in the
     tail.  About 2490 (kappa_ref = 1) to 2920 (1e-3) points times scale, so
-    scale >= 0.5 keeps the 1000 points the quadratures need (1244 at 1)."""
+    scale >= 0.5 keeps the 1000 points the quadratures need (1244 at 1).  Shared,
+    its arrays read-only: the last two grids built are kept, as every unhinted
+    solve searches the kappa_ref = 0.05 grid and every rebuild the longest."""
     if not LONGEST_KAPPA_REF <= kappa_ref <= 1.0:
         raise ValueError(f"kappa_ref must lie in [1e-3, 1], got {kappa_ref}")
     if not 0.5 <= scale < math.inf:
@@ -148,6 +158,7 @@ def build_grid(kappa_ref: float, scale: float = DEFAULT_GRID_SCALE) -> RadialGri
         t -= dt
     points = np.exp(t)
     points[0], points[-1] = r_min, r_max
+    points.setflags(write=False)
     return RadialGrid(r_min=r_min, r_max=r_max, points=points, kappa_ref=kappa_ref, scale=scale)
 
 
@@ -367,6 +378,14 @@ def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
     return float((o1 * i2 - o2 * i1) / den)
 
 
+def _joined(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, float]:
+    """Samples head, then tail[:, 1:] times the scale that puts tail[:, 0] on
+    head[:, -1] in the component tail resolves best; and that scale."""
+    (h1, h2), (t1, t2) = head[:, -1], tail[:, 0]
+    scale = h1 / t1 if abs(t1) >= abs(t2) else h2 / t2
+    return np.concatenate([head, scale * tail[:, 1:]], axis=1), scale
+
+
 class _ShootingWorkspace:
     """Stage tables, one band and the sweep functionals for one (pot, ch,
     grid).  The band, allocated and zeroed once, is every pass's scratch: a
@@ -376,7 +395,8 @@ class _ShootingWorkspace:
     Wronskian has one sign at every join (det M_j = 1 and every scale is
     positive) and the phase count is the same at every join (see count), so
     one pass per E, kept in probes as (i, W, Y, x) (see sweep), serves a
-    count, a Wronskian and the eigenfunction at E alike."""
+    count, a Wronskian and the eigenfunction at E alike.  A pass may end
+    where its own tail has converged (see _probe)."""
 
     def __init__(self, pot, ch: Channel, grid: RadialGrid):
         self.pot = pot
@@ -398,24 +418,36 @@ class _ShootingWorkspace:
         w = E - self.v_inf
         return 1.0, -math.sqrt((1.0 - w) / (1.0 + w))
 
-    def sweep(self, E: float, i: int):
+    def sweep(self, E: float, i: int, end: int | None = None):
         """One pass at E with the sweeps met at grid index i in [0, n_int], kept
         nowhere: (i, their scaled Wronskian, their trajectory (see
-        _trajectory), the steps' log-scales in grid order).  ConvergenceError
-        if an end state is not finite, as a step lost anywhere in a sweep
-        reaches its end."""
-        x = _steps(self.table, E, self.band)
-        Y = _trajectory(self.band, i, self._seed_out(E), self._seed_in(E))
+        _trajectory), the steps' log-scales in grid order).  The inward sweep
+        starts at grid index end (i < end <= n_int; the last point if None), so
+        the pass covers end intervals.  ConvergenceError if an end state is not
+        finite, as a step lost anywhere in a sweep reaches its end."""
+        table, band = self.table, self.band
+        if end is not None and end < self.n_int:
+            table, band = table[..., :end], band[: end + 1]
+        x = _steps(table, E, band)
+        Y = _trajectory(band, i, self._seed_out(E), self._seed_in(E))
         ends = Y.T[i : i + 2].ravel().tolist()  # the outward end state, then the inward one
         if not all(map(math.isfinite, ends)):
             raise ConvergenceError(f"sweep lost finiteness at E={E}")
         return i, _scaled_wronskian(*ends, E), Y, x
 
     def _probe(self, E: float):
-        """The pass at E joined at match_index(E), made unless kept."""
+        """The pass at E joined at i = match_index(E), made unless kept.  It ends
+        TAIL_CUT decay lengths past r_i, at least 8 points, if the grid reaches
+        further: the inward seed's error has fallen by e^-2 TAIL_CUT at the
+        join, and the phase count, continuous in the seed's radius, can change
+        only that close to a level."""
         probe = self.probes.get(E)
         if probe is None:
-            probe = self.probes[E] = self.sweep(E, self.match_index(E))
+            i, r, kappa = self.match_index(E), self.grid.points, _decay_rate(E - self.v_inf)
+            end = self.n_int
+            if kappa * (r[-1] - r[i]) > TAIL_CUT:
+                end = min(end, max(i + 8, int(r.searchsorted(r[i] + TAIL_CUT / kappa))))
+            probe = self.probes[E] = self.sweep(E, i, end)
         return probe
 
     def count(self, E: float) -> int:
@@ -498,14 +530,19 @@ class _ShootingWorkspace:
         """The match index i, the components on the full grid from both sweeps
         met at i, their scaled Wronskian, and their Wronskian at the join in
         psi's scale over |psi(r_i)|^2; from the probe at E if Brent or a count
-        made one."""
+        made one.  Past the probe's end e, psi comes from an inward sweep over
+        the intervals left, from the seed at r_max, joined at e."""
         i, w, Y, x = self._probe(E)
         out, inw = _samples(Y, x, i)
-        # join on the component the inward sweep resolves best
+        psi, scale = _joined(out, inw)
         (o1, o2), (i1, i2) = out[:, -1], inw[:, 0]
-        scale = o1 / i1 if abs(i1) >= abs(i2) else o2 / i2
-        psi = np.concatenate([out, scale * inw[:, 1:]], axis=1)
         join = float((o1 * scale * i2 - o2 * scale * i1) / (o1 * o1 + o2 * o2))
+        if x.size < self.n_int:
+            e = x.size
+            x = _steps(self.table[..., e:], E, self.band)
+            # met at 0: the outward sweep is its seed alone, and only the inward one is kept
+            Y = _trajectory(self.band[: self.n_int - e + 1], 0, (1.0, 0.0), self._seed_in(E))
+            psi = _joined(psi, _samples(Y, x, 0)[1])[0]
         return i, psi[0], psi[1], w, join
 
 

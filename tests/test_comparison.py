@@ -293,7 +293,8 @@ class TestSharedGrid:
     def test_xi_map_derived_once_per_pair(self, ch_s, monkeypatch):
         # both normalizations, both identity quadratures and the derivative
         # check of one pair share one grid, whose xi map is derived on its
-        # first use only
+        # first use only; grids are shared, so none is kept from earlier tests
+        radial.build_grid.cache_clear()
         derived = []
         derive = radial.RadialGrid.xi_map.func
 

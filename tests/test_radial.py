@@ -99,6 +99,15 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="scale"):
             build_grid(0.25, 0.4)
 
+    def test_grids_are_shared_and_read_only(self):
+        # a grid depends only on (kappa_ref, scale): each solve at the default
+        # kappa_ref takes the one kept, which no caller may write
+        grid = build_grid(0.05)
+        assert build_grid(0.05) is grid
+        for kept in (grid.points, grid.xi_map[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 2e-6
+
     def test_reference_rate(self):
         pot = ShiftedCoulomb(shift=0.1, coupling=0.5)
         assert reference_rate(pot, None) == 0.05
@@ -301,9 +310,9 @@ def passes(monkeypatch):
     energies = []
     sweep = radial._ShootingWorkspace.sweep
 
-    def recorded(self, E, i):
+    def recorded(self, E, i, end=None):
         energies.append(E)
-        return sweep(self, E, i)
+        return sweep(self, E, i, end)
 
     monkeypatch.setattr(radial._ShootingWorkspace, "sweep", recorded)
     return energies
@@ -505,6 +514,93 @@ class TestSearch:
         assert not [r for r in caplog.records if "rebuilding" in r.getMessage()]
         assert sol.grid.kappa_ref == reference_rate(sol.potential, None)
         assert abs(sol.E - coulomb_eigenvalue(u, ch)) < 1e-12
+
+
+# --------------------------------------------------------------------------
+# tail cut: a pass ends TAIL_CUT decay lengths past its match point
+
+
+# the acceptance oracle's 12 pure-Coulomb (tau, 2j, n, u), then a shifted potential
+TAIL_CASES = [
+    *((PureCoulomb(u), Channel(tau=tau, two_j=two_j, n=n)) for tau, two_j, n, u in (
+        (-1, 1, 1, 0.1), (-1, 1, 1, 0.3), (-1, 1, 1, 0.58), (-1, 3, 1, 0.3),
+        (-1, 3, 1, 0.58), (-1, 1, 2, 0.3), (-1, 1, 2, 0.58), (1, 1, 1, 0.1),
+        (1, 1, 1, 0.3), (1, 1, 1, 0.58), (1, 3, 1, 0.3), (-1, 3, 2, 0.3),
+    )),
+    (ShiftedCoulomb(shift=0.3, coupling=0.5), parse_state_label("2s_1/2")),
+]
+
+
+def _full_pass(ws, E):
+    """A workspace on ws's grid holding a pass at E over the whole grid, met at
+    E's match index."""
+    full = radial._ShootingWorkspace(ws.pot, ws.ch, ws.grid)
+    full.probes[E] = full.sweep(E, full.match_index(E))
+    return full
+
+
+class TestTailCut:
+    @pytest.mark.parametrize("pot, ch", TAIL_CASES, ids=[f"{p!r}-{c}" for p, c in TAIL_CASES])
+    def test_cut_passes_count_and_sample_as_full_ones(self, pot, ch, monkeypatch):
+        # every probe of an unhinted solve gives the Wronskian of a pass over
+        # the whole grid to round-off (3.3e-16 measured), so the same phase
+        # count and sign but where round-off decides them, at Brent's last
+        # probes; the eigenfunction completes a cut pass's psi on the whole
+        # grid (1.7e-13 of the peak measured)
+        made, solved = [], []
+        sweep, eigenfunction = radial._ShootingWorkspace.sweep, radial._ShootingWorkspace.eigenfunction
+
+        def recorded(self, E, i, end=None):
+            made.append((self, E, end))
+            return sweep(self, E, i, end)
+
+        def kept(self, E):
+            solved.append((self, E))
+            return eigenfunction(self, E)
+
+        monkeypatch.setattr(radial._ShootingWorkspace, "sweep", recorded)
+        monkeypatch.setattr(radial._ShootingWorkspace, "eigenfunction", kept)
+        solve_eigenvalue(pot, ch)
+        monkeypatch.undo()
+        assert any(end < ws.n_int for ws, _, end in made)
+        at_round_off = 0
+        for ws, E, _ in made:
+            full = _full_pass(ws, E)
+            w, w_full = ws.wronskian(E), full.wronskian(E)
+            assert abs(w - w_full) <= 1e-15
+            if abs(w_full) <= 1e-15:
+                at_round_off += 1
+                continue
+            assert ws.count(E) == full.count(E) and np.sign(w) == np.sign(w_full)
+        assert at_round_off <= 2
+        [(ws, E)] = solved
+        psi, ref = (np.array(w.eigenfunction(E)[1:3]) for w in (ws, _full_pass(ws, E)))
+        assert psi.shape == ref.shape == (2, ws.n_int + 1)
+        assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # past the pass's end e, psi is the whole pass's tail up to its scale:
+        # the seed at r_e, off the decaying solution by up to 1% (not for the
+        # nodeless states, whose psi2/psi1 is constant), sets the join
+        e = ws.probes[E][3].size
+        if e < ws.n_int:
+            shape = psi[:, e + 1 :] / psi[0, e + 1] - ref[:, e + 1 :] / ref[0, e + 1]
+            assert np.max(np.abs(shape)) <= 1e-12
+
+    def test_steps_write_no_interval_twice(self, ch_s, passes, monkeypatch):
+        # a cut pass writes the steps up to its end only, and the eigenfunction
+        # writes only the intervals its pass left, so an unhinted solve writes
+        # no interval twice at one energy and fewer than a whole grid per pass
+        written = []
+        steps = radial._steps
+
+        def recorded(table, E, band):
+            start = 0 if table.base is None else (table.ctypes.data - table.base.ctypes.data) // 8
+            written.extend((E, j) for j in range(start, start + table.shape[-1]))
+            return steps(table, E, band)
+
+        monkeypatch.setattr(radial, "_steps", recorded)
+        sol = solve_eigenvalue(ScreenedCoulomb.from_charge(40), ch_s)
+        assert len(set(written)) == len(written)
+        assert len(written) < len(passes) * (sol.grid.count - 1)
 
 
 # --------------------------------------------------------------------------
