@@ -13,6 +13,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .errors import HypothesisViolationError
+
 SPECTROSCOPIC_LETTERS = "spdfgh"
 
 _STATE_RE = re.compile(r"^(\d+)([a-z])_?(\d+)/2$")
@@ -60,6 +62,14 @@ class Channel:
         have no nodes: the only states the envelope bound and the ordering
         theorem cover."""
         return self.tau == -1 and self.n == 1
+
+    def require_nodeless(self) -> None:
+        """The one guard of every result that rests on the comparison theorem."""
+        if not self.nodeless:
+            raise HypothesisViolationError(
+                f"channel {self} (tau={self.tau}, n={self.n}) has noded states; the "
+                "comparison theorem covers only the nodeless tau=-1, n=1 state"
+            )
 
     def __str__(self) -> str:
         return spectroscopic_label(self)

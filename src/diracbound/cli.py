@@ -252,14 +252,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "E_b": _energy_display(report.E_b, args),
                 "identity_rel": report.identity.relative,
                 "derivative_residual": report.derivative_residual,
-                "min_gap": report.min_gap,
                 "nodes_a": "/".join(map(str, report.nodes_a)),
                 "nodes_b": "/".join(map(str, report.nodes_b)),
                 "verdict": report.verdict,
             })
             reports.append(report.to_dict())
     json_obj = {"reports": reports}  # reports carry raw mc2 energies
-    footer = [f"# units: {_UNIT_SUFFIX[args.units]} (gaps and residuals unitless/mc2)"]
+    footer = [f"# units: {_UNIT_SUFFIX[args.units]} (residuals unitless)"]
     _emit(args, rows, json_obj, footer)
     return 0 if all(r["verdict"] == "PASS" for r in rows) else 1
 

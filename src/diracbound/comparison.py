@@ -62,8 +62,6 @@ class ComparisonReport:
     E_b: float
     identity: IdentityCheck
     derivative_residual: float
-    min_gap: float  # min over the pre-check mesh of V_b - V_a
-    max_gap: float
     nodes_a: tuple[int, int]
     nodes_b: tuple[int, int]
     hypothesis_ok: bool  # all four components nodeless
@@ -82,8 +80,6 @@ class ComparisonReport:
             "identity_residual": self.identity.residual,
             "identity_relative_residual": self.identity.relative,
             "derivative_residual": self.derivative_residual,
-            "min_potential_gap": self.min_gap,
-            "max_potential_gap": self.max_gap,
             "nodes_a": list(self.nodes_a),
             "nodes_b": list(self.nodes_b),
             "hypothesis_ok": self.hypothesis_ok,
@@ -93,19 +89,18 @@ class ComparisonReport:
 
 
 def _shared_samples(sol_a: RadialSolution, sol_b: RadialSolution):
-    """(r, a1, a2, b1, b2) of a pair solved in one channel on one shared grid."""
+    """(a1, a2, b1, b2) of a pair solved in one channel on one shared grid."""
     if sol_a.ch != sol_b.ch:
         raise ValueError(f"channel mismatch: {sol_a.ch} vs {sol_b.ch}")
-    r = sol_a.grid.points
-    if not np.array_equal(r, sol_b.grid.points):
+    if not np.array_equal(sol_a.grid.points, sol_b.grid.points):
         raise ValueError("identity checks need both solutions on one shared grid")
-    return r, sol_a.psi1, sol_a.psi2, sol_b.psi1, sol_b.psi2
+    return sol_a.psi1, sol_a.psi2, sol_b.psi1, sol_b.psi2
 
 
 def identity_residual(sol_a: RadialSolution, sol_b: RadialSolution) -> IdentityCheck:
     """Quadrature check of int S (V_a - V_b) dr = (E_a - E_b) int S dr
     for two solutions on one shared grid."""
-    _, a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
+    a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
     S = a1 * b1 + a2 * b2
     dv = sol_a.V - sol_b.V
     lhs = grid_integral(S * dv, sol_a.grid)
@@ -120,7 +115,7 @@ def derivative_identity_check(sol_a: RadialSolution, sol_b: RadialSolution) -> f
 
     Requires both solutions on one shared grid (uniform in the grid
     coordinate, so one fourth-order difference stencil applies throughout)."""
-    _, a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
+    a1, a2, b1, b2 = _shared_samples(sol_a, sol_b)
     lhs = grid_derivative(b1 * a2 - a1 * b2, sol_a.grid)
     bracket = sol_a.V - sol_b.V - (sol_a.E - sol_b.E)
     rhs = bracket * (a1 * b1 + a2 * b2)
@@ -161,7 +156,6 @@ def _check_ordering_mesh(pot_a, pot_b):
             "potentials coincide to round-off on the check mesh; the theorem "
             "needs a strict gap on a set of positive measure"
         )
-    return float(diff.min()), float(diff.max())
 
 
 def assert_ordering(
@@ -177,12 +171,8 @@ def assert_ordering(
     the theorem and rejected.  A nodeless channel whose solves nevertheless
     show nodes gets the verdict INFO, since the theorem's hypothesis fails.
     """
-    if not ch.nodeless:
-        raise HypothesisViolationError(
-            f"channel {ch} has noded states; the ordering theorem covers only "
-            "tau=-1, n=1 channels"
-        )
-    min_gap, max_gap = _check_ordering_mesh(pot_a, pot_b)
+    ch.require_nodeless()
+    _check_ordering_mesh(pot_a, pot_b)
     hint_a, hint_b = predicted_bracket(pot_a, ch), predicted_bracket(pot_b, ch)
     # one grid for both states, sized by the slower decay
     kappa = min(reference_rate(pot_a, hint_a), reference_rate(pot_b, hint_b))
@@ -207,8 +197,6 @@ def assert_ordering(
         E_b=sol_b.E,
         identity=identity,
         derivative_residual=deriv,
-        min_gap=min_gap,
-        max_gap=max_gap,
         nodes_a=nodes_a,
         nodes_b=nodes_b,
         hypothesis_ok=hypothesis_ok,

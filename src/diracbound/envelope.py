@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 
 from .channels import Channel
 from .coulomb import coulomb_eigenvalue, coulomb_eigenvalue_derivative
-from .errors import ConvergenceError, HypothesisViolationError
+from .errors import ConvergenceError
 from .potentials import ScreenedCoulomb, g_transform_derivative, tangent_at
 
 # stay clear of u = 0 and of the sqrt singularity at u = k
@@ -62,25 +62,16 @@ class EnvelopeBound:
         return self.E_lower - 1e-9, self.E_upper + 1e-9
 
 
-def _require_nodeless_channel(ch: Channel) -> None:
-    if not ch.nodeless:
-        raise HypothesisViolationError(
-            f"channel {ch} (tau={ch.tau}, n={ch.n}) is not the nodeless bottom "
-            "state of its angular-momentum subspace; the tangent construction "
-            "only bounds tau=-1, n=1 states"
-        )
-
-
 def bound_at_t(pot: ScreenedCoulomb, ch: Channel, t: float) -> float:
     """Tangent-potential upper bound A(t) + D(B(t)) at contact radius t."""
-    _require_nodeless_channel(ch)
+    ch.require_nodeless()
     tangent = tangent_at(pot, t)
     return tangent.shift + coulomb_eigenvalue(tangent.coupling, ch)
 
 
 def bound_objective(pot: ScreenedCoulomb, ch: Channel, u: float) -> float:
     """Coupling-parameterized bound F(u) = D(u) - u*D'(u) + V(-1/D'(u))."""
-    _require_nodeless_channel(ch)
+    ch.require_nodeless()
     d = coulomb_eigenvalue(u, ch)
     dp = coulomb_eigenvalue_derivative(u, ch)
     return d - u * dp + pot.evaluate(-1.0 / dp)
@@ -97,7 +88,7 @@ def minimize_bound(
     F(u*) floored at D(v) and raised by SAFETY_ULPS ulps; keep_curve adds F
     on a 128-point log mesh of u.
     """
-    _require_nodeless_channel(ch)
+    ch.require_nodeless()
     u_lo = DOMAIN_EDGE
     u_hi = min(1.0, float(ch.k)) - DOMAIN_EDGE
 

@@ -444,9 +444,8 @@ class _ShootingWorkspace:
         probe = self.probes.get(E)
         if probe is None:
             i, r, kappa = self.match_index(E), self.grid.points, _decay_rate(E - self.v_inf)
-            end = self.n_int
-            if kappa * (r[-1] - r[i]) > TAIL_CUT:
-                end = min(end, max(i + 8, int(r.searchsorted(r[i] + TAIL_CUT / kappa))))
+            reach = r[i] + TAIL_CUT / kappa if kappa > 0.0 else math.inf  # 0 at the window's edges
+            end = min(self.n_int, max(i + 8, int(r.searchsorted(reach))))
             probe = self.probes[E] = self.sweep(E, i, end)
         return probe
 

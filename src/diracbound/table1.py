@@ -117,7 +117,8 @@ def compute_state_pair(
 
     Each cell is computed independently; a solver failure is recorded in the
     cell rather than raised.  The successful envelope bound's rigorous energy
-    bracket seeds the shooting solver.
+    bracket seeds the shooting solver.  A channel outside the comparison
+    theorem (see Channel.require_nodeless) raises HypothesisViolationError.
     """
     ch = parse_state_label(state)
     try:

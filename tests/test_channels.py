@@ -14,6 +14,7 @@ from diracbound.channels import (
     principal_quantum_number,
     spectroscopic_label,
 )
+from diracbound.errors import HypothesisViolationError
 
 
 class TestChannelValidation:
@@ -75,7 +76,15 @@ class TestChannelValidation:
         ],
     )
     def test_nodeless_is_tau_minus_bottom_state(self, label, nodeless):
-        assert parse_state_label(label).nodeless is nodeless
+        ch = parse_state_label(label)
+        assert ch.nodeless is nodeless
+        # the one guard of the comparison theorem refuses exactly the others
+        if nodeless:
+            ch.require_nodeless()
+            return
+        with pytest.raises(HypothesisViolationError, match="comparison theorem") as exc:
+            ch.require_nodeless()
+        assert str(exc.value).startswith(f"channel {label} (tau={ch.tau}, n={ch.n}) has noded")
 
 
 class TestPrincipalQuantumNumber:

@@ -21,6 +21,11 @@ from diracbound.cli import main
 from diracbound.table1 import REFERENCE_BINDINGS_KEV
 
 MC2_KEV = 510.999
+# the refusal of the comparison theorem's one guard, shared by bound and compare
+NODED_2S = (
+    "channel 2s_1/2 (tau=-1, n=2) has noded states; the comparison theorem covers "
+    "only the nodeless tau=-1, n=1 state"
+)
 
 
 def run_cli(capsys, *argv):
@@ -261,6 +266,9 @@ class TestBound:
         code, _, err = run_cli(capsys, "bound", "--z", "20", "--state", "2p_1/2")
         assert code == 2
         assert "hypothesis violation" in err
+        code, _, err = run_cli(capsys, "bound", "--z", "20", "--state", "2s_1/2")
+        assert code == 2
+        assert err == f"diracbound: hypothesis violation: {NODED_2S}\n"
 
     def test_unparseable_state_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--z", "20", "--state", "wat")
@@ -375,7 +383,7 @@ class TestCompare:
     def test_noded_channel_rejected(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--z", "20", "--state", "2s_1/2")
         assert code == 2
-        assert "hypothesis violation" in err
+        assert err == f"diracbound: hypothesis violation: {NODED_2S}\n"
 
 
 # --------------------------------------------------------------------------

@@ -67,8 +67,6 @@ class TestCoulombPairs:
         assert report.E_b == pytest.approx(math.sqrt(1.0 - 0.55**2), abs=1e-9)
         assert report.identity.relative < 1e-8
         assert report.derivative_residual < 1e-4
-        assert report.min_gap >= 0.0
-        assert report.max_gap > 0.0
         assert report.nodes_a == (0, 0) and report.nodes_b == (0, 0)
 
     def test_constant_shift_pair(self, ch_s):
@@ -79,10 +77,6 @@ class TestCoulombPairs:
         report = assert_ordering(pot_a, pot_b, ch_s)
         assert report.verdict == "PASS"
         assert report.E_b - report.E_a == pytest.approx(c, abs=1e-9)
-        # the mesh gap subtracts O(1/r_min) potential values, so ~7 digits
-        # of the 1e-3 difference survive at the inner mesh points
-        assert report.min_gap == pytest.approx(c, rel=1e-7)
-        assert report.max_gap == pytest.approx(c, rel=1e-7)
         assert report.identity.relative < 1e-9
 
     def test_coulomb_below_screened(self, screened_z20, ch_s):
@@ -227,6 +221,17 @@ class TestHypothesisGuards:
                 ch_s,
             )
 
+    def test_crossing_past_every_grid_rejected(self, ch_s):
+        # 1e-8 - 0.5/r and -0.4995/r cross at r = 5e4, past the longest
+        # grid's r_max = 35000: the pre-check keeps a mesh of its own
+        assert radial.build_grid(radial.LONGEST_KAPPA_REF).r_max < 5e4
+        with pytest.raises(HypothesisViolationError, match="cross"):
+            assert_ordering(
+                ShiftedCoulomb(shift=1e-8, coupling=0.5),
+                ShiftedCoulomb(shift=0.0, coupling=0.4995),
+                ch_s,
+            )
+
     def test_identical_potentials_rejected(self, screened_z20, ch_s):
         with pytest.raises(HypothesisViolationError, match="strict gap"):
             assert_ordering(screened_z20, screened_z20, ch_s)
@@ -235,6 +240,17 @@ class TestHypothesisGuards:
         ch2 = Channel(tau=-1, two_j=1, n=2)
         with pytest.raises(HypothesisViolationError, match="noded"):
             assert_ordering(PureCoulomb(0.6), PureCoulomb(0.55), ch2)
+
+    def test_bound_and_ordering_refuse_with_one_message(self):
+        ch2 = Channel(tau=-1, two_j=1, n=2)
+        with pytest.raises(HypothesisViolationError) as bound:
+            minimize_bound(ScreenedCoulomb.from_charge(40), ch2)
+        with pytest.raises(HypothesisViolationError) as ordering:
+            assert_ordering(PureCoulomb(0.6), PureCoulomb(0.55), ch2)
+        assert str(bound.value) == str(ordering.value) == (
+            "channel 2s_1/2 (tau=-1, n=2) has noded states; the comparison theorem "
+            "covers only the nodeless tau=-1, n=1 state"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -338,8 +354,6 @@ class TestIdentityCheckShape:
             "identity_residual",
             "identity_relative_residual",
             "derivative_residual",
-            "min_potential_gap",
-            "max_potential_gap",
             "nodes_a",
             "nodes_b",
             "hypothesis_ok",

@@ -585,6 +585,25 @@ class TestTailCut:
             shape = psi[:, e + 1 :] / psi[0, e + 1] - ref[:, e + 1 :] / ref[0, e + 1]
             assert np.max(np.abs(shape)) <= 1e-12
 
+    def test_table_solve_and_window_counts_span_the_grid(self, monkeypatch):
+        # a pass is cut only TAIL_CUT decay lengths past its match point: no
+        # pass of the hinted Z = 40 1s_1/2 table solve is, nor are an unhinted
+        # solve's counts at the window bottom and at the search top
+        made = []
+        sweep = radial._ShootingWorkspace.sweep
+
+        def recorded(self, E, i, end=None):
+            made.append(end == self.n_int)
+            return sweep(self, E, i, end)
+
+        monkeypatch.setattr(radial._ShootingWorkspace, "sweep", recorded)
+        compute_state_pair(40, "1s_1/2")
+        hinted = made[:]
+        made.clear()
+        solve_eigenvalue(ScreenedCoulomb.from_charge(40), parse_state_label("1s_1/2"))
+        assert hinted and all(hinted)
+        assert made[:2] == [True, True] and not all(made)
+
     def test_steps_write_no_interval_twice(self, ch_s, passes, monkeypatch):
         # a cut pass writes the steps up to its end only, and the eigenfunction
         # writes only the intervals its pass left, so an unhinted solve writes

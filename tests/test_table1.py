@@ -11,6 +11,7 @@ import math
 import pytest
 
 from diracbound.channels import PhysicalConstants
+from diracbound.errors import HypothesisViolationError
 from diracbound.table1 import (
     DEFAULT_Z_VALUES,
     REFERENCE_BINDINGS_KEV,
@@ -97,6 +98,12 @@ class TestComputeStatePair:
         assert numeric.failed
         assert name in numeric.error
         assert numeric.energy is None
+
+    def test_noded_state_is_refused_not_failed(self):
+        # the envelope bound rests on the comparison theorem, so a channel
+        # outside it raises from the guard instead of returning FAILED cells
+        with pytest.raises(HypothesisViolationError, match="comparison theorem"):
+            compute_state_pair(40, "2s_1/2")
 
     def test_bad_parameters_fail_cells_not_run(self):
         # alpha*Z >= 1 invalidates the potential; both cells must record the
