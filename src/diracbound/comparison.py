@@ -174,7 +174,7 @@ def assert_ordering(
     ch.require_nodeless()
     _check_ordering_mesh(pot_a, pot_b)
     hint_a, hint_b = predicted_bracket(pot_a, ch), predicted_bracket(pot_b, ch)
-    # one grid for both states, sized by the slower decay
+    # one grid for both states: the longest if either hint is too weak for the first
     kappa = min(reference_rate(pot_a, hint_a), reference_rate(pot_b, hint_b))
     grid = build_grid(kappa, grid_scale)
     sol_a = solve_eigenvalue(pot_a, ch, grid=grid, bracket_hint=hint_a)

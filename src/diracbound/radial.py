@@ -139,8 +139,8 @@ def build_grid(kappa_ref: float, scale: float = DEFAULT_GRID_SCALE) -> RadialGri
     dr/r -> h/a near the origin, dr -> h rho = 0.025/(kappa_ref scale) in the
     tail.  About 2490 (kappa_ref = 1) to 2920 (1e-3) points times scale, so
     scale >= 0.5 keeps the 1000 points the quadratures need (1244 at 1).  Shared,
-    its arrays read-only: the last two grids built are kept, as every unhinted
-    solve searches the kappa_ref = 0.05 grid and every rebuild the longest."""
+    its arrays read-only: the last two grids built are kept, as every solve
+    starts on the kappa_ref = 0.05 grid or the longest (see reference_rate)."""
     if not LONGEST_KAPPA_REF <= kappa_ref <= 1.0:
         raise ValueError(f"kappa_ref must lie in [1e-3, 1], got {kappa_ref}")
     if not 0.5 <= scale < math.inf:
@@ -193,15 +193,15 @@ def _decay_rate(w: float) -> float:
 
 
 def reference_rate(pot, bracket: tuple[float, float] | None) -> float:
-    """kappa_ref of a grid for a state expected in bracket (E_lo, E_hi): the
-    slower decay rate at its ends, clamped to [1e-3, 1].  0.05 without one:
-    its tail (r_max = 700) holds every state with kappa >= 0.043 on the first
-    grid, at 2674 points; as the tail step grows with r_max, each halving of
-    kappa_ref adds only a ln 2/h = 43 points (see build_grid)."""
+    """kappa_ref of a solve's first grid, for a state expected in bracket (E_lo,
+    E_hi) or anywhere if None: 0.05, whose tail (r_max = 700) holds every state
+    with kappa >= 30/700 = 0.043 at 2674 points, unless the slower decay rate at
+    the bracket's ends lies below 30/700; then the longest grid (2919 points).
+    So every solve runs on the two grids build_grid keeps."""
     if bracket is None:
         return 0.05
     v_inf = pot.value_at_infinity
-    return min(max(min(_decay_rate(e - v_inf) for e in bracket), LONGEST_KAPPA_REF), 1.0)
+    return 0.05 if min(_decay_rate(e - v_inf) for e in bracket) >= 30.0 / 700.0 else LONGEST_KAPPA_REF
 
 
 def _stage_tables(pot, tk: float, base: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -423,8 +423,11 @@ class _ShootingWorkspace:
         nowhere: (i, their scaled Wronskian, their trajectory (see
         _trajectory), the steps' log-scales in grid order).  The inward sweep
         starts at grid index end (i < end <= n_int; the last point if None), so
-        the pass covers end intervals.  ConvergenceError if an end state is not
+        the pass covers end intervals.  ValueError off the bound-state window,
+        which every pass checks here; ConvergenceError if an end state is not
         finite, as a step lost anywhere in a sweep reaches its end."""
+        if not self.v_inf - 1.0 < E < self.v_inf + 1.0:
+            raise ValueError(f"trial energy {E} outside the bound-state window of {self.pot!r}")
         table, band = self.table, self.band
         if end is not None and end < self.n_int:
             table, band = table[..., :end], band[: end + 1]
@@ -444,7 +447,7 @@ class _ShootingWorkspace:
         probe = self.probes.get(E)
         if probe is None:
             i, r, kappa = self.match_index(E), self.grid.points, _decay_rate(E - self.v_inf)
-            reach = r[i] + TAIL_CUT / kappa if kappa > 0.0 else math.inf  # 0 at the window's edges
+            reach = r[i] + TAIL_CUT / kappa if kappa > 0.0 else math.inf  # 0 only off the window
             end = min(self.n_int, max(i + 8, int(r.searchsorted(reach))))
             probe = self.probes[E] = self.sweep(E, i, end)
         return probe
@@ -555,10 +558,7 @@ def integrate_radial(pot, ch: Channel, E: float, grid: RadialGrid) -> tuple[np.n
     """Outward sweep at trial energy E over the whole grid, from the origin
     series seed: (psi1, psi2) sharing one positive scale (see _samples), the
     inner samples of a growing sweep underflowing to zero.  A ValueError if E
-    lies outside the bound-state window."""
-    v_inf = pot.value_at_infinity
-    if not v_inf - 1.0 < E < v_inf + 1.0:
-        raise ValueError(f"trial energy {E} outside the bound-state window of {pot!r}")
+    lies outside the bound-state window (see _ShootingWorkspace.sweep)."""
     ws = _ShootingWorkspace(pot, ch, grid)
     _, _, Y, x = ws.sweep(E, ws.n_int)
     psi1, psi2 = _samples(Y, x, ws.n_int)[0]
@@ -627,9 +627,9 @@ def solve_eigenvalue(
         if not supplied:
             grid = build_grid(kappa_ref, grid_scale)
         last = supplied or kappa_ref == LONGEST_KAPPA_REF
-        # a grid that can be rebuilt is searched only up to where r_max kappa = 30:
-        # no level above that passes the tail rule
-        top = window[1] if last else min(window[1], v_inf + _decay_rate(30.0 / grid.r_max))
+        # a grid that can be rebuilt, the first, is searched only up to where r_max
+        # kappa = 30 (E_30 = V_inf + 0.99908): no level above that passes the tail rule
+        top = window[1] if last else v_inf + _decay_rate(30.0 / grid.r_max)
         ws = _ShootingWorkspace(pot, ch, grid)
         n_found, level = ws.find_level(ch.n, (window[0], top), hint)
         if level is not None:

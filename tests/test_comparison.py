@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from diracbound import comparison, radial
-from diracbound.channels import Channel
+from diracbound.channels import Channel, parse_state_label
 from diracbound.comparison import (
     ComparisonReport,
     IdentityCheck,
@@ -303,6 +303,29 @@ class TestRandomPairs:
         r = np.geomspace(1e-6, 1e4, 400)
         assert np.all(tangent.evaluate(r) - pot.evaluate(r) >= -1e-16)
         assert np.all(ordering_gap(pot, tangent.contact_radius, r) >= 0.0)
+
+
+class TestWeakPairs:
+    @pytest.mark.parametrize("z", [3, 5, 8])
+    @pytest.mark.parametrize("label", ["1s_1/2", "2p_3/2"])
+    def test_optimal_tangent_pairs_pass(self, z, label, monkeypatch):
+        # at low Z one hint's slower decay rate lies below 30/700, so the pair
+        # shares the longest grid (all but Z = 8 1s_1/2): on the first grid
+        # (r_max = 700) the supplied-grid solve would raise "too weakly bound"
+        grids = []
+
+        def recorded(kappa_ref, scale):
+            grids.append(kappa_ref)
+            return build_grid(kappa_ref, scale)
+
+        monkeypatch.setattr(comparison, "build_grid", recorded)
+        pot, ch = ScreenedCoulomb.from_charge(z), parse_state_label(label)
+        tangent = tangent_at(pot, minimize_bound(pot, ch).t_star)
+        report = assert_ordering(pot, tangent, ch)
+        assert grids == [0.05 if (z, label) == (8, "1s_1/2") else radial.LONGEST_KAPPA_REF]
+        assert report.verdict == "PASS" and report.nodes_a == report.nodes_b == (0, 0)
+        assert abs(report.E_b - tangent.shift - coulomb_eigenvalue(tangent.coupling, ch)) <= 2e-15
+        assert report.identity.relative < 1e-6 and report.derivative_residual < 1e-4
 
 
 class TestSharedGrid:

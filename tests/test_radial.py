@@ -109,13 +109,24 @@ class TestBuildGrid:
                 kept[0] = 2e-6
 
     def test_reference_rate(self):
+        # two grids for every solve: the first (kappa_ref = 0.05, r_max = 700),
+        # or the longest when the slower decay rate at the hint's ends lies
+        # below 30/700, where the first grid's tail rule refuses a level
         pot = ShiftedCoulomb(shift=0.1, coupling=0.5)
         assert reference_rate(pot, None) == 0.05
-        # the slower decay of the two ends: w = E - V(inf) = 0.6 gives 0.8
-        assert reference_rate(pot, (0.0, 0.7)) == pytest.approx(0.8)
-        # clamped into build_grid's range at the window edges
-        assert reference_rate(pot, (0.5, 1.1)) == 1e-3
-        assert reference_rate(pot, (0.1, 0.1)) == 1.0
+        # w = E - V(inf) = 0.6 decays at 0.8, and w = 0 at 1
+        assert reference_rate(pot, (0.0, 0.7)) == 0.05
+        assert reference_rate(pot, (0.1, 0.1)) == 0.05
+        # a hint end near the window's top or bottom
+        assert reference_rate(pot, (0.5, 1.1)) == radial.LONGEST_KAPPA_REF
+        assert reference_rate(pot, (-0.8999, 0.5)) == radial.LONGEST_KAPPA_REF
+        # above V(inf), the longest exactly when the hint's top passes the first
+        # grid's search top E_30, where r_max kappa = 30 (see solve_eigenvalue)
+        grid = build_grid(0.05)
+        e_30 = 0.1 + math.sqrt(1.0 - (30.0 / grid.r_max) ** 2)
+        for top in (e_30 - 1e-9, e_30 - 1e-12, e_30 + 1e-12, e_30 + 1e-9):
+            expected = grid.kappa_ref if top < e_30 else radial.LONGEST_KAPPA_REF
+            assert reference_rate(pot, (0.5, top)) == expected
 
 
 # --------------------------------------------------------------------------
@@ -276,6 +287,19 @@ class TestCoulombOracle:
         exact = coulomb_eigenvalue(0.3, ch_s)
         sol = solve_eigenvalue(pot, ch_s, bracket_hint=(exact - 1e-4, exact + 1e-4))
         assert abs(sol.E - exact) < 1e-8
+
+    @pytest.mark.parametrize("u", [0.1, 0.3, 0.58, 0.8, 0.9, 0.95, 0.98, 0.99])
+    @pytest.mark.parametrize("label", ["1s_1/2", "2p_3/2", "3d_5/2"])
+    @pytest.mark.parametrize("shift", [0.0, 0.003])
+    def test_hinted_solves_at_round_off(self, shift, label, u):
+        # a hint of the level +- 1e-5 picks the first grid, or the longest
+        # where it decays slower than 30/700 (3d_5/2 at u = 0.1): either lands
+        # on the closed form to the oracle's round-off for states with nodes
+        ch = parse_state_label(label)
+        exact = shift + coulomb_eigenvalue(u, ch)
+        pot = ShiftedCoulomb(shift=shift, coupling=u)
+        sol = solve_eigenvalue(pot, ch, bracket_hint=(exact - 1e-5, exact + 1e-5))
+        assert abs(sol.E - exact) <= 2e-15
 
     def test_wrong_hint_is_discarded(self, ch_s):
         # (0.93, 0.97) does not contain E = 0.8; the solver must fall back
@@ -585,24 +609,32 @@ class TestTailCut:
             shape = psi[:, e + 1 :] / psi[0, e + 1] - ref[:, e + 1 :] / ref[0, e + 1]
             assert np.max(np.abs(shape)) <= 1e-12
 
-    def test_table_solve_and_window_counts_span_the_grid(self, monkeypatch):
-        # a pass is cut only TAIL_CUT decay lengths past its match point: no
-        # pass of the hinted Z = 40 1s_1/2 table solve is, nor are an unhinted
-        # solve's counts at the window bottom and at the search top
+    def test_window_counts_span_the_grid_and_hinted_passes_are_cut(self, monkeypatch):
+        # a pass is cut only TAIL_CUT decay lengths past its match point: an
+        # unhinted solve's counts at the window bottom and at the search top
+        # are not; the hinted Z = 40 1s_1/2 table solve runs on the same first
+        # grid, its count at the window bottom spans it too, and every other
+        # pass, at the hint's ends and Brent's, ends where that rule puts it
         made = []
         sweep = radial._ShootingWorkspace.sweep
 
         def recorded(self, E, i, end=None):
-            made.append(end == self.n_int)
+            made.append((self, E, i, end))
             return sweep(self, E, i, end)
 
         monkeypatch.setattr(radial._ShootingWorkspace, "sweep", recorded)
-        compute_state_pair(40, "1s_1/2")
-        hinted = made[:]
-        made.clear()
         solve_eigenvalue(ScreenedCoulomb.from_charge(40), parse_state_label("1s_1/2"))
-        assert hinted and all(hinted)
-        assert made[:2] == [True, True] and not all(made)
+        spans = [end == ws.n_int for ws, _, _, end in made]
+        assert spans[:2] == [True, True] and not all(spans)
+        first = made[0][0].grid
+        made.clear()
+        compute_state_pair(40, "1s_1/2")
+        (bottom, _, _, end), *rest = made
+        assert bottom.grid is first and end == bottom.n_int and rest
+        for ws, E, i, end in rest:
+            r, reach = ws.grid.points, radial.TAIL_CUT / radial._decay_rate(E - ws.v_inf)
+            assert ws.grid is first and i + 8 < end < ws.n_int
+            assert r[end - 1] < r[i] + reach <= r[end]
 
     def test_steps_write_no_interval_twice(self, ch_s, passes, monkeypatch):
         # a cut pass writes the steps up to its end only, and the eigenfunction
@@ -765,10 +797,14 @@ class TestSweeps:
             decades = np.log10(np.abs(y[y != 0.0]))
             assert np.max(np.abs(np.diff(decades))) <= 10.0
 
-    def test_energy_window_validated(self, ch_s):
-        grid = build_grid(0.5)
-        with pytest.raises(ValueError, match="window"):
-            integrate_radial(PureCoulomb(0.5), ch_s, 1.5, grid)
+    @pytest.mark.parametrize("E", [1.5, -1.0])
+    @pytest.mark.parametrize("helper", [integrate_radial, matching_mismatch],
+                             ids=["integrate_radial", "matching_mismatch"])
+    def test_energy_window_validated(self, ch_s, helper, E):
+        # every pass checks the window, before the tail seed's square root
+        # (E = 1.5) or its division by 1 + w (E = -1)
+        with pytest.raises(ValueError, match="outside the bound-state window"):
+            helper(PureCoulomb(0.5), ch_s, E, build_grid(0.05))
 
     def test_mismatch_vanishes_at_eigenvalue(self, ch_s):
         pot = PureCoulomb(0.5)
@@ -876,6 +912,41 @@ def _scan(steps, y0):
     for j in range(steps.shape[-1]):
         ys.append(steps[..., j] @ ys[-1])
     return np.array(ys).T
+
+
+def _table_solve_calls(monkeypatch, names):
+    """Calls of the radial functions named made by the hinted Z = 40 1s_1/2
+    table solve, counted apart outside the eigenfunction and inside it, the
+    eigenfunction's own inward sweep past its pass's end e: ({name: calls
+    outside}, {name: calls inside}, [(e, n_int) per eigenfunction], [(first,
+    last + 1) of the intervals each _steps call inside it writes])."""
+    outside, inside = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
+    ends, written, active = [], [], []
+    for name in names:
+        inner = getattr(radial, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            (inside if active else outside)[_name] += 1
+            if active and _name == "_steps":
+                table = args[0]  # a view of the workspace's table from interval e on
+                start = (table.ctypes.data - table.base.ctypes.data) // 8
+                written.append((start, start + table.shape[-1]))
+            return _inner(*args)
+
+        monkeypatch.setattr(radial, name, counted)
+    eigenfunction = radial._ShootingWorkspace.eigenfunction
+
+    def tracked(self, E):
+        ends.append((self._probe(E)[3].size, self.n_int))
+        active.append(E)
+        try:
+            return eigenfunction(self, E)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(radial._ShootingWorkspace, "eigenfunction", tracked)
+    assert not compute_state_pair(40, "1s_1/2")[1].failed
+    return outside, inside, ends, written
 
 
 class TestPropagatorKernel:
@@ -988,25 +1059,22 @@ class TestPropagatorKernel:
     def test_one_propagator_pass_per_energy(self, monkeypatch):
         # every count and Wronskian not found in probes writes the steps into
         # the band once and solves both sweeps on it; the eigenfunction takes
-        # the states Brent's probe at its root kept
-        calls = dict.fromkeys(["_steps", "_trajectory", "count", "eigenfunction"], 0)
+        # the states Brent's probe at its root kept, and its own inward sweep
+        # writes only the intervals past that pass's end e, once
+        counts = []
+        count = radial._ShootingWorkspace.count
 
-        def counted(owner, name):
-            inner = getattr(owner, name)
+        def counted(self, E):
+            counts.append(E)
+            return count(self, E)
 
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapped)
-
-        for name in ("_steps", "_trajectory"):
-            counted(radial, name)
-        for name in ("count", "eigenfunction"):
-            counted(radial._ShootingWorkspace, name)
-        assert not compute_state_pair(40, "1s_1/2")[1].failed
-        assert calls["eigenfunction"] == 1 and calls["count"] == 3
-        assert calls["_steps"] == calls["_trajectory"] <= 7
+        monkeypatch.setattr(radial._ShootingWorkspace, "count", counted)
+        outside, inside, ends, written = _table_solve_calls(monkeypatch, ("_steps", "_trajectory"))
+        assert len(counts) == 3
+        assert outside["_steps"] == outside["_trajectory"] <= 7
+        [(e, n_int)] = ends
+        assert e < n_int and inside == {"_steps": 1, "_trajectory": 1}
+        assert written == [(e, n_int)]
 
     def test_eigenfunction_reuses_the_probe(self, ch_s, monkeypatch):
         # a probed E gives, with no pass of its own, the same eigenfunction
@@ -1354,18 +1422,12 @@ class TestHalfTurnReduction:
     def test_counts_do_not_scan(self, monkeypatch):
         # a hinted solve takes half-turns only in its three phase counts; its
         # Wronskians and the eigenfunction read the end states and samples of
-        # the same trajectories, the eigenfunction without a pass of its own
-        calls = {"_half_turns": 0, "_trajectory": 0}
-        for name in calls:
-            inner = getattr(radial, name)
-
-            def counted(*args, _inner=inner, _name=name):
-                calls[_name] += 1
-                return _inner(*args)
-
-            monkeypatch.setattr(radial, name, counted)
-        assert not compute_state_pair(40, "1s_1/2")[1].failed
-        assert calls["_half_turns"] == 3 and calls["_trajectory"] <= 7
+        # the same trajectories, the eigenfunction without a pass of its own:
+        # it sweeps inward only the intervals its pass left, and counts nothing
+        outside, inside, ends, _ = _table_solve_calls(monkeypatch, ("_half_turns", "_trajectory"))
+        assert outside["_half_turns"] == 3 and outside["_trajectory"] <= 7
+        [(e, n_int)] = ends
+        assert e < n_int and inside == {"_half_turns": 0, "_trajectory": 1}
 
 
 # --------------------------------------------------------------------------
