@@ -64,8 +64,6 @@ class UsageError(Exception):
 def _fmt_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.{SIG_DIGITS}g}"
     return str(value)
@@ -114,20 +112,13 @@ def _energy_display(energy_mc2: float | None, args: argparse.Namespace) -> float
     return args.constants.binding_kev(energy_mc2)
 
 
-def _kev_display(kev: float | None, args: argparse.Namespace) -> float | None:
+def _kev_display(kev: float | None, args: argparse.Namespace, rest: float) -> float | None:
+    """A binding energy (rest=1.0) or an energy difference (rest=0.0) in keV, in --units."""
     if kev is None:
         return None
     if args.units == "kev-binding":
         return kev
-    return 1.0 + kev / args.constants.electron_rest_energy_kev
-
-
-def _kev_delta_display(kev: float | None, args: argparse.Namespace) -> float | None:
-    if kev is None:
-        return None
-    if args.units == "kev-binding":
-        return kev
-    return kev / args.constants.electron_rest_energy_kev
+    return rest + kev / args.constants.electron_rest_energy_kev
 
 
 def _pot_label(pot) -> str:
@@ -150,11 +141,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
             "state": c.state,
             "quantity": c.quantity,
             "computed": _energy_display(c.energy, args),
-            "reference": _kev_display(c.reference_kev, args),
-            "deviation": _kev_delta_display(c.deviation_kev, args),
+            "reference": _kev_display(c.reference_kev, args, rest=1.0),
+            "deviation": _kev_display(c.deviation_kev, args, rest=0.0),
             "status": "FAILED" if c.failed else "ok",
         })
-    max_dev = _kev_delta_display(result.max_abs_deviation_kev, args)
+    max_dev = _kev_display(result.max_abs_deviation_kev, args, rest=0.0)
     json_obj = {
         "units": args.units,
         "cells": [dict(row, error=c.error) for row, c in zip(rows, result.cells)],

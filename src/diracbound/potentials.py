@@ -33,7 +33,7 @@ SCREENING_PREFACTOR = 0.98  # lam = 0.98 * alpha * Z**(1/3)
 
 
 def _check_radius(r) -> None:
-    if np.any(np.asarray(r) <= 0.0):
+    if not (np.asarray(r) > 0.0).all():
         raise ValueError("radius must be positive")
 
 
@@ -143,12 +143,10 @@ def g_transform(pot: ScreenedCoulomb, h):
     g(h) = v*h + v*lam*(1 - 1/Z)*[1 + lam/(h - lam)], evaluated through the
     identity 1 + lam/(h - lam) = h/(h - lam), which does not cancel as h -> 0.
     """
-    h = np.asarray(h, dtype=float)
-    if np.any(h >= 0.0):
+    if not (np.asarray(h) < 0.0).all():
         raise ValueError("g is only used on h = -1/r < 0")
     v, lam = pot.coupling, pot.screening
-    out = v * h + v * lam * (1.0 - 1.0 / pot.Z) * h / (h - lam)
-    return out if out.ndim else float(out)
+    return v * h + v * lam * (1.0 - 1.0 / pot.Z) * h / (h - lam)
 
 
 def g_transform_derivative(pot: ScreenedCoulomb, h):
@@ -158,12 +156,10 @@ def g_transform_derivative(pot: ScreenedCoulomb, h):
     is positive for h < 0, so the small h -> 0 limit v/Z suffers no
     cancellation even at large Z.
     """
-    h = np.asarray(h, dtype=float)
-    if np.any(h >= 0.0):
+    if not (np.asarray(h) < 0.0).all():
         raise ValueError("g' is only used on h = -1/r < 0")
     v, lam = pot.coupling, pot.screening
-    out = v * (h * h - 2.0 * h * lam + lam * lam / pot.Z) / (h - lam) ** 2
-    return out if out.ndim else float(out)
+    return v * (h * h - 2.0 * h * lam + lam * lam / pot.Z) / (h - lam) ** 2
 
 
 def tangent_at(pot: ScreenedCoulomb, t: float) -> ShiftedCoulomb:
@@ -192,9 +188,6 @@ def ordering_gap(pot: ScreenedCoulomb, t, r):
     """
     _check_radius(t)
     _check_radius(r)
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
     v, lam = pot.coupling, pot.screening
-    out = (v * (1.0 - 1.0 / pot.Z) * lam * lam * (r - t) ** 2
-           / (r * (1.0 + lam * r) * (1.0 + lam * t) ** 2))
-    return out if out.ndim else float(out)
+    return (v * (1.0 - 1.0 / pot.Z) * lam * lam * (r - t) ** 2
+            / (r * (1.0 + lam * r) * (1.0 + lam * t) ** 2))

@@ -30,7 +30,9 @@ charges = st.integers(min_value=2, max_value=100)
 
 class TestEvaluate:
     def test_pure_coulomb(self):
-        assert PureCoulomb(u=0.5).evaluate(2.0) == pytest.approx(-0.25, rel=1e-15)
+        v = PureCoulomb(u=0.5).evaluate(2.0)
+        assert type(v) is float
+        assert v == pytest.approx(-0.25, rel=1e-15)
 
     def test_shifted_coulomb(self):
         pot = ShiftedCoulomb(shift=0.1, coupling=0.5)
@@ -50,6 +52,7 @@ class TestEvaluate:
         pot = ScreenedCoulomb.from_charge(1)
         v = pot.coupling
         for r in (1e-3, 0.1, 1.0, 50.0):
+            assert type(pot.evaluate(r)) is float
             assert pot.evaluate(r) == pytest.approx(-v / r, rel=1e-14)
 
     def test_screened_strictly_negative(self):
@@ -57,17 +60,22 @@ class TestEvaluate:
         r = np.geomspace(1e-8, 1e6, 300)
         assert np.all(pot.evaluate(r) < 0.0)
 
-    @pytest.mark.parametrize("r", [0.0, -1.0])
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
     def test_nonpositive_radius_rejected(self, r):
-        with pytest.raises(ValueError):
-            PureCoulomb(u=0.5).evaluate(r)
+        for pot in (PureCoulomb(u=0.5), ScreenedCoulomb.from_charge(40)):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                pot.evaluate(r)
+            with pytest.raises(ValueError, match="radius must be positive"):
+                pot.evaluate(np.array([[1.0, 2.0], [r, 3.0]]))
 
     def test_vectorized_evaluation(self):
-        pot = ScreenedCoulomb.from_charge(40)
-        r = np.array([0.5, 1.0, 2.0])
-        np.testing.assert_allclose(
-            pot.evaluate(r), [pot.evaluate(x) for x in r], rtol=1e-15
-        )
+        r = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        for pot in (PureCoulomb(u=0.5), ScreenedCoulomb.from_charge(40)):
+            v = pot.evaluate(r)
+            assert isinstance(v, np.ndarray) and v.shape == r.shape
+            np.testing.assert_allclose(
+                v, [[pot.evaluate(float(x)) for x in row] for row in r], rtol=1e-15
+            )
 
     def test_small_r_dominance(self):
         # r*V(r) -> -v at the origin (Coulombic there)
@@ -181,13 +189,19 @@ class TestModelValidation:
 class TestGTransform:
     def test_composition_identity_at_unit_radius(self):
         pot = ScreenedCoulomb.from_charge(40)
+        assert type(g_transform(pot, -1.0)) is float
         assert g_transform(pot, -1.0) == pytest.approx(pot.evaluate(1.0), rel=1e-14)
 
     def test_composition_identity_dense(self):
         pot = ScreenedCoulomb.from_charge(80)
-        r = np.geomspace(1e-4, 1e3, 200)
-        np.testing.assert_allclose(
-            g_transform(pot, -1.0 / r), pot.evaluate(r), rtol=1e-13
+        r = np.geomspace(1e-4, 1e3, 200).reshape(20, 10)
+        g, gp = g_transform(pot, -1.0 / r), g_transform_derivative(pot, -1.0 / r)
+        for out in (g, gp):
+            assert isinstance(out, np.ndarray) and out.shape == r.shape
+        np.testing.assert_allclose(g, pot.evaluate(r), rtol=1e-13)
+        assert np.array_equal(g, [[g_transform(pot, -1.0 / x) for x in row] for row in r])
+        assert np.array_equal(
+            gp, [[g_transform_derivative(pot, -1.0 / x) for x in row] for row in r]
         )
 
     def test_z1_transform_is_linear(self):
@@ -214,14 +228,15 @@ class TestGTransform:
         for h in (-100.0, -3.0, -0.5, -0.02):
             eps = 1e-6 * max(1.0, abs(h))
             fd = (g_transform(pot, h + eps) - g_transform(pot, h - eps)) / (2 * eps)
+            assert type(g_transform_derivative(pot, h)) is float
             assert g_transform_derivative(pot, h) == pytest.approx(fd, rel=1e-8)
 
-    @pytest.mark.parametrize("h", [0.0, 0.5])
+    @pytest.mark.parametrize("h", [0.0, 0.5, math.nan])
     def test_nonnegative_h_rejected(self, h):
         pot = ScreenedCoulomb.from_charge(20)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="g is only used"):
             g_transform(pot, h)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="g' is only used"):
             g_transform_derivative(pot, h)
 
     @given(charges, log_radii)
@@ -289,6 +304,7 @@ class TestTangent:
 class TestOrderingGap:
     def test_zero_at_contact(self):
         pot = ScreenedCoulomb.from_charge(40)
+        assert type(ordering_gap(pot, 2.0, 2.0)) is float
         assert ordering_gap(pot, 2.0, 2.0) == 0.0
 
     def test_zero_for_z1(self):
@@ -304,8 +320,9 @@ class TestOrderingGap:
 
     def test_vectorized_in_r(self):
         pot = ScreenedCoulomb.from_charge(60)
-        r = np.geomspace(1e-3, 1e3, 50)
+        r = np.geomspace(1e-3, 1e3, 50).reshape(5, 10)
         gaps = ordering_gap(pot, 1.3, r)
+        assert isinstance(gaps, np.ndarray) and gaps.shape == r.shape
         tangent = tangent_at(pot, 1.3)
         np.testing.assert_allclose(
             gaps, tangent.evaluate(r) - pot.evaluate(r), rtol=1e-10, atol=1e-300
@@ -313,10 +330,9 @@ class TestOrderingGap:
 
     def test_rejects_nonpositive_arguments(self):
         pot = ScreenedCoulomb.from_charge(20)
-        with pytest.raises(ValueError):
-            ordering_gap(pot, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            ordering_gap(pot, 1.0, -2.0)
+        for t, r in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                ordering_gap(pot, t, r)
 
     @given(charges, log_radii, log_radii)
     def test_gap_property(self, z, t, r):
