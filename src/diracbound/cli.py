@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     # flags of the shooting solver, for the subcommands that run it
     solver = argparse.ArgumentParser(add_help=False, parents=[common])
     solver.add_argument("--grid-scale", type=float, default=DEFAULT_GRID_SCALE,
-                        help="grid density multiplier (>= 0.5; default %(default)g, > 1 refines)")
+                        help="grid density multiplier (>= 0.5; default %(default)g, larger refines)")
 
     parser = argparse.ArgumentParser(
         prog="diracbound",

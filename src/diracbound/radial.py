@@ -68,8 +68,9 @@ BRENT_XTOL = 1e-14
 LONGEST_KAPPA_REF = 1e-3  # the least kappa_ref, that of the longest grid (r_max = 35000)
 # weight a of ln r in the grid coordinate xi = a ln r + r/rho (see build_grid)
 GRID_LOG_WEIGHT = 0.5
-# grid density multiplier of every solve that takes no other
-DEFAULT_GRID_SCALE = 1.0
+# grid density multiplier of every solve that takes no other: the coarsest at which
+# every accuracy gate holds, a residual error bar of 1e-12 mc^2 among them (README)
+DEFAULT_GRID_SCALE = 0.75
 # decay lengths kappa (r_e - r_i) a pass sweeps past its match point r_i, where the
 # inward seed's error has fallen by e^-2 TAIL_CUT; the grid may end sooner (see _probe)
 TAIL_CUT = 40.0
@@ -137,10 +138,11 @@ def build_grid(kappa_ref: float, scale: float = DEFAULT_GRID_SCALE) -> RadialGri
     """Mesh for states decaying like exp(-kappa_ref r), uniform in xi = a ln r +
     r/rho (a = GRID_LOG_WEIGHT), step h = 0.008/scale, rho = 3.125/kappa_ref:
     dr/r -> h/a near the origin, dr -> h rho = 0.025/(kappa_ref scale) in the
-    tail.  About 2490 (kappa_ref = 1) to 2920 (1e-3) points times scale, so
-    scale >= 0.5 keeps the 1000 points the quadratures need (1244 at 1).  Shared,
-    its arrays read-only: the last two grids built are kept, as every solve
-    starts on the kappa_ref = 0.05 grid or the longest (see reference_rate)."""
+    tail.  About 2490 (kappa_ref = 1) to 2920 (1e-3) points times scale, 1870
+    to 2190 at the default 0.75, so scale >= 0.5 keeps the 1000 points the
+    quadratures need (1244 at 1).  Shared, its arrays read-only: the last two
+    grids built are kept, as every solve starts on the kappa_ref = 0.05 grid
+    or the longest (see reference_rate)."""
     if not LONGEST_KAPPA_REF <= kappa_ref <= 1.0:
         raise ValueError(f"kappa_ref must lie in [1e-3, 1], got {kappa_ref}")
     if not 0.5 <= scale < math.inf:
@@ -195,9 +197,9 @@ def _decay_rate(w: float) -> float:
 def reference_rate(pot, bracket: tuple[float, float] | None) -> float:
     """kappa_ref of a solve's first grid, for a state expected in bracket (E_lo,
     E_hi) or anywhere if None: 0.05, whose tail (r_max = 700) holds every state
-    with kappa >= 30/700 = 0.043 at 2674 points, unless the slower decay rate at
-    the bracket's ends lies below 30/700; then the longest grid (2919 points).
-    So every solve runs on the two grids build_grid keeps."""
+    with kappa >= 30/700 = 0.043 (2006 points at the default scale), unless the
+    slower decay rate at the bracket's ends lies below 30/700; then the longest
+    grid (2190 points).  So every solve runs on the two grids build_grid keeps."""
     if bracket is None:
         return 0.05
     v_inf = pot.value_at_infinity
