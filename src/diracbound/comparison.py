@@ -37,9 +37,6 @@ from .radial import (
     reference_rate, solve_eigenvalue,
 )
 
-# ordering pre-check mesh (log-spaced; wide enough for every state we solve)
-_ORDERING_MESH = np.geomspace(1e-6, 1e5, 2200)
-
 
 @dataclass(frozen=True)
 class IdentityCheck:
@@ -134,28 +131,34 @@ def predicted_bracket(pot, ch: Channel):
     return None
 
 
-def _check_ordering_mesh(pot_a, pot_b):
-    """Verify V_a <= V_b with a strict gap somewhere; reject crossing pairs."""
-    va, vb = pot_a.evaluate(_ORDERING_MESH), pot_b.evaluate(_ORDERING_MESH)
-    diff = vb - va
-    scale = np.abs(va) + np.abs(vb)
-    tol = 1e-13 * np.maximum(scale, 1.0)
-    below = diff < -tol
-    above = diff > tol
-    if below.any():
-        if above.any():
-            raise HypothesisViolationError(
-                "potentials cross: V_b - V_a changes sign on the check mesh, "
-                "so the pair is outside the theorem's hypothesis"
-            )
-        raise HypothesisViolationError(
-            "potentials are ordered the wrong way round (V_a > V_b); swap the pair"
-        )
-    if not above.any():
-        raise HypothesisViolationError(
-            "potentials coincide to round-off on the check mesh; the theorem "
-            "needs a strict gap on a set of positive measure"
-        )
+def _sign(terms) -> float:
+    """Sign of sum(terms); 0 within 1e-13 of their summed magnitudes (round-off)."""
+    total = sum(terms)
+    return 0.0 if abs(total) <= 1e-13 * sum(map(abs, terms)) else math.copysign(1.0, total)
+
+
+def _check_ordering(pot_a, pot_b):
+    """Refuse a pair unless V_a <= V_b on all of (0, inf), strictly somewhere.
+
+    r(1 + lam_a r)(1 + lam_b r)(V_b - V_a) = c0 + c1 r + c2 r^2 (see rational_form); its
+    sign is read at r -> 0 (c0 alone), at r -> inf (the highest coefficient that is not
+    round-off) and at its vertex if that lies in (0, inf)."""
+    (a0, a1, lam_a), (b0, b1, lam_b) = pot_a.rational_form(), pot_b.rational_form()
+    terms = [(b0, -a0), (b1, b0 * lam_a, -a1, -a0 * lam_b), (b1 * lam_a, -a1 * lam_b)]
+    signs = {_sign(terms[0]), next((s for s in map(_sign, (terms[2], terms[1])) if s), 0.0)}
+    c1, c2 = sum(terms[1]), sum(terms[2])
+    if _sign(terms[2]) and c1 * c2 < 0.0:
+        r = -c1 / (2.0 * c2)
+        signs.add(_sign([t * r**i for i, ts in enumerate(terms) for t in ts]))
+    refusal = {
+        (True, True): "potentials cross: V_b - V_a changes sign on (0, inf), so the pair "
+                      "is outside the theorem's hypothesis",
+        (True, False): "potentials are ordered the wrong way round (V_a > V_b); swap the pair",
+        (False, False): "potentials coincide to round-off on (0, inf); the theorem needs a "
+                        "strict gap on a set of positive measure",
+    }.get((-1.0 in signs, 1.0 in signs))
+    if refusal:
+        raise HypothesisViolationError(refusal)
 
 
 def assert_ordering(
@@ -170,9 +173,10 @@ def assert_ordering(
     Channels other than the nodeless bottom state (tau=-1, n=1) are outside
     the theorem and rejected.  A nodeless channel whose solves nevertheless
     show nodes gets the verdict INFO, since the theorem's hypothesis fails.
+    V_a <= V_b is checked exactly on (0, inf): both need a rational_form.
     """
     ch.require_nodeless()
-    _check_ordering_mesh(pot_a, pot_b)
+    _check_ordering(pot_a, pot_b)
     hint_a, hint_b = predicted_bracket(pot_a, ch), predicted_bracket(pot_b, ch)
     # one grid for both states: the longest if either hint is too weak for the first
     kappa = min(reference_rate(pot_a, hint_a), reference_rate(pot_b, hint_b))

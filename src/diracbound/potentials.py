@@ -62,6 +62,10 @@ class ShiftedCoulomb:
         _check_radius(r)
         return self.shift - self.coupling / r
 
+    def rational_form(self) -> tuple[float, float, float]:
+        """(p0, p1, lam) with V(r) = (p0 + p1*r)/(r*(1 + lam*r))."""
+        return -self.coupling, self.shift, 0.0
+
     # origin/tail data used by the radial solver's series seed
     @property
     def origin_strength(self) -> float:
@@ -118,6 +122,10 @@ class ScreenedCoulomb:
         _check_radius(r)
         v, lam = self.coupling, self.screening
         return -(v / r) * (1.0 - r * lam * (1.0 - 1.0 / self.Z) / (1.0 + lam * r))
+
+    def rational_form(self) -> tuple[float, float, float]:
+        """(p0, p1, lam) with V(r) = (p0 + p1*r)/(r*(1 + lam*r))."""
+        return -self.coupling, -self.coupling * self.screening / self.Z, self.screening
 
     @property
     def origin_strength(self) -> float:

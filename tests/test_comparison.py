@@ -223,18 +223,55 @@ class TestHypothesisGuards:
 
     def test_crossing_past_every_grid_rejected(self, ch_s):
         # 1e-8 - 0.5/r and -0.4995/r cross at r = 5e4, past the longest
-        # grid's r_max = 35000: the pre-check keeps a mesh of its own
+        # grid's r_max = 35000; 1e-9 - 0.5005/r and -0.5/r cross at r = 5e5
         assert radial.build_grid(radial.LONGEST_KAPPA_REF).r_max < 5e4
-        with pytest.raises(HypothesisViolationError, match="cross"):
-            assert_ordering(
-                ShiftedCoulomb(shift=1e-8, coupling=0.5),
-                ShiftedCoulomb(shift=0.0, coupling=0.4995),
-                ch_s,
-            )
+        for pot_a, pot_b in [
+            (ShiftedCoulomb(shift=1e-8, coupling=0.5), ShiftedCoulomb(shift=0.0, coupling=0.4995)),
+            (ShiftedCoulomb(shift=1e-9, coupling=0.5005), PureCoulomb(0.5)),
+        ]:
+            with pytest.raises(HypothesisViolationError, match="cross"):
+                assert_ordering(pot_a, pot_b, ch_s)
 
     def test_identical_potentials_rejected(self, screened_z20, ch_s):
         with pytest.raises(HypothesisViolationError, match="strict gap"):
             assert_ordering(screened_z20, screened_z20, ch_s)
+
+    def test_exact_gap_of_1e_14_admitted(self, ch_s):
+        # V_b - V_a = 1e-14 everywhere: a strict gap, though below the 1e-13
+        # absolute floor of a check in V units; the spectrum moves up by it
+        report = assert_ordering(PureCoulomb(0.5), ShiftedCoulomb(shift=1e-14, coupling=0.5), ch_s)
+        assert report.verdict == "PASS"
+        assert report.E_b - report.E_a == pytest.approx(1e-14, abs=1e-16)
+        # a coupling gap of 1e-15 is round-off against the couplings themselves
+        with pytest.raises(HypothesisViolationError, match="strict gap"):
+            assert_ordering(PureCoulomb(0.5), PureCoulomb(0.5 - 1e-15), ch_s)
+
+    def test_exact_check_verdicts_without_solving(self):
+        # no solves: near the origin a tangent's coupling equals v to ~1e-14,
+        # so c0 is round-off and must be read alone (its c1 < 0); far out its
+        # c2 is far below 1, so round-off is judged relative to its own terms
+        def verdict(pot_a, pot_b):
+            try:
+                comparison._check_ordering(pot_a, pot_b)
+            except HypothesisViolationError as err:
+                return next(k for k in ("cross", "swap the pair", "strict gap") if k in str(err))
+            return "ok"
+
+        for z in (1, 2, 20, 80, 136):
+            pot = ScreenedCoulomb.from_charge(z)
+            # at Z = 1 the screening term vanishes: every tangent is -v/r itself
+            expected = ("strict gap", "strict gap") if z == 1 else ("ok", "swap the pair")
+            for t in np.geomspace(1e-5, 1e6, 60):
+                tangent = tangent_at(pot, float(t))
+                assert (verdict(pot, tangent), verdict(tangent, pot)) == expected, (z, t)
+        z20, z30 = ScreenedCoulomb.from_charge(20), ScreenedCoulomb.from_charge(30)
+        assert verdict(z20, z20) == "strict gap"
+        assert (verdict(z30, z20), verdict(z20, z30)) == ("ok", "swap the pair")
+        # lowered by 1e-6, a tangent dips below its potential only around the
+        # contact radius: the sign change shows at the quadratic's vertex alone
+        tangent = tangent_at(z20, 3.0)
+        lowered = ShiftedCoulomb(shift=tangent.shift - 1e-6, coupling=tangent.coupling)
+        assert (verdict(z20, lowered), verdict(lowered, z20)) == ("cross", "cross")
 
     def test_noded_channel_rejected_by_default(self, ch_s):
         ch2 = Channel(tau=-1, two_j=1, n=2)

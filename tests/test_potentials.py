@@ -60,6 +60,27 @@ class TestEvaluate:
         r = np.geomspace(1e-8, 1e6, 300)
         assert np.all(pot.evaluate(r) < 0.0)
 
+    @pytest.mark.parametrize(
+        "pot",
+        [
+            PureCoulomb(0.3),
+            ShiftedCoulomb(shift=-0.2, coupling=0.3),
+            ScreenedCoulomb.from_charge(1),
+            ScreenedCoulomb.from_charge(20),
+            ScreenedCoulomb.from_charge(136),
+            tangent_at(ScreenedCoulomb.from_charge(40), 3.3),
+        ],
+        ids=["pure", "shifted", "screened-z1", "screened-z20", "screened-z136", "tangent"],
+    )
+    def test_rational_form_matches_evaluate(self, pot):
+        # V = (p0 + p1 r)/(r(1 + lam r)); relative to the summed magnitudes of
+        # the numerator's terms, which is |V| except where a tangent's V = 0
+        p0, p1, lam = pot.rational_form()
+        r = np.geomspace(1e-6, 1e8, 2000)
+        denom = r * (1.0 + lam * r)
+        scale = (abs(p0) + abs(p1) * r) / denom
+        assert np.all(np.abs((p0 + p1 * r) / denom - pot.evaluate(r)) <= 1e-13 * scale)
+
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
     def test_nonpositive_radius_rejected(self, r):
         for pot in (PureCoulomb(u=0.5), ScreenedCoulomb.from_charge(40)):
