@@ -292,19 +292,24 @@ def _steps(table, E: float, band: np.ndarray) -> np.ndarray:
     a, b, c = omega
     s2 = a * a + b * c
     x = np.sqrt(np.abs(s2))
-    ell = np.flatnonzero(s2 <= 0.0)  # elliptic steps are the few in classically allowed regions
-    xe = x[ell]
-    x[ell] = np.inf  # no 0/0 where s^2 = 0: the hyperbolic forms there are replaced
-    ht = 0.5 * np.expm1(-2.0 * x)
-    nch, nsh = -1.0 - ht, ht / x  # -e^(-x) cosh x, -e^(-x) sinh(x)/x
-    nch[ell] = -np.cos(xe)
-    nsh[ell] = -np.divide(np.sin(xe), xe, out=np.ones(xe.size), where=xe > 0.0)
-    x[ell] = 0.0
-    out, nsha = band[: x.size], nsh * a
-    np.add(nch, nsha, out=out[:, 0, 2])
+    ell = (s2 <= 0.0).nonzero()[0]  # elliptic steps: the few in classically allowed regions
+    if ell.size:  # none on a pass with no allowed point
+        xe = x[ell]
+        x[ell] = np.inf  # no 0/0 where s^2 = 0: the hyperbolic forms there are replaced
+    nsh = np.expm1(x * -2.0)
+    nsh *= 0.5
+    nch = -1.0 - nsh  # -e^(-x) cosh x
+    nsh /= x  # -e^(-x) sinh(x)/x
+    if ell.size:
+        nch[ell] = -np.cos(xe)
+        nsh[ell] = -np.divide(np.sin(xe), xe, out=np.ones(xe.size), where=xe > 0.0)
+        x[ell] = 0.0
+    out = band[: x.size]
+    a *= nsh
+    np.add(nch, a, out=out[:, 0, 2])
     np.multiply(nsh, c, out=out[:, 0, 3])
     np.multiply(nsh, b, out=out[:, 1, 1])
-    np.subtract(nch, nsha, out=out[:, 1, 2])
+    np.subtract(nch, a, out=out[:, 1, 2])
     return x
 
 
@@ -351,25 +356,27 @@ def _half_turns(Y: np.ndarray, i: int) -> tuple[int, int]:
     state changes half-plane, upward if the cross product of the states on
     either side is positive; the states are O(1), so it neither under- nor overflows."""
     h = _half(Y[1], Y[0])
-    d = np.flatnonzero(h[1:] != h[:-1])
-    a, b = Y[:, d], Y[:, d + 1]
-    turn = np.sign(a[0] * b[1] - a[1] * b[0])
-    # the inward sweep runs against grid order, from its seed in the last column
-    return int(turn[d < i].sum()) - int(h[0]), -int(turn[d > i].sum()) - int(h[-1])
+    d = (h[1:] != h[:-1]).nonzero()[0]
+    (y1, y2), e = Y, d + 1
+    turn = np.sign(y1[d] * y2[e] - y2[d] * y1[e])
+    # the inward sweep runs against grid order, from its seed in the last column; a
+    # change at i, between the sweeps' end states, belongs to neither
+    lo, hi = d.searchsorted(i), d.searchsorted(i, "right")
+    return int(turn[:lo].sum()) - int(h[0]), -int(turn[hi:].sum()) - int(h[-1])
 
 
 def _samples(Y: np.ndarray, x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Both sweeps of a trajectory Y met at grid index i (see _trajectory) as
     samples in grid order, outward on [0, i] and inward on [i, n_int]: each
     state times exp of the log-scales x of the steps between it and its seed,
-    over its sweep's largest such factor, so the far side of a growing sweep
-    underflows to zero."""
+    over its sweep's largest such factor, that of its state at i (each x_j >=
+    0), so the far side of a growing sweep underflows to zero."""
     ls = np.zeros(i + 1)
     np.cumsum(x[:i], out=ls[1:])
-    out = Y[:, : i + 1] * np.exp(ls - ls.max())
+    out = Y[:, : i + 1] * np.exp(ls - ls[-1])
     ls = np.zeros(x.size - i + 1)
     np.cumsum(x[i:][::-1], out=ls[-2::-1])
-    return out, Y[:, i + 1 :] * np.exp(ls - ls.max())
+    return out, Y[:, i + 1 :] * np.exp(ls - ls[0])
 
 
 def _scaled_wronskian(o1, o2, i1, i2, E) -> float:
@@ -521,9 +528,10 @@ class _ShootingWorkspace:
 
     def match_index(self, E: float) -> int:
         """Outermost classically allowed grid index (fallback: least forbidden)."""
-        Q = (E - self.v_grid) ** 2 - self.q_edge
-        allowed = np.flatnonzero(Q >= 0.0)
-        i = int(allowed[-1]) if len(allowed) else int(np.argmax(Q))
+        Q = (E - self.v_grid) ** 2
+        Q -= self.q_edge
+        i = Q.size - 1 - int((Q[::-1] >= 0.0).argmax())  # the last allowed index, if any
+        i = i if Q[i] >= 0.0 else int(Q.argmax())
         return min(max(i, 8), self.n_int - 8)
 
     def wronskian(self, E: float) -> float:
@@ -576,7 +584,7 @@ def count_nodes(samples) -> int:
     """Sign changes between the nonzero samples of a finite 1-D sequence: exact on
     an eigenfunction, as each step turns it monotonically by less than pi (_half_turns)."""
     y = np.asarray(samples, dtype=float)
-    if y.ndim != 1 or not np.all(np.isfinite(y)):
+    if y.ndim != 1 or not np.isfinite(y).all():
         raise ValueError("samples must be a finite 1-D sequence")
     s = np.sign(y[y != 0.0])
     return int(np.count_nonzero(s[1:] != s[:-1]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import logging
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -1487,6 +1488,136 @@ class TestHalfTurnReduction:
         assert outside["_half_turns"] == 3 and outside["_trajectory"] <= 7
         [(e, n_int)] = ends
         assert e < n_int and inside == {"_half_turns": 0, "_trajectory": 1}
+
+
+# --------------------------------------------------------------------------
+# the per-pass kernel against the bodies it replaced: the same floating-point
+# operations in fewer numpy calls, so every result is equal bit for bit
+
+
+def _reference_steps(table, E, band):
+    """radial._steps with the elliptic patch run on every pass, empty or not."""
+    p0, p1, p2, p3 = table
+    omega = p3 * E
+    for p in (p2, p1):
+        omega += p
+        omega *= E
+    omega += p0
+    a, b, c = omega
+    s2 = a * a + b * c
+    x = np.sqrt(np.abs(s2))
+    ell = np.flatnonzero(s2 <= 0.0)
+    xe = x[ell]
+    x[ell] = np.inf
+    ht = 0.5 * np.expm1(-2.0 * x)
+    nch, nsh = -1.0 - ht, ht / x
+    nch[ell] = -np.cos(xe)
+    nsh[ell] = -np.divide(np.sin(xe), xe, out=np.ones(xe.size), where=xe > 0.0)
+    x[ell] = 0.0
+    out, nsha = band[: x.size], nsh * a
+    np.add(nch, nsha, out=out[:, 0, 2])
+    np.multiply(nsh, c, out=out[:, 0, 3])
+    np.multiply(nsh, b, out=out[:, 1, 1])
+    np.subtract(nch, nsha, out=out[:, 1, 2])
+    return x
+
+
+def _reference_half_turns(Y, i):
+    """radial._half_turns by a 2-D gather and masks on either side of i, with
+    the half-plane rule of radial._half written out."""
+    h = (Y[1] < 0.0) | ((Y[1] == 0.0) & (Y[0] < 0.0))
+    d = np.flatnonzero(h[1:] != h[:-1])
+    a, b = Y[:, d], Y[:, d + 1]
+    turn = np.sign(a[0] * b[1] - a[1] * b[0])
+    return int(turn[d < i].sum()) - int(h[0]), -int(turn[d > i].sum()) - int(h[-1])
+
+
+def _reference_match_index(ws, E):
+    """radial._ShootingWorkspace.match_index from the list of every allowed index."""
+    Q = (E - ws.v_grid) ** 2 - ws.q_edge
+    allowed = np.flatnonzero(Q >= 0.0)
+    i = int(allowed[-1]) if len(allowed) else int(np.argmax(Q))
+    return min(max(i, 8), ws.n_int - 8)
+
+
+# states (psi1, psi2) of made-up trajectories: exactly on both axes, signed
+# zeros among them, on the diagonals and off them
+_axis_state = st.sampled_from([
+    (1.0, 0.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.0),
+    (1.0, 1.0), (-1.0, -1.0), (0.5, -2.0), (-2.0, 0.5), (3.0, -1e-300),
+])
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("E, elliptic", [(-0.5, False), (0.9, True)])
+    def test_steps_write_the_reference_band(self, z80_workspace, E, elliptic):
+        # a whole pass and a 12-interval tail, as the eigenfunction's own sweep
+        # takes; elliptic steps, and only they, keep log-scale 0
+        ws = z80_workspace
+        for table in (ws.table, ws.table[..., -12:]):
+            band, ref = np.zeros_like(ws.band), np.zeros_like(ws.band)
+            x, x_ref = radial._steps(table, E, band), _reference_steps(table, E, ref)
+            assert x.tobytes() == x_ref.tobytes() and band.tobytes() == ref.tobytes()
+            if table is ws.table:
+                assert (np.count_nonzero(x == 0.0) > 50) == elliptic
+
+    @pytest.mark.parametrize("E", WINDOW_ENERGIES)
+    def test_half_turns_match_reference_z80(self, z80_workspace, E):
+        ws = z80_workspace
+        for i in sorted({0, 1, ws.match_index(E), ws.n_int // 2, ws.n_int - 1, ws.n_int}):
+            Y = ws.sweep(E, i)[2]
+            assert radial._half_turns(Y, i) == _reference_half_turns(Y, i)
+
+    def test_half_turns_match_reference_at_78_changes(self):
+        # the most changes seen in a pass: PureCoulomb(0.35) 2s_1/2 just below
+        # the window top on the longest grid, where the pass's own join, the
+        # clamp at n_int - 8, holds a change; every split on the same states
+        ws = radial._ShootingWorkspace(
+            PureCoulomb(0.35), parse_state_label("2s_1/2"), build_grid(radial.LONGEST_KAPPA_REF)
+        )
+        E = 0.99999
+        i = ws.match_index(E)
+        Y = ws.sweep(E, i)[2]
+        h = radial._half(Y[1], Y[0])
+        d = np.flatnonzero(h[1:] != h[:-1])
+        assert d.size == 78 and i == ws.n_int - 8 and i in d
+        for j in sorted({0, i, Y.shape[1] - 2, *d, *(d + 1), *(d - 1)}):
+            assert radial._half_turns(Y, j) == _reference_half_turns(Y, j)
+
+    @given(st.lists(_axis_state, min_size=2, max_size=40), st.integers(min_value=0, max_value=38))
+    @example([(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)], 0)  # a change exactly at i
+    @example([(-1.0, 0.0), (1.0, 0.0), (-1.0, -0.0), (0.0, -1.0)], 1)  # p = 0, q < 0
+    @settings(max_examples=300, deadline=None)
+    def test_half_turns_match_reference_on_axis_states(self, states, i):
+        Y = np.array(states).reshape(-1, 2).T  # the layout _trajectory returns
+        i = min(i, Y.shape[1] - 2)
+        assert radial._half_turns(Y, i) == _reference_half_turns(Y, i)
+
+    @pytest.mark.parametrize("kappa_ref", [0.05, radial.LONGEST_KAPPA_REF], ids=["first", "longest"])
+    @pytest.mark.parametrize("label", ["1s_1/2", "2s_1/2"])
+    def test_match_index_matches_reference(self, kappa_ref, label):
+        # 200 energies crowding toward the window top, where a Coulomb tail's
+        # allowed region reaches the end of the grid: allowed points or none,
+        # each with and without the clamp at n_int - 8
+        ch = parse_state_label(label)
+        seen = set()
+        for pot in (ScreenedCoulomb.from_charge(80), PureCoulomb(0.35)):
+            ws = radial._ShootingWorkspace(pot, ch, build_grid(kappa_ref))
+            for E in 1.0 - np.geomspace(2.0 - 1e-9, 1e-9, 200):
+                i = ws.match_index(E)
+                assert i == _reference_match_index(ws, E)
+                allowed = bool(np.any((E - ws.v_grid) ** 2 >= ws.q_edge))
+                seen.add((allowed, i == ws.n_int - 8))
+        assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+    @given(st.lists(st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5]), min_size=17, max_size=40))
+    @example([0.5, 0.5] + [-1.0] * 20)  # allowed only below index 8: the clamp at 8
+    @example([-1.0, -1.0, -0.5] + [-2.0] * 20)  # none allowed, Q peaks below index 8
+    @settings(max_examples=300, deadline=None)
+    def test_match_index_matches_reference_on_made_up_q(self, q):
+        # V = 0 and E = 0 make Q = -q_edge: Q is q itself
+        ws = SimpleNamespace(v_grid=np.zeros(len(q)), q_edge=-np.array(q), n_int=len(q) - 1)
+        assert radial._ShootingWorkspace.match_index(ws, 0.0) == _reference_match_index(ws, 0.0)
 
 
 # --------------------------------------------------------------------------
